@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -34,11 +35,30 @@ EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_USAGE = 2
 
-THREADS_ENV = "LATTICE_VORTEX_THREADS"
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(value, name) -> int:
+    """An integral JSON number; truncating 1.5 to 1 would run a different model."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name) -> float:
+    """A finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def render_json(obj) -> str:
@@ -90,8 +110,8 @@ def _parse_vortices(cfg, dimension) -> VortexConfig:
     vortices = []
     for entry in entries:
         try:
-            point = tuple(int(c) for c in entry["point"])
-            multiplicity = int(entry.get("multiplicity", 1))
+            point = tuple(_integer(c, "vortex coordinate") for c in entry["point"])
+            multiplicity = _integer(entry.get("multiplicity", 1), "multiplicity")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad vortex entry {entry!r}: {exc}")
         if len(point) != dimension:
@@ -108,18 +128,17 @@ def _parse_params(cfg) -> ModelParams:
         raise ConfigError("config must define 'lambda'")
     tols = cfg.get("tolerances", {})
     kwargs = {
-        "lam": float(cfg["lambda"]),
-        "p": int(cfg.get("p", 0)),
-        "shift": float(cfg["shift"]) if "shift" in cfg else None,
+        "lam": _real(cfg["lambda"], "lambda"),
+        "p": _integer(cfg.get("p", 0), "p"),
+        "shift": _real(cfg["shift"], "shift") if "shift" in cfg else None,
     }
-    if "nonlinear" in tols:
-        kwargs["tol_nonlinear"] = float(tols["nonlinear"])
-    if "residual" in tols:
-        kwargs["tol_residual"] = float(tols["residual"])
-    if "linear" in tols:
-        kwargs["tol_linear"] = float(tols["linear"])
+    for key in ("nonlinear", "residual", "linear"):
+        if key in tols:
+            kwargs[f"tol_{key}"] = _real(tols[key], f"tolerances.{key}")
     if "max_outer_iterations" in cfg:
-        kwargs["max_outer_iterations"] = int(cfg["max_outer_iterations"])
+        kwargs["max_outer_iterations"] = _integer(
+            cfg["max_outer_iterations"], "max_outer_iterations"
+        )
     try:
         return ModelParams(**kwargs)
     except ValueError as exc:
@@ -142,7 +161,7 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     if "dimension" not in cfg or "domain" not in cfg:
         raise ConfigError("config must define 'dimension' and 'domain'")
-    dimension = int(cfg["dimension"])
+    dimension = _integer(cfg["dimension"], "dimension")
     try:
         domain = domain_from_json(cfg["domain"], dimension=dimension)
     except (ValueError, KeyError, TypeError) as exc:
@@ -211,17 +230,23 @@ def cmd_exhaust(args) -> int:
     for key in ("dimension", "radii"):
         if key not in cfg:
             raise ConfigError(f"config must define '{key}'")
-    dimension = int(cfg["dimension"])
+    dimension = _integer(cfg["dimension"], "dimension")
     vortices = _parse_vortices(cfg, dimension)
     params = _parse_params(cfg)
     tols = cfg.get("tolerances", {})
+    tol_global = _real(tols.get("global", 1e-5), "tolerances.global")
+    decay_threshold = _real(tols.get("decay", 1e-4), "tolerances.decay")
     try:
         schedule = ExhaustionSchedule(
             dimension=dimension,
             shape=cfg.get("shape", "box"),
-            radii=tuple(int(r) for r in cfg["radii"]),
+            radii=tuple(_integer(r, "radius") for r in cfg["radii"]),
             vortices=vortices,
-            center=tuple(cfg["center"]) if "center" in cfg else None,
+            center=(
+                tuple(_integer(c, "center coordinate") for c in cfg["center"])
+                if "center" in cfg
+                else None
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -232,8 +257,8 @@ def cmd_exhaust(args) -> int:
             schedule,
             params,
             backend=args.backend,
-            tol_global=float(tols.get("global", 1e-5)),
-            decay_threshold=float(tols.get("decay", 1e-4)),
+            tol_global=tol_global,
+            decay_threshold=decay_threshold,
         )
     except (SolveFailure, LinearSolveFailure, ExhaustionFailure) as exc:
         _write_json(
@@ -314,16 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get(THREADS_ENV)
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

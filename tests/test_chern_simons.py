@@ -8,9 +8,12 @@ from lattice_vortex.calculus import (
     dirichlet_energy,
     from_interior,
     lq_norm,
+    seminorm_1q,
     zeros,
 )
 from lattice_vortex.chern_simons import (
+    _ipow,
+    _seminorm_sq,
     ConvergenceFailure,
     ModelParams,
     MonotonicityBreakdown,
@@ -26,7 +29,7 @@ from lattice_vortex.chern_simons import (
     verify_subsolution_dominance,
 )
 from lattice_vortex.exhaustion import restrict_field
-from lattice_vortex.lattice import make_ball, make_box
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import assemble, solve_interior
 from lattice_vortex.oracle import newton_solve
 
@@ -94,6 +97,23 @@ def test_nonlinearity_values():
             assert nonlinearity(u, prm) < 0.0
     arr = nonlinearity(np.array([-1.0, 0.0]), params)
     assert arr[1] == 0.0
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_ipow_matches_pow(k):
+    rng = np.random.default_rng(k)
+    arrays = (
+        rng.uniform(-3.0, -1e-6, 200),
+        rng.uniform(1e-6, 3.0, 200),
+        np.concatenate([rng.uniform(-3.0, 3.0, 200), [0.0, -0.0, 1.0, -1.0]]),
+    )
+    for x in arrays:
+        got, want = _ipow(x, k), x**k
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    for x in (-2.5, -0.3, 0.0, 0.7, 1.9):
+        want = x**k
+        assert abs(_ipow(x, k) - want) <= 1e-15 * abs(want)
 
 
 def test_nonlinearity_derivative_formula():
@@ -235,6 +255,28 @@ def test_solve_domain_trace_energy_inequalities():
         # sharpened decrease: the squared step size is paid for by the drop
         assert cur.j_value + 0.5 * params.shift * cur.l2_change**2 <= prev.j_value + 1e-8
     assert all(r.norm_chain_ok for r in records)
+
+
+def test_seminorm_closed_form_matches_seminorm():
+    rng = np.random.default_rng(12)
+    irregular = LatticeDomain(2, [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 3), (5, 5)])
+    for dom in (make_box(2, 4), make_ball(3, 3), irregular):
+        for _ in range(5):
+            zero_boundary = from_interior(dom, rng.uniform(-3.0, 0.0, dom.n_interior))
+            general = LatticeField(dom, rng.uniform(-3.0, 3.0, dom.n_closure))
+            for u in (zero_boundary, general):
+                want = seminorm_1q(u, 2.0) ** 2
+                assert _seminorm_sq(u, dirichlet_energy(u)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, iterations", [(1, 1398), (2, 2605)])
+def test_solve_domain_outer_iteration_counts(p, iterations):
+    # Regression counts: cheaper per-step arithmetic must not move the step
+    # at which the stop rule fires.
+    dom = make_box(2, 8)
+    _, trace = solve_domain(dom, single_vortex(), ModelParams(lam=1.0, p=p))
+    assert trace.iterations == iterations
+    assert all(r.norm_chain_ok for r in trace.records)
 
 
 def test_first_iterate_bounds():

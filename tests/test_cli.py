@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lattice_vortex
 
 from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, render_json
 
@@ -108,6 +114,80 @@ def test_solve_dump_matrix(tmp_path):
     i, j, v = lines[0].split()
     int(i), int(j), float(v)
     assert len(lines) >= 49  # 7x7 interior diagonal alone
+
+
+def assert_solve_usage_error(tmp_path, **overrides):
+    cfg = write_config(tmp_path / "run.json", **overrides)
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_solve_rejects_non_integral_p(tmp_path):
+    assert_solve_usage_error(tmp_path, p=1.5)
+
+
+def test_solve_rejects_non_integral_multiplicity(tmp_path):
+    assert_solve_usage_error(tmp_path, vortices=[{"point": [0, 0], "multiplicity": 1.7}])
+
+
+def test_solve_rejects_nan_lambda(tmp_path):
+    assert_solve_usage_error(tmp_path, **{"lambda": float("nan")})
+
+
+@pytest.mark.parametrize("shift", [float("inf"), float("nan")])
+def test_solve_rejects_non_finite_shift(tmp_path, shift):
+    assert_solve_usage_error(tmp_path, shift=shift)
+
+
+@pytest.mark.parametrize("key", ["nonlinear", "residual", "linear"])
+def test_solve_rejects_infinite_tolerance(tmp_path, key):
+    assert_solve_usage_error(tmp_path, tolerances={key: float("inf")})
+
+
+def test_solve_accepts_integral_floats(tmp_path):
+    cfg = write_config(tmp_path / "run.json", p=0.0, **{"lambda": 1})
+    assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_exhaust_rejects_non_integral_radii(tmp_path):
+    cfg = write_exhaust_config(tmp_path / "chain.json", radii=[4, 8.5, 16])
+    out = tmp_path / "out"
+    assert main(["exhaust", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["global", "decay"])
+def test_exhaust_rejects_non_finite_chain_tolerance(tmp_path, key):
+    tolerances = {"global": 1e-3, "decay": 1e-4, key: float("nan")}
+    cfg = write_exhaust_config(tmp_path / "chain.json", tolerances=tolerances)
+    out = tmp_path / "out"
+    assert main(["exhaust", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_thread_cap_applies_before_numpy_loads():
+    # Record OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+    probe = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import lattice_vortex\n"
+        "print(seen[0], os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["LATTICE_VORTEX_THREADS"] = "1"
+    env["OMP_NUM_THREADS"] = "2"  # set already: left as it is
+    env["PYTHONPATH"] = str(Path(lattice_vortex.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "2"]
 
 
 def test_exhaust_success(tmp_path):

@@ -110,6 +110,17 @@ def test_backends_agree():
     assert info.iterations >= 1
 
 
+def test_backends_agree_3d():
+    # 4,913 unknowns, where the fill-reducing LU ordering matters; the
+    # bound is the cross-backend criterion of the acceptance gate.
+    dom = make_box(3, 8)
+    system = assemble(dom, 4.0)
+    f = np.random.default_rng(8).uniform(-2, 2, dom.n_interior)
+    wd, _ = solve_interior(system, f, backend="direct")
+    wc, _ = solve_interior(system, f, backend="cg")
+    assert np.abs(wd - wc).max() < 1e-8
+
+
 def test_nonnegative_rhs_gives_nonpositive_solution():
     # Comparison-principle consequence of the M-matrix structure.
     for dom in (make_box(2, 3), make_ball(3, 2)):
