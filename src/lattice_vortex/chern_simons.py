@@ -90,6 +90,11 @@ class ModelParams:
     max_outer_iterations: int = 50_000
 
     def __post_init__(self):
+        # NaN fails every comparison below, so finiteness is checked first.
+        for name in ("lam", "shift", "tol_nonlinear", "tol_residual", "tol_linear"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.p < 0 or int(self.p) != self.p:

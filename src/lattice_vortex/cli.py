@@ -27,7 +27,7 @@ from .chern_simons import (
     solve_domain,
 )
 from .exhaustion import ExhaustionFailure, ExhaustionSchedule, report_dict, run_exhaustion
-from .lattice import domain_from_json
+from .lattice import domain_from_json, json_integer
 from .linsolve import LinearSolveFailure, assemble, matrix_to_coo_text
 from .verify import run_suites
 
@@ -42,10 +42,10 @@ class ConfigError(ValueError):
 
 def _integer(value, name) -> int:
     """An integral JSON number; truncating 1.5 to 1 would run a different model."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return json_integer(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _real(value, name) -> float:

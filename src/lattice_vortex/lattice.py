@@ -27,6 +27,7 @@ __all__ = [
     "is_connected",
     "domain_to_json",
     "domain_from_json",
+    "json_integer",
 ]
 
 
@@ -195,21 +196,38 @@ def domain_to_json(domain: LatticeDomain):
     return [list(p) for p in domain.interior]
 
 
+def json_integer(value, name: str) -> int:
+    """An integral JSON number; truncating 3.7 to 3 would describe another domain."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_point(values) -> LatticePoint:
+    return tuple(json_integer(c, "point coordinate") for c in values)
+
+
 def domain_from_json(obj, dimension: int | None = None) -> LatticeDomain:
-    """Inverse of domain_to_json; bare lists are read as interior point lists."""
+    """Inverse of domain_to_json; bare lists are read as interior point lists.
+
+    Sizes, centers, dimensions and point coordinates must be integral
+    numbers; anything else raises ValueError.
+    """
     if isinstance(obj, list):
         if not obj:
             raise ValueError("empty point list")
-        dim = dimension if dimension is not None else len(obj[0])
-        return LatticeDomain(dim, (tuple(p) for p in obj))
+        points = [_json_point(p) for p in obj]
+        dim = dimension if dimension is not None else len(points[0])
+        return LatticeDomain(dim, points)
     kind = obj.get("kind")
-    dim = int(obj.get("dimension", dimension if dimension is not None else 0))
+    dim = json_integer(obj.get("dimension", dimension if dimension is not None else 0), "dimension")
     if dimension is not None and dim != dimension:
         raise ValueError(f"domain dimension {dim} conflicts with expected {dimension}")
     if kind == "box":
-        return make_box(dim, int(obj["size"]), tuple(obj["center"]))
+        return make_box(dim, json_integer(obj["size"], "size"), _json_point(obj["center"]))
     if kind == "ball":
-        return make_ball(dim, int(obj["size"]), tuple(obj["center"]))
+        return make_ball(dim, json_integer(obj["size"], "size"), _json_point(obj["center"]))
     if kind == "points":
-        return LatticeDomain(dim, (tuple(p) for p in obj["interior"]))
+        return LatticeDomain(dim, [_json_point(p) for p in obj["interior"]])
     raise ValueError(f"unknown domain kind: {kind!r}")

@@ -56,6 +56,23 @@ def test_model_params_defaults_and_validation():
         ModelParams(lam=1.0, max_outer_iterations=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"lam": math.nan},
+        {"lam": math.inf},
+        {"lam": 1.0, "shift": math.nan},
+        {"lam": 1.0, "shift": math.inf},
+        {"lam": 1.0, "tol_nonlinear": math.nan},
+        {"lam": 1.0, "tol_residual": math.nan},
+        {"lam": 1.0, "tol_linear": math.inf},
+    ],
+)
+def test_model_params_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelParams(**kwargs)
+
+
 def test_vortex_config_validation():
     with pytest.raises(ValueError):
         VortexConfig((((0, 0), 0),))

@@ -145,6 +145,13 @@ def test_solve_rejects_infinite_tolerance(tmp_path, key):
     assert_solve_usage_error(tmp_path, tolerances={key: float("inf")})
 
 
+def test_solve_rejects_non_integral_domain(tmp_path):
+    # int() would have run a half-width-3 box centered at the origin.
+    assert_solve_usage_error(
+        tmp_path, domain={"kind": "box", "size": 3.7, "center": [0.4, 0]}
+    )
+
+
 def test_solve_accepts_integral_floats(tmp_path):
     cfg = write_config(tmp_path / "run.json", p=0.0, **{"lambda": 1})
     assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK

@@ -187,3 +187,40 @@ def test_json_round_trip_irregular():
 def test_json_dimension_conflict_rejected():
     with pytest.raises(ValueError):
         domain_from_json({"kind": "box", "dimension": 3, "center": [0, 0, 0], "size": 1}, dimension=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "box", "dimension": 2, "size": 3.7, "center": [0, 0]},
+        {"kind": "box", "dimension": 2, "size": True, "center": [0, 0]},
+        {"kind": "ball", "dimension": 2, "size": 2, "center": [0.4, 0]},
+        {"kind": "box", "dimension": 2, "size": 2, "center": [False, 0]},
+        {"kind": "box", "dimension": 2.5, "size": 2, "center": [0, 0]},
+        {"kind": "box", "dimension": True, "size": 2, "center": [0, 0]},
+        {"kind": "points", "dimension": 2, "interior": [[0, 0], [1.5, 0]]},
+        [[0, 0], [0, 1.2]],
+        [[0, 0], [True, 0]],
+    ],
+    ids=[
+        "size-fraction",
+        "size-bool",
+        "center-fraction",
+        "center-bool",
+        "dimension-fraction",
+        "dimension-bool",
+        "points-coordinate",
+        "list-coordinate",
+        "list-bool",
+    ],
+)
+def test_json_rejects_non_integral_values(obj):
+    with pytest.raises(ValueError, match="must be an integer"):
+        domain_from_json(obj)
+
+
+def test_json_accepts_integral_floats():
+    dom = domain_from_json({"kind": "box", "dimension": 2.0, "size": 8.0, "center": [1.0, -2.0]})
+    assert dom.interior == make_box(2, 8, center=(1, -2)).interior
+    points = domain_from_json([[0.0, 0.0], [1.0, 0.0]])
+    assert points.interior == ((0, 0), (1, 0))

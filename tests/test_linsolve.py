@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lattice_vortex.calculus import from_interior, laplacian, zeros
-from lattice_vortex.lattice import make_ball, make_box
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import (
+    _BOX_MAX_SIDE,
     LinearSolveFailure,
     assemble,
     interior_laplacian,
@@ -143,8 +146,54 @@ def test_solve_rejects_bad_inputs():
         solve(system, other)
 
 
+def _box_minus_one_site():
+    box = make_box(2, 4)
+    return LatticeDomain(2, [p for p in box.interior if p != (1, 2)])
+
+
+def _strip_longer_than_box_cap():
+    return LatticeDomain(2, itertools.product(range(_BOX_MAX_SIDE + 1), range(2)))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        make_box(2, 7, center=(3, -2)),
+        make_box(3, 4, center=(1, 2, -1)),
+        LatticeDomain(2, itertools.product(range(2, 9), range(-3, 1))),
+    ],
+    ids=["box-2d", "box-3d", "rectangle-points"],
+)
+def test_cg_exact_on_boxes(dom):
+    # On a full box the preconditioner is the exact inverse, so CG converges
+    # in one iteration whatever the center or the domain kind.
+    system = assemble(dom, 1.3)
+    v = RNG.uniform(-1, 1, dom.n_interior)
+    assert np.abs(system.precondition(system.matrix @ v) - v).max() < 1e-13
+    f = RNG.uniform(-2, 2, dom.n_interior)
+    wd, _ = solve_interior(system, f, backend="direct")
+    wc, info = solve_interior(system, f, backend="cg")
+    assert info.iterations == 1
+    assert np.abs(wd - wc).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [make_ball(2, 6), _box_minus_one_site(), _strip_longer_than_box_cap()],
+    ids=["ball", "box-with-hole", "long-strip"],
+)
+def test_cg_jacobi_fallback(dom):
+    system = assemble(dom, 1.3)
+    f = RNG.uniform(-2, 2, dom.n_interior)
+    wd, _ = solve_interior(system, f, backend="direct")
+    wc, info = solve_interior(system, f, backend="cg")
+    assert info.iterations > 1
+    assert np.abs(wd - wc).max() < 1e-8
+
+
 def test_cg_failure_reports_residual():
-    dom = make_box(2, 8)
+    # A ball, not a box: one Jacobi iteration cannot meet the tolerance.
+    dom = make_ball(2, 12)
     system = assemble(dom, 0.5)
     f = RNG.uniform(-1, 1, dom.n_interior)
     with pytest.raises(LinearSolveFailure) as err:
