@@ -5,6 +5,8 @@ sum is spelled out from the definitions so they stay independent of the
 code paths they check.
 """
 
+import numpy as np
+
 from lattice_vortex.lattice import neighbors
 
 
@@ -60,3 +62,37 @@ def naive_seminorm_q(u, q):
 
 def naive_laplacian(u, x):
     return sum(u.value_at(y) - u.value_at(x) for y in neighbors(tuple(x)))
+
+
+def naive_domain_arrays(dimension, interior_points):
+    """Every derived structure of LatticeDomain, built site by site from the definitions."""
+    points = {tuple(int(c) for c in p) for p in interior_points}
+    interior = tuple(sorted(points))
+    boundary = tuple(sorted({y for x in points for y in neighbors(x) if y not in points}))
+    closure = interior + boundary
+    index_of = {p: i for i, p in enumerate(closure)}
+    two_n = 2 * dimension
+    indptr = [0]
+    indices = []
+    outside = np.zeros(len(closure), dtype=np.int64)
+    for i, pt in enumerate(closure):
+        row = [index_of[y] for y in neighbors(pt) if y in index_of]
+        outside[i] = two_n - len(row)
+        indices.extend(row)
+        indptr.append(len(indices))
+    adj_indptr = np.asarray(indptr, dtype=np.int64)
+    adj_indices = np.asarray(indices, dtype=np.int64)
+    src = np.repeat(np.arange(len(closure)), np.diff(adj_indptr))
+    keep = adj_indices > src
+    return {
+        "interior": interior,
+        "boundary": boundary,
+        "closure": closure,
+        "index_of": index_of,
+        "coords": np.array(closure, dtype=np.int64),
+        "adj_indptr": adj_indptr,
+        "adj_indices": adj_indices,
+        "outside_degree": outside,
+        "interior_neighbors": adj_indices[: adj_indptr[len(interior)]].reshape(-1, two_n),
+        "edges": np.column_stack([src[keep], adj_indices[keep]]),
+    }

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from lattice_vortex import chern_simons
 
 from lattice_vortex.calculus import (
     LatticeField,
@@ -13,7 +16,7 @@ from lattice_vortex.calculus import (
 )
 from lattice_vortex.chern_simons import (
     _ipow,
-    _seminorm_sq,
+    ENERGY_SLACK,
     ConvergenceFailure,
     ModelParams,
     MonotonicityBreakdown,
@@ -71,6 +74,18 @@ def test_model_params_defaults_and_validation():
 def test_model_params_rejects_non_finite(kwargs):
     with pytest.raises(ValueError, match="must be finite"):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("limit", [math.nan, math.inf, 2.5, True])
+def test_model_params_rejects_non_integral_max_outer_iterations(limit):
+    with pytest.raises(ValueError, match="max_outer_iterations must be an integer"):
+        ModelParams(lam=1.0, max_outer_iterations=limit)
+
+
+def test_model_params_accepts_integral_float_max_outer_iterations():
+    params = ModelParams(lam=1.0, max_outer_iterations=100.0)
+    assert params.max_outer_iterations == 100
+    assert type(params.max_outer_iterations) is int
 
 
 def test_vortex_config_validation():
@@ -282,8 +297,12 @@ def test_seminorm_closed_form_matches_seminorm():
             zero_boundary = from_interior(dom, rng.uniform(-3.0, 0.0, dom.n_interior))
             general = LatticeField(dom, rng.uniform(-3.0, 3.0, dom.n_closure))
             for u in (zero_boundary, general):
-                want = seminorm_1q(u, 2.0) ** 2
-                assert _seminorm_sq(u, dirichlet_energy(u)) == pytest.approx(want, rel=1e-12)
+                # Closure edges give twice the energy; edges leaving the
+                # closure start only at boundary sites.
+                b = u.boundary_values
+                outside = dom.outside_degree[dom.n_interior :] @ (b * b)
+                closed_form = 2.0 * dirichlet_energy(u) + 2.0 * outside
+                assert closed_form == pytest.approx(seminorm_1q(u, 2.0) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("p, iterations", [(1, 1398), (2, 2605)])
@@ -294,6 +313,62 @@ def test_solve_domain_outer_iteration_counts(p, iterations):
     _, trace = solve_domain(dom, single_vortex(), ModelParams(lam=1.0, p=p))
     assert trace.iterations == iterations
     assert all(r.norm_chain_ok for r in trace.records)
+
+
+class _CountingMatrix(sp.csr_matrix):
+    """The assembled matrix, counting its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("backend, per_step", [("cg", 2), ("direct", 1)])
+def test_solve_domain_sparse_products_per_step(monkeypatch, backend, per_step):
+    systems = []
+
+    def counting_assemble(domain, shift):
+        system = assemble(domain, shift)
+        system.matrix = _CountingMatrix(system.matrix)
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(chern_simons, "assemble", counting_assemble)
+    params = ModelParams(lam=1.0, p=1)
+    _, trace = solve_domain(make_box(2, 6), single_vortex(), params, backend=backend)
+    assert trace.converged
+    if backend == "cg":
+        # One CG iteration per step on a box; the first step also forms A u0.
+        assert all(r.linear_iterations == 1 for r in trace.records)
+        assert systems[0].matrix.products == per_step * trace.iterations + 1
+    else:
+        assert systems[0].matrix.products == per_step * trace.iterations
+
+
+@pytest.mark.parametrize(
+    "dom, lam, p",
+    [
+        (make_box(2, 5), 1.3, 1),
+        (make_ball(2, 5), 1.3, 1),
+        (make_box(2, 30), 1e6, 0),
+        (make_box(2, 100), 1e-3, 0),
+    ],
+    ids=["box", "ball", "large-lam", "large-domain-small-lam"],
+)
+def test_final_j_value_matches_functional_j(dom, lam, p):
+    # The solver sums the energy by parts from A w, whose rounding grows like
+    # eps * (shift + 4d) * |w|^2; |w| shrinks like 1/lam, so the largest
+    # drift is at small lam on large domains, where |w|^2 reaches ~6e5 here.
+    vortices = VortexConfig((((0, 0), 2), ((1, -2), 1)))
+    params = ModelParams(lam=lam, p=p)
+    u, trace = solve_domain(dom, vortices, params)
+    want = functional_j(u, source_h(dom, vortices), params)
+    assert trace.final.j_value == pytest.approx(want, rel=1e-12)
+    # The energy-decrease check keeps two decades of margin over rounding.
+    j = np.array([r.j_value for r in trace.records])
+    assert np.diff(j).max() <= 1e-2 * ENERGY_SLACK
 
 
 def test_first_iterate_bounds():

@@ -1,5 +1,7 @@
 import itertools
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from lattice_vortex.lattice import (
     neighbors,
 )
 
-from brute import naive_boundary
+from brute import naive_boundary, naive_domain_arrays
 
 
 def test_l1_distance_basic():
@@ -79,6 +81,16 @@ def test_make_ball_radius_one_classification():
 def test_make_ball_3d_radius_one():
     dom = make_ball(3, 1)
     assert dom.n_interior == 7
+
+
+@pytest.mark.parametrize("dimension, radius", [(2, 7), (3, 5), (4, 3), (5, 2)])
+def test_make_ball_matches_l1_definition(dimension, radius):
+    center = tuple(range(-1, dimension - 1))
+    cube = itertools.product(range(-radius, radius + 1), repeat=dimension)
+    want = sorted(
+        tuple(c + o for c, o in zip(center, off)) for off in cube if sum(map(abs, off)) <= radius
+    )
+    assert list(make_ball(dimension, radius, center=center).interior) == want
 
 
 def test_make_box_counts():
@@ -224,3 +236,122 @@ def test_json_accepts_integral_floats():
     assert dom.interior == make_box(2, 8, center=(1, -2)).interior
     points = domain_from_json([[0.0, 0.0], [1.0, 0.0]])
     assert points.interior == ((0, 0), (1, 0))
+
+
+def _assert_matches_naive(dom, points):
+    want = naive_domain_arrays(dom.dimension, points)
+    for name, expected in want.items():
+        got = getattr(dom, name)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        else:
+            assert got == expected, name
+    assert all(type(c) is int for p in dom.closure for c in p)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        make_box(2, 1),
+        make_box(2, 5, center=(7, -3)),
+        make_box(3, 3, center=(-2, 4, 1)),
+        make_box(3, 8),
+        make_ball(2, 6, center=(-5, 2)),
+        make_ball(3, 4, center=(1, 1, -9)),
+        make_ball(2, 0, center=(3, 3)),
+        make_ball(4, 2),
+    ],
+    ids=lambda d: repr(d),
+)
+def test_domain_build_matches_naive_on_boxes_and_balls(dom):
+    _assert_matches_naive(dom, dom.interior)
+
+
+@pytest.mark.parametrize(
+    "dimension, points",
+    [
+        (2, [(0, 0)]),
+        (3, [(4, -4, 4)]),
+        (2, [(0, 0), (3, 0), (0, 3), (10, 10)]),
+        (2, [(0, 0), (2, 0), (4, 0), (0, 2)]),
+        (2, [(0, 0), (5, 0), (6, 0), (-7, 4)]),
+        (2, [(0, 0), (10**12, -(10**12))]),
+        (3, [(0, 0, 0), (1, 0, 0), (1, 0, 0), (-3, 2, 1)]),
+        # 400 distinct values on each of 6 axes: no mixed-radix key over the
+        # occupied coordinates fits in 64 bits.
+        (6, np.random.default_rng(7).integers(-(10**6), 10**6, (400, 6)).tolist()),
+    ],
+    ids=[
+        "single-2d",
+        "single-3d",
+        "scattered",
+        "gap-2",
+        "gaps-5-6",
+        "far-apart",
+        "duplicates",
+        "scattered-6d",
+    ],
+)
+def test_domain_build_matches_naive_on_point_sets(dimension, points):
+    _assert_matches_naive(LatticeDomain(dimension, points), points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=40),
+        )
+    )
+)
+def test_domain_build_matches_naive_on_random_point_sets(case):
+    dimension, points = case
+    _assert_matches_naive(LatticeDomain(dimension, points), points)
+
+
+def test_integer_array_interior_matches_point_list():
+    points = [(2, 1), (0, 0), (1, 0), (2, 1)]
+    from_array = LatticeDomain(2, np.array(points))
+    _assert_matches_naive(from_array, points)
+    assert from_array.interior == LatticeDomain(2, points).interior
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LatticeDomain(2, [(0.5, 0), (1.7, 0)]),
+        lambda: LatticeDomain(2, [(0, 0), (True, 0)]),
+        lambda: LatticeDomain(2, np.array([[0.5, 0.0]])),
+        lambda: LatticeDomain(2, [(0, 0)], center=(0.5, 0)),
+        lambda: make_box(2, 2, center=(0.6, 0)),
+        lambda: make_box(2, 2, center=(False, 0)),
+        lambda: make_box(2, 2.5),
+        lambda: make_ball(2, 2, center=(0, 1.2)),
+        lambda: make_ball(2, 2, center=(0, float("nan"))),
+        lambda: make_ball(2, 1.5),
+    ],
+    ids=[
+        "points-fraction",
+        "points-bool",
+        "array-fraction",
+        "domain-center",
+        "box-center-fraction",
+        "box-center-bool",
+        "box-half-width",
+        "ball-center-fraction",
+        "ball-center-nan",
+        "ball-radius",
+    ],
+)
+def test_library_builders_reject_non_integral_values(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_library_builders_accept_integral_floats():
+    assert LatticeDomain(2, [(0.0, 1.0), (np.int64(2), 0)]).interior == ((0, 1), (2, 0))
+    box = make_box(2, 2.0, center=(1.0, -2.0))
+    assert box.interior == make_box(2, 2, center=(1, -2)).interior
+    assert make_ball(2, 2, center=(np.float64(3.0), 0)).center == (3, 0)

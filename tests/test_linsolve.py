@@ -210,3 +210,25 @@ def test_coo_dump_round_trip():
         i, j, v = line.split()
         dense[int(i), int(j)] = float(v)
     np.testing.assert_array_equal(dense, system.matrix.toarray())
+
+
+@pytest.mark.parametrize(
+    "dom, backend",
+    [(make_box(2, 6, center=(2, -1)), "cg"), (make_ball(2, 7), "cg"), (make_box(2, 6), "direct")],
+    ids=["cg-box", "cg-ball", "direct"],
+)
+def test_seeded_product_gives_identical_solve(dom, backend):
+    # Passing back the certifying product of the previous solve as A x0
+    # must not change a single bit of the next one.
+    system = assemble(dom, 1.3)
+    f1 = RNG.uniform(-2, 2, dom.n_interior)
+    f2 = f1 + RNG.uniform(-0.1, 0.1, dom.n_interior)
+    x1, info1 = solve_interior(system, f1, backend=backend)
+    assert np.array_equal(info1.product, system.matrix @ x1)
+    plain_x, plain = solve_interior(system, f2, backend=backend, x0=x1)
+    seeded_x, seeded = solve_interior(system, f2, backend=backend, x0=x1, ax0=info1.product)
+    assert np.array_equal(seeded_x, plain_x)
+    assert (seeded.iterations, seeded.residual_inf) == (plain.iterations, plain.residual_inf)
+    assert np.array_equal(seeded.product, system.matrix @ seeded_x)
+    if dom.kind == "ball":
+        assert plain.iterations > 1
