@@ -39,7 +39,13 @@ __all__ = [
 
 @dataclass
 class LatticeField:
-    """Real values attached to every closure point of a domain."""
+    """Real values attached to every closure point of a domain.
+
+    `values` has shape (n_closure,), or (k, n_closure) for a stack of k
+    fields on one domain. `lq_norm`, `seminorm_1q` and `gns_ratio` reduce
+    over the last axis and accept stacks; every other operator takes a
+    single field.
+    """
 
     domain: LatticeDomain
     values: np.ndarray
@@ -47,20 +53,20 @@ class LatticeField:
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.domain.n_closure,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.domain.n_closure:
             raise ValueError(
-                f"field length {self.values.shape} does not match closure size {self.domain.n_closure}"
+                f"field shape {self.values.shape} does not match closure size {self.domain.n_closure}"
             )
-        if self.dirichlet_zero and np.any(self.values[self.domain.n_interior :] != 0.0):
+        if self.dirichlet_zero and np.any(self.boundary_values != 0.0):
             raise ValueError("dirichlet_zero field has nonzero boundary values")
 
     @property
     def interior(self) -> np.ndarray:
-        return self.values[: self.domain.n_interior]
+        return self.values[..., : self.domain.n_interior]
 
     @property
     def boundary_values(self) -> np.ndarray:
-        return self.values[self.domain.n_interior :]
+        return self.values[..., self.domain.n_interior :]
 
     def value_at(self, point: LatticePoint) -> float:
         return float(self.values[self.domain.index_of[tuple(point)]])
@@ -78,9 +84,9 @@ def constant(domain: LatticeDomain, value: float) -> LatticeField:
 
 
 def from_interior(domain: LatticeDomain, interior_values) -> LatticeField:
-    """Field with the given interior values and zero boundary."""
-    vals = np.zeros(domain.n_closure)
-    vals[: domain.n_interior] = interior_values
+    """Field with the given interior values and zero boundary; a (k, n_interior) array gives a stack."""
+    vals = np.zeros(np.shape(interior_values)[:-1] + (domain.n_closure,))
+    vals[..., : domain.n_interior] = interior_values
     return LatticeField(domain, vals, dirichlet_zero=True)
 
 
@@ -146,29 +152,42 @@ def bilinear_energy(u: LatticeField, v: LatticeField) -> float:
 def green_identity_defect(
     u: LatticeField,
     v: LatticeField,
-    laplacian_fn: Callable[[LatticeField, LatticePoint], float] = laplacian,
+    laplacian_fn: Callable[[LatticeField], np.ndarray] = laplacian_interior,
 ) -> float:
     """Absolute defect of summation by parts for v vanishing on the boundary.
 
     The gradient-form sum over the closure must cancel the Laplacian sum
-    against v over the interior; both sides are evaluated point by point
-    and independently of the edge-array energy path. `laplacian_fn` exists
-    so verification harnesses can inject a corrupted operator and confirm
-    the check trips.
+    against v over the interior. The left side is taken over the closure
+    adjacency (`adj_indptr`, `adj_indices`), each point against its closure
+    neighbors, and the right side from `interior_neighbors`; neither uses
+    `edges` or the energy functions, so the check stays independent of the
+    edge-array energy path. `laplacian_fn` maps a field to its interior
+    Laplacian array (length n_interior); it exists so verification
+    harnesses can inject a corrupted operator and confirm the check trips.
     """
     _require_same_domain(u, v)
     if np.any(v.boundary_values != 0.0):
         raise ValueError("v must vanish on the boundary")
-    lhs = 0.0
-    for i in range(u.domain.n_closure):
-        lhs += _gamma_at(u, v, i)
-    rhs = 0.0
-    for x in u.domain.interior:
-        rhs += laplacian_fn(u, x) * v.value_at(x)
-    return abs(lhs + rhs)
+    dom = u.domain
+    lap = np.asarray(laplacian_fn(u), dtype=np.float64)
+    if lap.shape != (dom.n_interior,):
+        raise ValueError(f"laplacian_fn returned shape {lap.shape}, expected ({dom.n_interior},)")
+    # Every closure edge is seen from both ends, so the gradient-form sum
+    # is half the sum of the difference products.
+    src = np.repeat(np.arange(dom.n_closure), np.diff(dom.adj_indptr))
+    du = u.values[dom.adj_indices] - u.values[src]
+    dv = v.values[dom.adj_indices] - v.values[src]
+    lhs = 0.5 * np.sum(du * dv)
+    rhs = np.sum(lap * v.interior)
+    return abs(float(lhs + rhs))
 
 
-def lq_norm(u: LatticeField, q: float, region: str = "interior") -> float:
+def _reduced(x):
+    """A float for one field, the array of per-field values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def lq_norm(u: LatticeField, q: float, region: str = "interior"):
     """The l^q norm of the field over the interior or the full closure."""
     if region == "interior":
         vals = u.interior
@@ -177,13 +196,13 @@ def lq_norm(u: LatticeField, q: float, region: str = "interior") -> float:
     else:
         raise ValueError(f"unknown region {region!r}")
     if q == math.inf:
-        return float(np.abs(vals).max()) if len(vals) else 0.0
+        return _reduced(np.abs(vals).max(axis=-1, initial=0.0))
     if q < 1:
         raise ValueError("q must be at least 1")
-    return float(np.sum(np.abs(vals) ** q) ** (1.0 / q))
+    return _reduced(np.sum(np.abs(vals) ** q, axis=-1) ** (1.0 / q))
 
 
-def seminorm_1q(u: LatticeField, q: float) -> float:
+def seminorm_1q(u: LatticeField, q: float):
     """Difference seminorm of the zero-extended field over the whole lattice.
 
     Ordered neighbor pairs are counted on both sides of each edge; edges
@@ -192,23 +211,29 @@ def seminorm_1q(u: LatticeField, q: float) -> float:
     if q < 1:
         raise ValueError("q must be at least 1")
     dom = u.domain
-    d = np.abs(u.values[dom.edges[:, 0]] - u.values[dom.edges[:, 1]])
-    inner = 2.0 * np.sum(d**q)
-    outer = 2.0 * np.sum(dom.outside_degree * np.abs(u.values) ** q)
-    return float((inner + outer) ** (1.0 / q))
+    # take keeps a stack row-major; fancy indexing would return it
+    # column-major, which is slower and sums each row in another order.
+    ends = u.values.take(dom.edges[:, 0], axis=-1), u.values.take(dom.edges[:, 1], axis=-1)
+    d = np.abs(ends[0] - ends[1])
+    inner = 2.0 * np.sum(d**q, axis=-1)
+    outer = 2.0 * np.sum(dom.outside_degree * np.abs(u.values) ** q, axis=-1)
+    return _reduced((inner + outer) ** (1.0 / q))
 
 
-def gns_ratio(u: LatticeField, p: int) -> float:
+def gns_ratio(u: LatticeField, p: int):
     """Measured constant in the interpolation bound for a zero-extended field.
 
     Ratio of the l^{4p+4} norm to |u|_{1,2}^{1/(2p+2)} times the l^{4p+2}
     norm to the power (2p+1)/(2p+2); scale-invariant by construction.
+    For a stack of fields (values of shape (k, n_closure)) every norm
+    reduces over the last axis and the k ratios come back as an array,
+    each equal to the ratio of that field alone.
     """
     if p < 0 or int(p) != p:
         raise ValueError("p must be a non-negative integer")
     if np.any(u.boundary_values != 0.0):
         raise ValueError("field must be supported on the interior")
-    if not np.any(u.values):
+    if not np.all(np.any(u.values, axis=-1)):
         raise ValueError("ratio undefined for the zero field")
     m = 2 * p + 2
     num = lq_norm(u, 2 * m, region="closure")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus
 from .calculus import LatticeField, from_interior, laplacian_interior
-from .lattice import LatticeDomain, LatticePoint
+from .lattice import LatticeDomain, LatticePoint, json_integer
 from .linsolve import ShiftedLaplacianSystem, assemble, solve_interior
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "SolveFailure",
     "ConvergenceFailure",
     "MonotonicityBreakdown",
+    "NonFiniteBreakdown",
     "source_h",
     "nonlinearity",
     "nonlinearity_derivative",
@@ -70,6 +71,10 @@ class ConvergenceFailure(SolveFailure):
 
 class MonotonicityBreakdown(SolveFailure):
     pass
+
+
+class NonFiniteBreakdown(SolveFailure):
+    """The iteration met NaN or inf, so no ordering or stop test means anything."""
 
 
 @dataclass
@@ -118,7 +123,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class VortexConfig:
-    """Point charges: locations with positive integer multiplicities."""
+    """Point charges: locations with positive integer multiplicities.
+
+    Coordinates and multiplicities must be integral numbers (integral
+    floats are accepted); fractions and booleans raise ValueError rather
+    than being truncated to another vortex.
+    """
 
     vortices: tuple[tuple[LatticePoint, int], ...]
 
@@ -126,8 +136,8 @@ class VortexConfig:
         normalized = []
         seen = set()
         for point, multiplicity in self.vortices:
-            pt = tuple(int(c) for c in point)
-            if multiplicity < 1 or int(multiplicity) != multiplicity:
+            pt = tuple(json_integer(c, "vortex coordinate") for c in point)
+            if json_integer(multiplicity, f"multiplicity at {pt}") < 1:
                 raise ValueError(f"multiplicity at {pt} must be a positive integer")
             if pt in seen:
                 raise ValueError(f"duplicate vortex point {pt}")
@@ -407,6 +417,10 @@ def solve_domain(
         )
         trace.append(record)
         if not record.monotone_ok:
+            if not (math.isfinite(rise) and math.isfinite(sup_change)):
+                raise NonFiniteBreakdown(
+                    f"step {k} produced non-finite values (step change {sup_change:.3e})", trace
+                )
             raise MonotonicityBreakdown(
                 f"step {k} rose by {rise:.3e} above its predecessor", trace
             )

@@ -22,6 +22,7 @@ from .chern_simons import (
     ConvergenceFailure,
     ModelParams,
     MonotonicityBreakdown,
+    NonFiniteBreakdown,
     SolveFailure,
     VortexConfig,
     solve_domain,
@@ -146,6 +147,8 @@ def _parse_params(cfg) -> ModelParams:
 
 
 def _failure_kind(exc: Exception) -> str:
+    if isinstance(exc, NonFiniteBreakdown):
+        return "non_finite"
     if isinstance(exc, MonotonicityBreakdown):
         return "monotonicity"
     if isinstance(exc, ConvergenceFailure):
@@ -292,6 +295,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"bad --sizes: {exc}")
     if not sizes:
         raise ConfigError("--sizes must list at least one half-width")
+    if min(sizes) < 1:
+        raise ConfigError(f"--sizes half-widths must be positive, got {min(sizes)}")
     results = run_suites(args.seed, sizes, inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -96,3 +96,23 @@ def naive_domain_arrays(dimension, interior_points):
         "interior_neighbors": adj_indices[: adj_indptr[len(interior)]].reshape(-1, two_n),
         "edges": np.column_stack([src[keep], adj_indices[keep]]),
     }
+
+
+def naive_green_identity_defect(u, v, laplacian_fn=naive_laplacian):
+    """Summation-by-parts defect point by point: `laplacian_fn(u, x)` at each interior x.
+
+    The gradient form at a closure point halves the sum of difference
+    products over its neighbors inside the closure.
+    """
+    dom = u.domain
+    lhs = 0.0
+    for x in dom.closure:
+        lhs += 0.5 * sum(
+            (u.value_at(y) - u.value_at(x)) * (v.value_at(y) - v.value_at(x))
+            for y in neighbors(x)
+            if y in dom.index_of
+        )
+    rhs = 0.0
+    for x in dom.interior:
+        rhs += laplacian_fn(u, x) * v.value_at(x)
+    return abs(lhs + rhs)

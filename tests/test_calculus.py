@@ -25,11 +25,12 @@ from lattice_vortex.calculus import (
     write_field_csv,
     zeros,
 )
-from lattice_vortex.lattice import make_ball, make_box
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 
 from brute import (
     naive_bilinear_energy,
     naive_dirichlet_energy,
+    naive_green_identity_defect,
     naive_laplacian,
     naive_seminorm_q,
 )
@@ -190,6 +191,75 @@ def test_green_identity_rejects_boundary_supported_v():
     v = constant(dom, 1.0)
     with pytest.raises(ValueError):
         green_identity_defect(u, v)
+
+
+GREEN_DOMAINS = [
+    make_box(2, 3, center=(2, -1)),
+    make_box(3, 2),
+    make_ball(2, 4),
+    make_ball(3, 2, center=(0, 1, -1)),
+    # An L-shaped set with a hole and a detached site: boundary points with
+    # one to four closure neighbors.
+    LatticeDomain(
+        2,
+        [(x, y) for x in range(5) for y in range(5) if not (x >= 3 and y >= 3) and (x, y) != (1, 1)]
+        + [(9, 9)],
+    ),
+]
+
+
+@pytest.mark.parametrize("dom", GREEN_DOMAINS, ids=repr)
+def test_green_identity_matches_pointwise_reference(dom):
+    rng = np.random.default_rng(dom.n_closure)
+    u = random_field(dom, rng)  # non-zero boundary values
+    v = random_interior_field(dom, rng)
+    assert np.any(u.boundary_values != 0.0)
+    # Summation by parts holds, so both defects are rounding noise.
+    scale = lq_norm(u, math.inf, "closure") * lq_norm(v, math.inf) * dom.n_closure
+    assert green_identity_defect(u, v) < 1e-13 * scale
+    assert naive_green_identity_defect(u, v) < 1e-13 * scale
+    # With u/2 added to the operator the defect is |sum u v| / 2, so the two
+    # implementations are compared on a value far above the noise.
+    vector = green_identity_defect(u, v, laplacian_fn=lambda w: laplacian_interior(w) + 0.5 * w.interior)
+    pointwise = naive_green_identity_defect(
+        u, v, laplacian_fn=lambda w, x: naive_laplacian(w, x) + 0.5 * w.value_at(x)
+    )
+    assert vector > 1e3 * 1e-13 * scale
+    assert vector == pytest.approx(pointwise, rel=1e-12)
+
+
+def test_green_identity_rejects_wrong_length_operator():
+    dom = make_box(2, 2)
+    u = random_field(dom)
+    v = random_interior_field(dom)
+    with pytest.raises(ValueError):
+        green_identity_defect(u, v, laplacian_fn=lambda w: laplacian_interior(w)[:-1])
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (0, 1, 2)])
+def test_gns_ratio_stack_equals_per_field(n, p):
+    dom = make_box(n, 4 if n == 2 else 2)
+    rng = np.random.default_rng(10 * n + p)
+    values = rng.uniform(-1, 1, size=(50, dom.n_interior)) * rng.uniform(0.1, 10, size=(50, 1))
+    stacked = gns_ratio(from_interior(dom, values), p)
+    assert stacked.shape == (50,)
+    singles = np.array([gns_ratio(from_interior(dom, row), p) for row in values])
+    # Sums match row by row; numpy's array and scalar pow may round the
+    # fractional roots differently in the last place, a few ulp in all.
+    np.testing.assert_allclose(stacked, singles, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_gns_ratio_stack_rejections():
+    dom = make_box(2, 1)
+    values = np.ones((3, dom.n_interior))
+    values[1] = 0.0
+    with pytest.raises(ValueError):
+        gns_ratio(from_interior(dom, values), 0)  # one zero field in the stack
+    vals = np.zeros((2, dom.n_closure))
+    vals[:, 0] = 1.0
+    vals[1, -1] = 1.0
+    with pytest.raises(ValueError):
+        gns_ratio(LatticeField(dom, vals), 0)  # one field not supported on the interior
 
 
 def test_lq_norm_basics():

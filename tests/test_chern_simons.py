@@ -20,6 +20,7 @@ from lattice_vortex.chern_simons import (
     ConvergenceFailure,
     ModelParams,
     MonotonicityBreakdown,
+    NonFiniteBreakdown,
     VortexConfig,
     functional_j,
     iterate_step,
@@ -96,6 +97,30 @@ def test_vortex_config_validation():
     cfg = VortexConfig((((0, 0), 1), ((1, 2), 2)))
     assert cfg.total_charge == pytest.approx(12.0 * math.pi)
     assert len(VortexConfig(())) == 0
+
+
+@pytest.mark.parametrize(
+    "vortex",
+    [
+        ((0.5, 1.7), 1),  # was truncated to ((0, 1), 1)
+        ((0, 0.5), 1),
+        ((True, 1), 1),  # was read as ((1, 1), 1)
+        ((0, False), 1),
+        ((0, 0), True),
+        ((0, 0), 1.5),
+        ((0, float("nan")), 1),
+    ],
+)
+def test_vortex_config_rejects_non_integral_values(vortex):
+    with pytest.raises(ValueError):
+        VortexConfig((vortex,))
+
+
+def test_vortex_config_accepts_integral_floats():
+    cfg = VortexConfig((((2.0, -1.0), 2.0), ((np.int64(3), 0), np.int32(1))))
+    assert cfg.vortices == (((2, -1), 2), ((3, 0), 1))
+    assert all(type(c) is int for point in cfg.points for c in point)
+    assert all(type(m) is int for m in cfg.multiplicities)
 
 
 def test_source_h_values_and_mass():
@@ -490,3 +515,32 @@ def test_max_principle_check_rejects_bad_hypotheses():
     bump[0] = 3.0
     with pytest.raises(ValueError):
         max_principle_check(LatticeField(dom, bump), ones)
+
+
+@pytest.mark.parametrize("backend", ["direct", "cg"])
+def test_nan_nonlinearity_is_non_finite_failure(monkeypatch, backend):
+    monkeypatch.setattr(chern_simons, "nonlinearity", lambda u, params: np.full_like(u, np.nan))
+    with pytest.raises(NonFiniteBreakdown) as err:
+        solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0), backend=backend)
+    assert not isinstance(err.value, MonotonicityBreakdown)
+    assert len(err.value.trace) == 1
+    assert math.isnan(err.value.trace.final.sup_change)
+
+
+def test_non_finite_failure_mid_run(monkeypatch):
+    # NaN from the fourth nonlinearity evaluation on: steps 1-3 stay finite.
+    parts = chern_simons._nonlinearity_parts
+    calls = []
+
+    def fail_late(u, params):
+        calls.append(1)
+        n_u, pot = parts(u, params)
+        return (n_u + np.nan, pot) if len(calls) > 3 else (n_u, pot)
+
+    monkeypatch.setattr(chern_simons, "_nonlinearity_parts", fail_late)
+    with pytest.raises(NonFiniteBreakdown) as err:
+        solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0), backend="direct")
+    trace = err.value.trace
+    assert len(trace) == 4
+    assert all(r.monotone_ok for r in trace.records[:3])
+    assert not trace.final.monotone_ok

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lattice_vortex
-
+from lattice_vortex import chern_simons
 from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, render_json
+from lattice_vortex.verify import SUITE_NAMES
 
 
 def write_config(path, **overrides):
@@ -252,6 +255,41 @@ def test_verify_fault_injection_detected(capsys):
 
 def test_verify_empty_sizes_is_usage_error():
     assert main(["verify", "--sizes", ""]) == EXIT_USAGE
+
+
+def test_verify_zero_size_is_usage_error(capsys):
+    assert main(["verify", "--sizes", "0"]) == EXIT_USAGE
+    assert "positive" in capsys.readouterr().err
+
+
+def test_verify_negative_size_is_usage_error(capsys):
+    assert main(["verify", "--sizes", "-3"]) == EXIT_USAGE
+    assert "positive" in capsys.readouterr().err
+
+
+def test_verify_output_rows_parse(capsys):
+    # The row format that scripts read from verify's output: one PASS row
+    # per suite and a float after "worst disagreement".
+    assert main(["verify", "--seed", "5", "--sizes", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name in SUITE_NAMES:
+        assert len(re.findall(rf"^{name}\s+PASS", out, re.MULTILINE)) == 1
+    found = re.search(
+        r"^oracle_equivalence\s+\S+\s.*worst disagreement (\S+)", out, re.MULTILINE
+    )
+    assert found is not None
+    assert 0.0 <= float(found.group(1)) < 1e-7
+
+
+def test_solve_reports_non_finite_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(chern_simons, "nonlinearity", lambda u, params: np.full_like(u, np.nan))
+    cfg = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out), "--backend", "direct"]) == EXIT_SOLVER
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["failure"]["kind"] == "non_finite"
+    assert summary["iterations"] == 1
 
 
 def test_version_flag():

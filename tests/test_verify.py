@@ -1,0 +1,88 @@
+import numpy as np
+import pytest
+
+from lattice_vortex import verify
+from lattice_vortex.calculus import from_interior, gns_ratio
+from lattice_vortex.lattice import make_box
+from lattice_vortex.verify import (
+    _scaled_uniform_rows,
+    faulty_laplacian,
+    gns_ratio_suite,
+    green_identity_suite,
+    max_principle_suite,
+    run_suites,
+)
+
+# Recorded from the per-field suites that preceded the stacked ones
+# (run_suites(11, [1, 2])); the draws, and so every instance, are unchanged.
+RECORDED_SEED_11 = {
+    "gns_ratio": (
+        "1000 fields per combo; max ratios n=2,p=0: 0.2497, n=2,p=1: 0.5214, "
+        "n=2,p=2: 0.6555, n=3,p=0: 0.1980, n=3,p=1: 0.4612, n=3,p=2: 0.6024"
+    ),
+    "oracle_equivalence": "3 instances, worst disagreement 9.816e-12",
+}
+
+
+def test_run_suites_details_match_recorded_values():
+    results = {r.name: r for r in run_suites(11, [1, 2])}
+    assert all(r.passed for r in results.values())
+    for name, detail in RECORDED_SEED_11.items():
+        assert results[name].detail == detail
+
+
+def test_scaled_uniform_rows_reproduce_per_field_draws():
+    for n in (9, 125):
+        block_rng = np.random.default_rng(n)
+        loop_rng = np.random.default_rng(n)
+        block = _scaled_uniform_rows(block_rng, 200, n)
+        rows = []
+        for _ in range(200):
+            s = loop_rng.uniform(0.1, 10.0)
+            rows.append(loop_rng.uniform(-s, s, size=n))
+        np.testing.assert_array_equal(block, np.array(rows))
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_gns_ratio_suite_matches_per_field_loop():
+    fields = 70  # not a multiple of the stack size
+    rng = np.random.default_rng(8)
+    result = gns_ratio_suite(rng, fields=fields)
+    ref_rng = np.random.default_rng(8)
+    maxima = []
+    for n in (2, 3):
+        for p in (0, 1, 2):
+            domain = make_box(n, 4 if n == 2 else 2)
+            worst = 0.0
+            for _ in range(fields):
+                s = ref_rng.uniform(0.1, 10.0)
+                u = from_interior(domain, ref_rng.uniform(-s, s, size=domain.n_interior))
+                worst = max(worst, gns_ratio(u, p))
+            maxima.append(f"n={n},p={p}: {worst:.4f}")
+    assert result.passed
+    assert result.detail == f"{fields} fields per combo; max ratios " + ", ".join(maxima)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sizes", [[hw] for hw in range(1, 8)])
+def test_injected_green_fault_detected_on_every_domain(sizes):
+    result = green_identity_suite(np.random.default_rng(sizes[0]), sizes, laplacian_fn=faulty_laplacian)
+    assert not result.passed
+    # One failure per domain: the 2D box of this half-width and the 3D box.
+    assert result.detail.count("defect") == 2
+    assert f"interior={(2 * sizes[0] + 1) ** 2}," in result.detail
+    assert "dim=3" in result.detail
+
+
+def test_max_principle_suite_builds_each_operator_once(monkeypatch):
+    built = []
+    laplacian = verify.interior_laplacian
+
+    def counting(domain):
+        built.append(domain)
+        return laplacian(domain)
+
+    monkeypatch.setattr(verify, "interior_laplacian", counting)
+    assert max_principle_suite(np.random.default_rng(0), [1, 2]).passed
+    assert len(built) == 3
+
