@@ -20,91 +20,21 @@ def _apply_thread_cap():
 _apply_thread_cap()
 
 
-from .calculus import (
-    LatticeField,
-    bilinear_energy,
-    dirichlet_energy,
-    from_interior,
-    gns_ratio,
-    gradient_form,
-    green_identity_defect,
-    laplacian,
-    lq_norm,
-    seminorm_1q,
-    zeros,
-)
-from .chern_simons import (
-    IterationTrace,
-    ModelParams,
-    VortexConfig,
-    functional_j,
-    iterate_step,
-    max_principle_check,
-    nonlinearity,
-    residual,
-    solve_domain,
-    source_h,
-    verify_subsolution_dominance,
-)
-from .exhaustion import (
-    ExhaustionSchedule,
-    GlobalSolutionEstimate,
-    decay_profile,
-    null_extend,
-    run_exhaustion,
-    verify_global_negativity,
-)
-from .lattice import (
-    LatticeDomain,
-    LatticePoint,
-    is_nested,
-    l1_distance,
-    make_ball,
-    make_box,
-    neighbors,
-)
-from .linsolve import ShiftedLaplacianSystem, assemble, solve
-from .oracle import jacobian_fd_check, newton_solve
+from .calculus import LatticeField
+from .chern_simons import ModelParams, VortexConfig, solve_domain
+from .exhaustion import ExhaustionSchedule, run_exhaustion
+from .lattice import LatticeDomain, make_ball, make_box
 
+# The library path the CLI is built on; README "Library use" lists the same
+# names. Everything else is imported from its submodule.
 __all__ = [
     "LatticeDomain",
+    "make_box",
+    "make_ball",
     "LatticeField",
-    "LatticePoint",
     "ModelParams",
     "VortexConfig",
-    "IterationTrace",
-    "ExhaustionSchedule",
-    "GlobalSolutionEstimate",
-    "ShiftedLaplacianSystem",
-    "assemble",
-    "bilinear_energy",
-    "decay_profile",
-    "dirichlet_energy",
-    "from_interior",
-    "functional_j",
-    "gns_ratio",
-    "gradient_form",
-    "green_identity_defect",
-    "is_nested",
-    "iterate_step",
-    "jacobian_fd_check",
-    "l1_distance",
-    "laplacian",
-    "lq_norm",
-    "make_ball",
-    "make_box",
-    "max_principle_check",
-    "neighbors",
-    "newton_solve",
-    "nonlinearity",
-    "null_extend",
-    "residual",
-    "run_exhaustion",
-    "seminorm_1q",
-    "solve",
     "solve_domain",
-    "source_h",
-    "verify_global_negativity",
-    "verify_subsolution_dominance",
-    "zeros",
+    "ExhaustionSchedule",
+    "run_exhaustion",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "zeros",
     "constant",
     "from_interior",
-    "from_function",
     "laplacian",
     "laplacian_interior",
     "gradient_form",
@@ -32,8 +31,6 @@ __all__ = [
     "seminorm_1q",
     "gns_ratio",
     "write_field_csv",
-    "read_field_csv",
-    "field_to_json",
 ]
 
 
@@ -88,10 +85,6 @@ def from_interior(domain: LatticeDomain, interior_values) -> LatticeField:
     vals = np.zeros(np.shape(interior_values)[:-1] + (domain.n_closure,))
     vals[..., : domain.n_interior] = interior_values
     return LatticeField(domain, vals, dirichlet_zero=True)
-
-
-def from_function(domain: LatticeDomain, fn: Callable[[LatticePoint], float]) -> LatticeField:
-    return LatticeField(domain, np.array([fn(p) for p in domain.closure], dtype=np.float64))
 
 
 def _require_same_domain(u: LatticeField, v: LatticeField):
@@ -182,6 +175,29 @@ def green_identity_defect(
     return abs(float(lhs + rhs))
 
 
+def _ipow(x, k: int):
+    """x ** k for an integer k >= 0, by repeated multiplication.
+
+    numpy sends `**` on float arrays through the general pow, which on
+    negative bases costs tens of times more than k - 1 multiplies.
+    """
+    if k == 0:
+        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    if k == 1:
+        return x
+    out = x * x
+    for _ in range(k - 2):
+        out *= x
+    return out
+
+
+# On non-negative bases numpy's pow costs about as much as 10 multiplies
+# whatever the exponent (2-core Xeon, 25 x 150 stacks: q=4 8.7 vs 22 us,
+# q=10 and 12 a tie, q=16 34 vs 22 us, q=1000 3.5 vs 0.3 ms), so `lq_norm`
+# multiplies only up to the largest order `gns_ratio` takes (4p+4, p <= 2).
+_IPOW_MAX_Q = 12
+
+
 def _reduced(x):
     """A float for one field, the array of per-field values for a stack."""
     return float(x) if np.ndim(x) == 0 else x
@@ -199,7 +215,9 @@ def lq_norm(u: LatticeField, q: float, region: str = "interior"):
         return _reduced(np.abs(vals).max(axis=-1, initial=0.0))
     if q < 1:
         raise ValueError("q must be at least 1")
-    return _reduced(np.sum(np.abs(vals) ** q, axis=-1) ** (1.0 / q))
+    mags = np.abs(vals)
+    powers = _ipow(mags, int(q)) if q <= _IPOW_MAX_Q and float(q).is_integer() else mags**q
+    return _reduced(np.sum(powers, axis=-1) ** (1.0 / q))
 
 
 def seminorm_1q(u: LatticeField, q: float):
@@ -249,23 +267,3 @@ def write_field_csv(u: LatticeField, path):
         writer.writerow([f"x{i}" for i in range(u.domain.dimension)] + ["value"])
         for point, value in zip(u.domain.closure, u.values):
             writer.writerow(list(point) + [format(value, ".17g")])
-
-
-def read_field_csv(domain: LatticeDomain, path) -> LatticeField:
-    vals = np.zeros(domain.n_closure)
-    seen = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            point = tuple(int(c) for c in row[:-1])
-            vals[domain.index_of[point]] = float(row[-1])
-            seen += 1
-    if seen != domain.n_closure:
-        raise ValueError(f"expected {domain.n_closure} rows, read {seen}")
-    return LatticeField(domain, vals)
-
-
-def field_to_json(u: LatticeField) -> list[float]:
-    """Values aligned with the domain's index map."""
-    return [float(v) for v in u.values]

@@ -22,9 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .calculus import LatticeField, from_interior, laplacian_interior
+from .calculus import LatticeField, _ipow, _require_same_domain, from_interior, laplacian_interior
 from .lattice import LatticeDomain, LatticePoint, json_integer
-from .linsolve import ShiftedLaplacianSystem, assemble, solve_interior
+from .linsolve import (
+    LinearSolveFailure,
+    LinearSolveInfo,
+    ShiftedLaplacianSystem,
+    assemble,
+    solve_interior,
+)
 
 __all__ = [
     "FOUR_PI",
@@ -45,7 +51,6 @@ __all__ = [
     "iterate_step",
     "solve_domain",
     "residual",
-    "verify_subsolution_dominance",
     "max_principle_check",
 ]
 
@@ -231,22 +236,6 @@ def source_h(domain: LatticeDomain, vortices: VortexConfig) -> LatticeField:
     return LatticeField(domain, vals, dirichlet_zero=True)
 
 
-def _ipow(x, k: int):
-    """x ** k for an integer k >= 0, by repeated multiplication.
-
-    numpy sends `**` on float arrays through the general pow, which on
-    negative bases costs tens of times more than k - 1 multiplies.
-    """
-    if k == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if k == 1:
-        return x
-    out = x * x
-    for _ in range(k - 2):
-        out *= x
-    return out
-
-
 def _nonlinearity_parts(u, params: ModelParams):
     """N(u) and (e^u - 1)^(2p+2), the latter for the potential of J, from one expm1."""
     em1 = np.expm1(u)
@@ -282,18 +271,12 @@ def functional_j(u: LatticeField, h: LatticeField, params: ModelParams) -> float
     Half the Dirichlet energy plus, over interior points, the potential
     well lam/(2p+2) * (e^u - 1)^(2p+2) and the source coupling h*u.
     """
-    _require_same(u, h)
+    _require_same_domain(u, h)
     _require_zero_boundary(u, "u")
     energy = calculus.dirichlet_energy(u)
-    m = 2 * params.p + 2
     u_int = u.interior
-    pot = (params.lam / m) * _ipow(np.expm1(u_int), m)
+    pot = (params.lam / (2 * params.p + 2)) * _nonlinearity_parts(u_int, params)[1]
     return 0.5 * energy + float(np.sum(pot + h.interior * u_int))
-
-
-def _require_same(u: LatticeField, v: LatticeField):
-    if u.domain is not v.domain:
-        raise ValueError("fields live on different domains")
 
 
 def _step_arrays(u_int, n_u, h_int, params: ModelParams, system, backend: str, au=None):
@@ -320,7 +303,7 @@ def iterate_step(
     broken the scheme's ordering and is reported as a breakdown rather than
     silently continued.
     """
-    _require_same(u_prev, h)
+    _require_same_domain(u_prev, h)
     if system.domain is not u_prev.domain:
         raise ValueError("system assembled for a different domain")
     if abs(system.shift - params.shift) > 0:
@@ -362,6 +345,10 @@ def solve_domain(
     boundary. Non-zero starts are an unverified optimization: the
     pointwise-decrease guarantee is proven only from zero, so the per-step
     monotonicity checks do the verifying at run time.
+
+    A step whose linear solve meets NaN or inf (a non-finite right-hand
+    side or residual) raises NonFiniteBreakdown with that step in the
+    trace, as does a step whose change is not finite.
     """
     h = source_h(domain, vortices)
     system = assemble(domain, params.shift)
@@ -382,7 +369,15 @@ def solve_domain(
     j_prev = math.inf
     trace = IterationTrace()
     for k in range(1, params.max_outer_iterations + 1):
-        w, info = _step_arrays(u, n_u, h_int, params, system, backend, au)
+        try:
+            w, info = _step_arrays(u, n_u, h_int, params, system, backend, au)
+        except LinearSolveFailure as exc:
+            if math.isfinite(exc.residual):
+                raise
+            # The step met NaN or inf: record it as all-NaN, so the
+            # breakdown below reports it with the trace.
+            w = np.full(n_int, math.nan)
+            info = LinearSolveInfo(0, exc.residual, w)
         diff = w - u
         rise = float(diff.max())
         sup_change = float(np.abs(diff).max())
@@ -448,45 +443,12 @@ def solve_domain(
 
 def residual(u: LatticeField, h: LatticeField, params: ModelParams) -> LatticeField:
     """Equation defect Laplacian(u) - nonlinearity(u) - h on the interior."""
-    _require_same(u, h)
+    _require_same_domain(u, h)
     vals = np.zeros(u.domain.n_closure)
     vals[: u.domain.n_interior] = (
         laplacian_interior(u) - nonlinearity(u.interior, params) - h.interior
     )
     return LatticeField(u.domain, vals, dirichlet_zero=True)
-
-
-def verify_subsolution_dominance(
-    u_candidate: LatticeField,
-    u_solution: LatticeField,
-    h: LatticeField,
-    params: ModelParams,
-    *,
-    tol: float = 1e-8,
-    hypothesis_slack: float = 1e-9,
-) -> bool:
-    """Check that a verified subsolution stays below the computed solution.
-
-    The candidate must satisfy Laplacian(U) >= nonlinearity(U) + h on the
-    interior and U <= 0 on the boundary, both within `hypothesis_slack`;
-    otherwise the comparison claim does not apply and the input is
-    rejected. Returns True when the candidate is pointwise below the
-    solution plus `tol`.
-    """
-    _require_same(u_candidate, u_solution)
-    _require_same(u_candidate, h)
-    excess = (
-        laplacian_interior(u_candidate)
-        - nonlinearity(u_candidate.interior, params)
-        - h.interior
-    )
-    if float(excess.min()) < -hypothesis_slack:
-        raise ValueError(
-            f"candidate violates the subsolution inequality by {-float(excess.min()):.3e}"
-        )
-    if float(u_candidate.boundary_values.max(initial=-math.inf)) > hypothesis_slack:
-        raise ValueError("candidate must be non-positive on the boundary")
-    return bool(np.all(u_candidate.values <= u_solution.values + tol))
 
 
 def max_principle_check(
@@ -499,7 +461,7 @@ def max_principle_check(
     Inputs failing them are rejected. Returns True when f <= 1e-12
     everywhere, which the hypotheses force.
     """
-    _require_same(f, g)
+    _require_same_domain(f, g)
     if float(g.values.min()) <= 0.0:
         raise ValueError("g must be strictly positive on the closure")
     if float(f.boundary_values.max(initial=-math.inf)) > slack:

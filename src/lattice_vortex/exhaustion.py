@@ -15,19 +15,16 @@ import numpy as np
 
 from .calculus import LatticeField
 from .chern_simons import IterationTrace, ModelParams, VortexConfig, solve_domain
-from .lattice import LatticeDomain, LatticePoint, is_nested, make_ball, make_box
+from .lattice import LatticeDomain, LatticePoint, make_ball, make_box, nested_index
 
 __all__ = [
     "ExhaustionFailure",
     "ExhaustionSchedule",
     "GlobalSolutionEstimate",
     "vortex_centroid",
-    "doubling_radii",
     "null_extend",
     "restrict_field",
     "decay_profile",
-    "tail_is_monotone",
-    "verify_global_negativity",
     "run_exhaustion",
     "report_dict",
 ]
@@ -49,13 +46,6 @@ def vortex_centroid(vortices: VortexConfig, dimension: int) -> LatticePoint:
         return tuple(0 for _ in range(dimension))
     pts = np.array(vortices.points, dtype=float)
     return tuple(int(round(v)) for v in np.median(pts, axis=0))
-
-
-def doubling_radii(first: int, count: int) -> tuple[int, ...]:
-    """Geometric radius chain: first, 2*first, 4*first, ..."""
-    if first < 1 or count < 1:
-        raise ValueError("first radius and count must be positive")
-    return tuple(first * 2**i for i in range(count))
 
 
 @dataclass
@@ -130,21 +120,20 @@ class GlobalSolutionEstimate:
 
 
 def null_extend(u: LatticeField, larger: LatticeDomain) -> LatticeField:
-    """Zero extension: copy interior values of u, zero everywhere else."""
-    if not is_nested(u.domain, larger):
-        raise ValueError("field's domain is not nested in the target domain")
+    """Zero extension into `larger`; ValueError unless u's domain is nested in it."""
+    return _extend(u, larger, nested_index(u.domain, larger))
+
+
+def _extend(u: LatticeField, larger: LatticeDomain, at: np.ndarray) -> LatticeField:
+    """`null_extend` through `at` = nested_index(u.domain, larger); the boundary stays zero."""
     vals = np.zeros(larger.n_closure)
-    for point, value in zip(u.domain.interior, u.interior):
-        vals[larger.index_of[point]] = value
-    return LatticeField(larger, vals, dirichlet_zero=bool(np.all(vals[larger.n_interior :] == 0.0)))
+    vals[at[: u.domain.n_interior]] = u.interior
+    return LatticeField(larger, vals, dirichlet_zero=True)
 
 
 def restrict_field(u: LatticeField, smaller: LatticeDomain) -> LatticeField:
-    """Values of u at the closure points of a nested domain."""
-    if not is_nested(smaller, u.domain):
-        raise ValueError("target domain is not nested in the field's domain")
-    vals = np.array([u.values[u.domain.index_of[p]] for p in smaller.closure])
-    return LatticeField(smaller, vals)
+    """Values of u on the closure of `smaller`; ValueError unless it is nested in u's domain."""
+    return LatticeField(smaller, u.values[nested_index(smaller, u.domain)])
 
 
 def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, float]]:
@@ -153,20 +142,6 @@ def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, floa
     dist = np.abs(u.domain.coords - center_arr).sum(axis=1)
     mags = np.abs(u.values)
     return [(int(r), float(mags[dist == r].max())) for r in np.unique(dist)]
-
-
-def tail_is_monotone(
-    profile: list[tuple[int, float]], *, fraction: float = 0.5, slack: float = 1e-9
-) -> bool:
-    """Non-increasing check over the outer `fraction` of the shells."""
-    start = int(len(profile) * (1.0 - fraction))
-    tail = [s for _, s in profile[start:]]
-    return all(b <= a + slack for a, b in zip(tail, tail[1:]))
-
-
-def verify_global_negativity(u: LatticeField) -> bool:
-    """True when the field never rises above rounding level."""
-    return bool(np.all(u.values <= 1e-12))
 
 
 def run_exhaustion(
@@ -185,6 +160,9 @@ def run_exhaustion(
     with the offending radius pair, since it falsifies the ordering the
     whole construction rests on.
 
+    Each consecutive pair forms one `nested_index` map, which checks the
+    nesting and gathers the new solution onto the previous closure.
+
     `warm_start` seeds each solve with the zero extension of the previous
     solution instead of zero. It is off by default and unverified: the
     decrease guarantee is proven from the zero start only, so warm runs
@@ -197,13 +175,20 @@ def run_exhaustion(
     worst_rise = -np.inf
     for radius in schedule.radii:
         dom = schedule.build_domain(radius)
-        if domains and not is_nested(domains[-1], dom):
-            raise ExhaustionFailure(f"domain of radius {radius} does not contain its predecessor")
-        u_init = null_extend(solutions[-1], dom) if warm_start and solutions else None
+        u_init = None
+        if domains:
+            try:
+                at = nested_index(domains[-1], dom)
+            except ValueError:
+                raise ExhaustionFailure(
+                    f"domain of radius {radius} does not contain its predecessor"
+                ) from None
+            if warm_start:
+                u_init = _extend(solutions[-1], dom, at)
         u, trace = solve_domain(dom, schedule.vortices, params, backend=backend, u_init=u_init)
         if domains:
             prev_dom, prev_u = domains[-1], solutions[-1]
-            on_prev = np.array([u.values[dom.index_of[p]] for p in prev_dom.closure])
+            on_prev = u.values[at]
             rise = float((on_prev - prev_u.values).max())
             worst_rise = max(worst_rise, rise)
             if rise > CHAIN_SLACK:

@@ -22,8 +22,8 @@ __all__ = [
     "neighbors",
     "make_box",
     "make_ball",
+    "nested_index",
     "is_nested",
-    "is_connected",
     "domain_to_json",
     "domain_from_json",
     "json_integer",
@@ -185,26 +185,35 @@ def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -
     return LatticeDomain(dimension, interior, kind="ball", center=c, size=radius)
 
 
+def nested_index(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray:
+    """Closure index in `outer` of each closure point of `inner`, in `inner`'s order.
+
+    The map of a domain into the next one of a nested chain. It raises
+    ValueError when the dimensions differ or `inner`'s interior is not
+    inside `outer`'s interior, which would leave `inner`'s boundary outside
+    `outer`'s closure. Sites are matched by row rank, as in `LatticeDomain`.
+    """
+    if inner.dimension != outer.dimension:
+        raise ValueError("dimension mismatch between domains")
+    ranks, first = _row_ranks(np.concatenate([outer.coords, inner.coords]))
+    index = np.full(len(first), -1, dtype=np.int64)
+    index[ranks[: outer.n_closure]] = np.arange(outer.n_closure)
+    found = index[ranks[outer.n_closure :]]
+    inside = found[: inner.n_interior]
+    if np.any((inside < 0) | (inside >= outer.n_interior)):
+        raise ValueError("interior of the inner domain is not inside the outer interior")
+    return found
+
+
 def is_nested(inner: LatticeDomain, outer: LatticeDomain) -> bool:
     """True when every interior point of `inner` is interior to `outer`."""
     if inner.dimension != outer.dimension:
         raise ValueError("dimension mismatch between domains")
-    outer_set = set(outer.interior)
-    return all(p in outer_set for p in inner.interior)
-
-
-def is_connected(domain: LatticeDomain) -> bool:
-    """Breadth-first check that the interior is a single edge-connected piece."""
-    interior = set(domain.interior)
-    seen = {domain.interior[0]}
-    queue = [domain.interior[0]]
-    while queue:
-        x = queue.pop()
-        for y in neighbors(x):
-            if y in interior and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(interior)
+    try:
+        nested_index(inner, outer)
+    except ValueError:
+        return False
+    return True
 
 
 def domain_to_json(domain: LatticeDomain):

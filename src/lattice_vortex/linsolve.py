@@ -62,7 +62,6 @@ class LinearSolveFailure(RuntimeError):
 
 @dataclass
 class LinearSolveInfo:
-    backend: str
     iterations: int
     residual_inf: float
     # A @ x, the product the residual was certified against.
@@ -196,7 +195,9 @@ def solve_interior(
 
     Returns the interior solution array and solve statistics. The residual
     is certified in the infinity norm against tol * (1 + |f|_inf) for
-    either backend; a miss raises LinearSolveFailure. `info.product` is the
+    either backend; a miss raises LinearSolveFailure, as does a right-hand
+    side or an attained residual that is not finite; its `residual` is
+    then not finite either. `info.product` is the
     certifying product A w of the assembled matrix A = shift*I - Laplacian.
     `ax0`, when given, must be A @ x0, typically the product of the solve
     that returned x0; CG then starts without multiplying by A.
@@ -206,7 +207,12 @@ def solve_interior(
         raise ValueError(f"rhs length {f.shape} does not match system size {system.size}")
     # The assembled matrix is -(Laplacian - shift), which is SPD.
     b = -f
-    tol_abs = tol * (1.0 + float(np.abs(b).max()))
+    b_max = float(np.abs(b).max())
+    # NaN and inf both propagate through max; a non-finite rhs has no
+    # solution to certify, so no backend runs on it.
+    if not math.isfinite(b_max):
+        raise LinearSolveFailure(f"non-finite right-hand side (|f|_inf = {b_max})", math.nan)
+    tol_abs = tol * (1.0 + b_max)
     if backend == "direct":
         x = system.lu().solve(b)
         iterations = 1
@@ -233,9 +239,10 @@ def solve_interior(
                 break
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    if attained > tol_abs:
+    # Written so that a NaN residual fails too.
+    if not attained <= tol_abs:
         raise LinearSolveFailure(f"{backend} backend missed tolerance {tol_abs:.3e}", attained)
-    return x, LinearSolveInfo(backend, iterations, attained, ax)
+    return x, LinearSolveInfo(iterations, attained, ax)
 
 
 def solve(

@@ -28,8 +28,18 @@ class NewtonFailure(RuntimeError):
         self.iterate = iterate
 
 
+def _system(domain: LatticeDomain, vortices: VortexConfig):
+    """The interior source values and the interior Laplacian matrix."""
+    return source_h(domain, vortices).interior.copy(), interior_laplacian(domain)
+
+
 def _nonlinear_residual(u_int, lap, h_int, params):
     return lap @ u_int - nonlinearity(u_int, params) - h_int
+
+
+def _jacobian(u_int, lap, params):
+    """Jacobian of the residual: the Laplacian minus diag(N'(u))."""
+    return lap - sp.diags(nonlinearity_derivative(u_int, params))
 
 
 def newton_solve(
@@ -51,8 +61,7 @@ def newton_solve(
     """
     if domain.n_interior > MAX_ORACLE_SIZE:
         raise ValueError(f"oracle limited to {MAX_ORACLE_SIZE} interior points")
-    h_int = source_h(domain, vortices).interior.copy()
-    lap = interior_laplacian(domain)
+    h_int, lap = _system(domain, vortices)
     if u_init is None:
         u = np.zeros(domain.n_interior)
     else:
@@ -63,7 +72,7 @@ def newton_solve(
     for _ in range(max_iterations):
         if float(np.abs(f_val).max()) < tol:
             return from_interior(domain, u)
-        jac = lap - sp.diags(nonlinearity_derivative(u, params))
+        jac = _jacobian(u, lap, params)
         try:
             step = spla.splu(jac.tocsc()).solve(-f_val)
         except RuntimeError as exc:
@@ -102,11 +111,10 @@ def jacobian_fd_check(
     Each column j is probed with u +- step*e_j; the error is scaled by
     1 + |entry| so exact zeros are compared absolutely.
     """
-    h_int = source_h(domain, vortices).interior.copy()
-    lap = interior_laplacian(domain)
+    h_int, lap = _system(domain, vortices)
     n = domain.n_interior
     u_int = u.interior.copy()
-    analytic = (lap - sp.diags(nonlinearity_derivative(u_int, params))).toarray()
+    analytic = _jacobian(u_int, lap, params).toarray()
     fd = np.empty((n, n))
     for j in range(n):
         bump = np.zeros(n)

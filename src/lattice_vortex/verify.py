@@ -47,11 +47,24 @@ def random_max_principle_instance(rng, domain):
     interior and the boundary data of f are drawn non-negative and
     non-positive respectively, and f is recovered by a direct solve.
     """
-    return _max_principle_instance(rng, domain, interior_laplacian(domain))
+    return _max_principle_instance(rng, domain, _damped_operator(domain))
 
 
-def _max_principle_instance(rng, domain, lap):
-    """`random_max_principle_instance` with the domain's interior Laplacian `lap` given."""
+def _damped_operator(domain):
+    """diag(g) - Laplacian on the interior as a CSC matrix, with g still unset.
+
+    Returns the matrix and the positions of its diagonal in `data`, in
+    column order. Writing g + 2n there gives (diag(g) - Laplacian).tocsc()
+    exactly, since the Laplacian's diagonal is -2n.
+    """
+    n_int = domain.n_interior
+    matrix = (sp.identity(n_int, format="csr") - interior_laplacian(domain)).tocsc()
+    cols = np.repeat(np.arange(n_int), np.diff(matrix.indptr))
+    return matrix, np.flatnonzero(matrix.indices == cols)
+
+
+def _max_principle_instance(rng, domain, operator):
+    """`random_max_principle_instance` on the domain's `_damped_operator`, which it overwrites."""
     n_int = domain.n_interior
     g_vals = rng.uniform(0.1, 4.0, size=domain.n_closure)
     slack = rng.uniform(0.0, 1.0, size=n_int)
@@ -59,8 +72,9 @@ def _max_principle_instance(rng, domain, lap):
     full_b = np.zeros(domain.n_closure)
     full_b[n_int:] = b_vals
     coupling = full_b[domain.interior_neighbors].sum(axis=1)
-    matrix = sp.diags(g_vals[:n_int]) - lap
-    f_int = spla.spsolve(matrix.tocsc(), coupling - slack)
+    matrix, diagonal = operator
+    matrix.data[diagonal] = g_vals[:n_int] + 2 * domain.dimension
+    f_int = spla.spsolve(matrix, coupling - slack)
     f_vals = np.concatenate([f_int, b_vals])
     return LatticeField(domain, f_vals), LatticeField(domain, g_vals), slack
 
@@ -72,18 +86,18 @@ def max_principle_suite(rng, sizes, instances=100) -> SuiteResult:
     damped-operator slack) and requires the checker to reject them.
     """
     domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
-    laplacians = [interior_laplacian(domain) for domain in domains]
+    operators = [_damped_operator(domain) for domain in domains]
     failures = []
     for i in range(instances):
         j = i % len(domains)
-        f, g, slack = _max_principle_instance(rng, domains[j], laplacians[j])
+        f, g, slack = _max_principle_instance(rng, domains[j], operators[j])
         if not max_principle_check(f, g):
             failures.append(f"instance {i}: positive value escaped")
     detected = 0
     probes = 5
     for i in range(probes):
         j = i % len(domains)
-        f, g, slack = _max_principle_instance(rng, domains[j], laplacians[j])
+        f, g, slack = _max_principle_instance(rng, domains[j], operators[j])
         corrupt = f.copy()
         corrupt.values[rng.integers(0, domains[j].n_interior)] += float(slack.max()) + 2.0
         try:

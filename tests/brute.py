@@ -116,3 +116,35 @@ def naive_green_identity_defect(u, v, laplacian_fn=naive_laplacian):
     for x in dom.interior:
         rhs += laplacian_fn(u, x) * v.value_at(x)
     return abs(lhs + rhs)
+
+
+def naive_is_nested(inner, outer):
+    """Every interior point of `inner` is interior to `outer`, by set membership."""
+    if inner.dimension != outer.dimension:
+        raise ValueError("dimension mismatch between domains")
+    outer_set = set(outer.interior)
+    return all(p in outer_set for p in inner.interior)
+
+
+def naive_nested_index(inner, outer):
+    """Closure index in `outer` of each closure point of `inner`, looked up point by point."""
+    if not naive_is_nested(inner, outer):
+        raise ValueError("inner domain is not nested in the outer domain")
+    return np.array([outer.index_of[p] for p in inner.closure], dtype=np.int64)
+
+
+def naive_null_extend(u, larger):
+    """Zero extension of u into `larger`, site by site."""
+    if not naive_is_nested(u.domain, larger):
+        raise ValueError("field's domain is not nested in the target domain")
+    vals = np.zeros(larger.n_closure)
+    for point, value in zip(u.domain.interior, u.interior):
+        vals[larger.index_of[point]] = value
+    return vals
+
+
+def naive_restrict_field(u, smaller):
+    """Values of u at the closure points of `smaller`, site by site."""
+    if not naive_is_nested(smaller, u.domain):
+        raise ValueError("target domain is not nested in the field's domain")
+    return np.array([u.values[u.domain.index_of[p]] for p in smaller.closure])

@@ -1,0 +1,101 @@
+"""Checks and constructors that only the tests use.
+
+They build on the library's public operators; the naive references that
+avoid the library's index arrays live in `brute.py`.
+"""
+
+import csv
+import math
+
+import numpy as np
+
+from lattice_vortex.calculus import LatticeField
+from lattice_vortex.chern_simons import residual
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, neighbors
+
+
+def from_function(domain, fn):
+    """The field with value fn(p) at each closure point p."""
+    return LatticeField(domain, np.array([fn(p) for p in domain.closure], dtype=np.float64))
+
+
+def read_field_csv(domain, path):
+    """Inverse of `calculus.write_field_csv` on the same domain."""
+    vals = np.zeros(domain.n_closure)
+    seen = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            point = tuple(int(c) for c in row[:-1])
+            vals[domain.index_of[point]] = float(row[-1])
+            seen += 1
+    if seen != domain.n_closure:
+        raise ValueError(f"expected {domain.n_closure} rows, read {seen}")
+    return LatticeField(domain, vals)
+
+
+def is_connected(domain):
+    """Breadth-first check that the interior is a single edge-connected piece."""
+    interior = set(domain.interior)
+    seen = {domain.interior[0]}
+    queue = [domain.interior[0]]
+    while queue:
+        x = queue.pop()
+        for y in neighbors(x):
+            if y in interior and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == len(interior)
+
+
+def tail_is_monotone(profile, *, fraction=0.5, slack=1e-9):
+    """Non-increasing check over the outer `fraction` of the shells."""
+    start = int(len(profile) * (1.0 - fraction))
+    tail = [s for _, s in profile[start:]]
+    return all(b <= a + slack for a, b in zip(tail, tail[1:]))
+
+
+def verify_global_negativity(u):
+    """True when the field never rises above rounding level."""
+    return bool(np.all(u.values <= 1e-12))
+
+
+def verify_subsolution_dominance(
+    u_candidate, u_solution, h, params, *, tol=1e-8, hypothesis_slack=1e-9
+):
+    """Check that a verified subsolution stays below the computed solution.
+
+    The candidate must satisfy Laplacian(U) >= nonlinearity(U) + h on the
+    interior and U <= 0 on the boundary, both within `hypothesis_slack`;
+    otherwise the comparison claim does not apply and the input is
+    rejected. Returns True when the candidate is pointwise below the
+    solution plus `tol`.
+    """
+    if u_candidate.domain is not u_solution.domain:
+        raise ValueError("fields live on different domains")
+    excess = residual(u_candidate, h, params).interior
+    if float(excess.min()) < -hypothesis_slack:
+        raise ValueError(
+            f"candidate violates the subsolution inequality by {-float(excess.min()):.3e}"
+        )
+    if float(u_candidate.boundary_values.max(initial=-math.inf)) > hypothesis_slack:
+        raise ValueError("candidate must be non-positive on the boundary")
+    return bool(np.all(u_candidate.values <= u_solution.values + tol))
+
+
+def nested_domain_pairs():
+    """(inner, outer) pairs with `inner` nested in `outer`, of every kind the builders make."""
+    scattered = [(0, 0), (1, 0), (5, 5), (-7, 3), (10**12, 0), (10**12, -4)]
+    return [
+        (make_box(2, 2, center=(3, -1)), make_box(2, 5, center=(1, 0))),
+        (make_box(3, 1, center=(1, 2, -1)), make_box(3, 3, center=(0, 1, 0))),
+        (make_ball(2, 3, center=(2, 1)), make_ball(2, 6, center=(1, 1))),
+        (make_ball(3, 2, center=(0, 0, 1)), make_ball(3, 4, center=(1, 0, 0))),
+        (make_box(2, 2, center=(1, -1)), make_ball(2, 7, center=(0, 0))),
+        (make_box(2, 3), make_box(2, 3)),
+        (
+            LatticeDomain(2, scattered),
+            LatticeDomain(2, scattered + [(2, 0), (5, 6), (10**12, 1), (-8, 3), (-3, -3)]),
+        ),
+    ]

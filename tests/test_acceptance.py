@@ -24,13 +24,14 @@ from lattice_vortex.exhaustion import (
     ExhaustionSchedule,
     restrict_field,
     run_exhaustion,
-    tail_is_monotone,
 )
 from lattice_vortex.lattice import make_box
 from lattice_vortex.linsolve import assemble, solve_interior
 from lattice_vortex.oracle import jacobian_fd_check, newton_solve
 from lattice_vortex.verify import random_max_principle_instance
 from lattice_vortex.calculus import green_identity_defect
+
+from helpers import tail_is_monotone
 
 SEED = 20240811
 

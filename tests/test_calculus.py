@@ -11,8 +11,6 @@ from lattice_vortex.calculus import (
     bilinear_energy,
     constant,
     dirichlet_energy,
-    field_to_json,
-    from_function,
     from_interior,
     gns_ratio,
     gradient_form,
@@ -20,7 +18,6 @@ from lattice_vortex.calculus import (
     laplacian,
     laplacian_interior,
     lq_norm,
-    read_field_csv,
     seminorm_1q,
     write_field_csv,
     zeros,
@@ -34,6 +31,7 @@ from brute import (
     naive_laplacian,
     naive_seminorm_q,
 )
+from helpers import from_function, read_field_csv
 
 RNG = np.random.default_rng(20240811)
 
@@ -368,6 +366,21 @@ def test_gns_ratio_bounded_over_random_fields(n, p):
     assert worst < 10.0
 
 
+@pytest.mark.parametrize("q", range(1, 17))
+def test_lq_norm_integral_q_matches_pow(q):
+    rng = np.random.default_rng(q)
+    dom = make_ball(2, 4)
+    single = LatticeField(dom, rng.uniform(-3.0, 3.0, dom.n_closure))
+    stack = LatticeField(dom, rng.uniform(-3.0, 3.0, (7, dom.n_closure)))
+    for u in (single, stack):
+        for region, vals in (("closure", u.values), ("interior", u.interior)):
+            want = np.sum(np.abs(vals) ** q, axis=-1) ** (1.0 / q)
+            for exponent in (q, float(q)):
+                got = lq_norm(u, exponent, region=region)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            assert np.shape(got) == np.shape(want)
+
+
 def test_field_csv_round_trip(tmp_path):
     dom = make_ball(2, 2)
     u = random_field(dom)
@@ -376,9 +389,3 @@ def test_field_csv_round_trip(tmp_path):
     back = read_field_csv(dom, path)
     np.testing.assert_array_equal(back.values, u.values)
 
-
-def test_field_json_alignment():
-    dom = make_box(2, 1)
-    u = random_field(dom)
-    data = field_to_json(u)
-    assert data == list(u.values)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from lattice_vortex import chern_simons
 
 from lattice_vortex.calculus import (
+    _ipow,
     LatticeField,
     dirichlet_energy,
     from_interior,
@@ -15,7 +16,6 @@ from lattice_vortex.calculus import (
     zeros,
 )
 from lattice_vortex.chern_simons import (
-    _ipow,
     ENERGY_SLACK,
     ConvergenceFailure,
     ModelParams,
@@ -30,12 +30,13 @@ from lattice_vortex.chern_simons import (
     residual,
     solve_domain,
     source_h,
-    verify_subsolution_dominance,
 )
 from lattice_vortex.exhaustion import restrict_field
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
-from lattice_vortex.linsolve import assemble, solve_interior
+from lattice_vortex.linsolve import LinearSolveFailure, assemble, solve_interior
 from lattice_vortex.oracle import newton_solve
+
+from helpers import verify_subsolution_dominance
 
 RNG = np.random.default_rng(99)
 
@@ -209,6 +210,21 @@ def test_functional_j_single_point_hand_value():
     h = source_h(dom, single_vortex())
     expected = 0.5 * 4.0 + 0.5 * math.expm1(-1.0) ** 2 + 4.0 * math.pi * (-1.0)
     assert functional_j(u, h, params) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_functional_j_bit_for_bit_with_separate_potential(p):
+    # The potential lam/(2p+2) * (e^u - 1)^(2p+2) now comes from the solver's
+    # _nonlinearity_parts; it must equal the formula written out on its own.
+    dom = make_ball(2, 5)
+    params = ModelParams(lam=1.3, p=p)
+    h = source_h(dom, single_vortex())
+    u = from_interior(dom, np.random.default_rng(p).uniform(-3.0, 0.0, dom.n_interior))
+    m = 2 * p + 2
+    u_int = u.interior
+    pot = (params.lam / m) * _ipow(np.expm1(u_int), m)
+    want = 0.5 * dirichlet_energy(u) + float(np.sum(pot + h.interior * u_int))
+    assert functional_j(u, h, params) == want
 
 
 def test_functional_j_rejects_nonzero_boundary():
@@ -525,6 +541,17 @@ def test_nan_nonlinearity_is_non_finite_failure(monkeypatch, backend):
     assert not isinstance(err.value, MonotonicityBreakdown)
     assert len(err.value.trace) == 1
     assert math.isnan(err.value.trace.final.sup_change)
+
+
+def test_finite_linear_failure_propagates(monkeypatch):
+    # Only a non-finite solve becomes NonFiniteBreakdown; a missed tolerance
+    # stays a LinearSolveFailure (CLI kind linear_solve).
+    def miss(*args, **kwargs):
+        raise LinearSolveFailure("missed", 1.0)
+
+    monkeypatch.setattr(chern_simons, "solve_interior", miss)
+    with pytest.raises(LinearSolveFailure):
+        solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0))
 
 
 def test_non_finite_failure_mid_run(monkeypatch):

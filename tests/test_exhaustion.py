@@ -6,16 +6,16 @@ from lattice_vortex.chern_simons import ModelParams, VortexConfig, solve_domain
 from lattice_vortex.exhaustion import (
     ExhaustionSchedule,
     decay_profile,
-    doubling_radii,
     null_extend,
     report_dict,
     restrict_field,
     run_exhaustion,
-    tail_is_monotone,
-    verify_global_negativity,
     vortex_centroid,
 )
-from lattice_vortex.lattice import make_box
+from lattice_vortex.lattice import make_ball, make_box
+
+from brute import naive_null_extend, naive_restrict_field
+from helpers import nested_domain_pairs, tail_is_monotone, verify_global_negativity
 
 RNG = np.random.default_rng(5)
 
@@ -28,12 +28,6 @@ def test_vortex_centroid():
     assert vortex_centroid(VortexConfig(()), 2) == (0, 0)
     cfg = VortexConfig((((0, 0), 1), ((4, 2), 1), ((2, 2), 1)))
     assert vortex_centroid(cfg, 2) == (2, 2)
-
-
-def test_doubling_radii():
-    assert doubling_radii(4, 4) == (4, 8, 16, 32)
-    with pytest.raises(ValueError):
-        doubling_radii(0, 3)
 
 
 def test_schedule_validation():
@@ -94,6 +88,26 @@ def test_restrict_round_trip():
     np.testing.assert_array_equal(back.values, u.values)
     with pytest.raises(ValueError):
         restrict_field(u, big)
+
+
+@pytest.mark.parametrize("inner, outer", nested_domain_pairs())
+def test_null_extend_and_restrict_match_naive(inner, outer):
+    rng = np.random.default_rng(inner.n_closure)
+    u = from_interior(inner, rng.uniform(-1, 0, inner.n_interior))
+    ext = null_extend(u, outer)
+    np.testing.assert_array_equal(ext.values, naive_null_extend(u, outer))
+    assert ext.dirichlet_zero
+    v = LatticeField(outer, rng.uniform(-1, 1, outer.n_closure))
+    np.testing.assert_array_equal(
+        restrict_field(v, inner).values, naive_restrict_field(v, inner)
+    )
+
+
+def test_null_extend_and_restrict_reject_dimension_mismatch():
+    with pytest.raises(ValueError):
+        null_extend(zeros(make_ball(2, 1)), make_ball(3, 2))
+    with pytest.raises(ValueError):
+        restrict_field(zeros(make_ball(3, 2)), make_ball(2, 1))
 
 
 def test_decay_profile_zero_field():

@@ -10,15 +10,16 @@ from lattice_vortex.lattice import (
     LatticeDomain,
     domain_from_json,
     domain_to_json,
-    is_connected,
     is_nested,
     l1_distance,
     make_ball,
     make_box,
     neighbors,
+    nested_index,
 )
 
-from brute import naive_boundary, naive_domain_arrays
+from brute import naive_boundary, naive_domain_arrays, naive_is_nested, naive_nested_index
+from helpers import is_connected, nested_domain_pairs
 
 
 def test_l1_distance_basic():
@@ -178,6 +179,69 @@ def test_is_nested():
     assert is_nested(inner, make_ball(2, 1))
     with pytest.raises(ValueError):
         is_nested(make_ball(2, 1), make_ball(3, 2))
+
+
+@pytest.mark.parametrize("inner, outer", nested_domain_pairs())
+def test_nested_index_matches_naive(inner, outer):
+    at = nested_index(inner, outer)
+    assert at.dtype == np.int64
+    np.testing.assert_array_equal(at, naive_nested_index(inner, outer))
+    assert is_nested(inner, outer)
+    # the reversed pair is nested only between equal interiors
+    assert is_nested(outer, inner) == naive_is_nested(outer, inner)
+    if not naive_is_nested(outer, inner):
+        with pytest.raises(ValueError):
+            nested_index(outer, inner)
+
+
+@pytest.mark.parametrize(
+    "inner, outer",
+    [
+        # inner interior reaches the outer boundary
+        (make_box(2, 3), make_box(2, 2)),
+        # overlapping boxes, one interior row outside the other closure
+        (make_box(2, 2), make_box(2, 2, center=(3, 0))),
+        # disjoint
+        (make_ball(3, 1, center=(10, 0, 0)), make_ball(3, 2)),
+        (LatticeDomain(2, [(0, 0), (10**12, 0)]), LatticeDomain(2, [(0, 0), (10**12, 1)])),
+    ],
+)
+def test_nested_index_rejects_non_nested(inner, outer):
+    assert not naive_is_nested(inner, outer)
+    assert not is_nested(inner, outer)
+    with pytest.raises(ValueError):
+        nested_index(inner, outer)
+
+
+def test_nested_index_rejects_dimension_mismatch():
+    with pytest.raises(ValueError):
+        nested_index(make_ball(2, 1), make_ball(3, 2))
+    with pytest.raises(ValueError):
+        nested_index(make_box(3, 1), make_box(2, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=25),
+            st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=25),
+        )
+    )
+)
+def test_nested_index_matches_naive_on_random_point_sets(case):
+    dimension, a, b = case
+    inner = LatticeDomain(dimension, a)
+    for outer in (LatticeDomain(dimension, a + b), LatticeDomain(dimension, b)):
+        for x, y in ((inner, outer), (outer, inner)):
+            if naive_is_nested(x, y):
+                np.testing.assert_array_equal(nested_index(x, y), naive_nested_index(x, y))
+                assert is_nested(x, y)
+            else:
+                with pytest.raises(ValueError):
+                    nested_index(x, y)
+                assert not is_nested(x, y)
 
 
 def test_json_round_trip_box_and_ball():

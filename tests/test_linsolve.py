@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from lattice_vortex import linsolve
 from lattice_vortex.calculus import from_interior, laplacian, zeros
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import (
@@ -232,3 +234,37 @@ def test_seeded_product_gives_identical_solve(dom, backend):
     assert np.array_equal(seeded.product, system.matrix @ seeded_x)
     if dom.kind == "ball":
         assert plain.iterations > 1
+
+
+@pytest.mark.parametrize("backend", ["direct", "cg"])
+@pytest.mark.parametrize("bad", ["all_nan", "one_inf", "one_minus_inf"])
+def test_non_finite_rhs_rejected_before_solving(monkeypatch, backend, bad):
+    system = assemble(make_box(2, 2), 4.0)
+    rhs = np.ones(system.size)
+    if bad == "all_nan":
+        rhs[:] = math.nan
+    else:
+        rhs[3] = math.inf if bad == "one_inf" else -math.inf
+    calls = []
+    pcg = linsolve._pcg
+    monkeypatch.setattr(linsolve, "_pcg", lambda *args: calls.append(1) or pcg(*args))
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_interior(system, rhs, backend=backend)
+    assert math.isnan(err.value.residual)
+    # no CG iteration, no preconditioner and no factorization was spent on it
+    assert calls == []
+    assert system._preconditioner is None and system._lu is None
+
+
+def test_non_finite_attained_residual_rejected(monkeypatch):
+    system = assemble(make_box(2, 2), 4.0)
+
+    class NanFactor:
+        def solve(self, b):
+            return np.full_like(b, math.nan)
+
+    monkeypatch.setattr(system, "lu", NanFactor)
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_interior(system, np.ones(system.size), backend="direct")
+    assert math.isnan(err.value.residual)
+

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lattice_vortex import verify
 from lattice_vortex.calculus import from_interior, gns_ratio
-from lattice_vortex.lattice import make_box
+from lattice_vortex.lattice import make_ball, make_box
+from lattice_vortex.linsolve import interior_laplacian
 from lattice_vortex.verify import (
     _scaled_uniform_rows,
     faulty_laplacian,
     gns_ratio_suite,
     green_identity_suite,
     max_principle_suite,
+    random_max_principle_instance,
     run_suites,
 )
 
@@ -85,4 +89,26 @@ def test_max_principle_suite_builds_each_operator_once(monkeypatch):
     monkeypatch.setattr(verify, "interior_laplacian", counting)
     assert max_principle_suite(np.random.default_rng(0), [1, 2]).passed
     assert len(built) == 3
+
+
+@pytest.mark.parametrize(
+    "domain", [make_box(2, 1), make_box(2, 3, center=(1, -2)), make_box(3, 2), make_ball(2, 4)]
+)
+def test_max_principle_operator_equals_assembled_difference(domain):
+    n_int = domain.n_interior
+    lap = interior_laplacian(domain)
+    operator = verify._damped_operator(domain)
+    rng = np.random.default_rng(n_int)
+    for _ in range(3):
+        f, g, slack = verify._max_principle_instance(rng, domain, operator)
+        want = (sp.diags(g.values[:n_int]) - lap).tocsc()
+        got = operator[0]
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    # the public instance is the solve against that difference, bit for bit
+    f, g, slack = random_max_principle_instance(np.random.default_rng(5), domain)
+    full_b = np.concatenate([np.zeros(n_int), f.boundary_values])
+    coupling = full_b[domain.interior_neighbors].sum(axis=1)
+    want = spla.spsolve((sp.diags(g.values[:n_int]) - lap).tocsc(), coupling - slack)
+    np.testing.assert_array_equal(f.interior, want)
 
