@@ -66,7 +66,10 @@ class LatticeField:
         return self.values[..., self.domain.n_interior :]
 
     def value_at(self, point: LatticePoint) -> float:
-        return float(self.values[self.domain.index_of[tuple(point)]])
+        idx = self.domain.locate(point)
+        if idx < 0:
+            raise KeyError(tuple(point))
+        return float(self.values[idx])
 
     def copy(self) -> "LatticeField":
         return LatticeField(self.domain, self.values.copy(), self.dirichlet_zero)
@@ -93,10 +96,10 @@ def _require_same_domain(u: LatticeField, v: LatticeField):
 
 
 def _interior_index(u: LatticeField, x: LatticePoint) -> int:
-    idx = u.domain.index_of.get(tuple(x))
-    if idx is None or idx >= u.domain.n_interior:
+    idx = u.domain.locate(x)
+    if not 0 <= idx < u.domain.n_interior:
         raise ValueError(f"point {tuple(x)} is not interior to the domain")
-    return idx
+    return int(idx)
 
 
 def laplacian(u: LatticeField, x: LatticePoint) -> float:
@@ -265,5 +268,5 @@ def write_field_csv(u: LatticeField, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(u.domain.dimension)] + ["value"])
-        for point, value in zip(u.domain.closure, u.values):
-            writer.writerow(list(point) + [format(value, ".17g")])
+        for point, value in zip(u.domain.coords.tolist(), u.values):
+            writer.writerow(point + [format(value, ".17g")])

@@ -229,8 +229,8 @@ def source_h(domain: LatticeDomain, vortices: VortexConfig) -> LatticeField:
     """Point-charge field: 4*pi*multiplicity at each vortex, zero elsewhere."""
     vals = np.zeros(domain.n_closure)
     for point, multiplicity in vortices.vortices:
-        idx = domain.index_of.get(point)
-        if idx is None or idx >= domain.n_interior:
+        idx = domain.locate(point)
+        if not 0 <= idx < domain.n_interior:
             raise ValueError(f"vortex point {point} is not interior to the domain")
         vals[idx] = FOUR_PI * multiplicity
     return LatticeField(domain, vals, dirichlet_zero=True)

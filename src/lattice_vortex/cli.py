@@ -243,13 +243,9 @@ def cmd_exhaust(args) -> int:
         schedule = ExhaustionSchedule(
             dimension=dimension,
             shape=cfg.get("shape", "box"),
-            radii=tuple(_integer(r, "radius") for r in cfg["radii"]),
+            radii=cfg["radii"],
             vortices=vortices,
-            center=(
-                tuple(_integer(c, "center coordinate") for c in cfg["center"])
-                if "center" in cfg
-                else None
-            ),
+            center=cfg.get("center"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

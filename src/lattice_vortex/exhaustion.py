@@ -15,7 +15,7 @@ import numpy as np
 
 from .calculus import LatticeField
 from .chern_simons import IterationTrace, ModelParams, VortexConfig, solve_domain
-from .lattice import LatticeDomain, LatticePoint, make_ball, make_box, nested_index
+from .lattice import LatticeDomain, LatticePoint, json_integer, make_ball, make_box, nested_index
 
 __all__ = [
     "ExhaustionFailure",
@@ -50,7 +50,7 @@ def vortex_centroid(vortices: VortexConfig, dimension: int) -> LatticePoint:
 
 @dataclass
 class ExhaustionSchedule:
-    """Chain description: shape, strictly increasing radii, center, charges."""
+    """Chain of domains: shape, strictly increasing integer radii, integer center, charges."""
 
     dimension: int
     shape: str
@@ -61,7 +61,8 @@ class ExhaustionSchedule:
     def __post_init__(self):
         if self.shape not in ("box", "ball"):
             raise ValueError(f"shape must be 'box' or 'ball', got {self.shape!r}")
-        self.radii = tuple(int(r) for r in self.radii)
+        self.dimension = json_integer(self.dimension, "dimension")
+        self.radii = tuple(json_integer(r, "radius") for r in self.radii)
         if not self.radii:
             raise ValueError("at least one radius required")
         if any(r <= 0 for r in self.radii):
@@ -70,11 +71,9 @@ class ExhaustionSchedule:
             raise ValueError("radii must be strictly increasing")
         if self.center is None:
             self.center = vortex_centroid(self.vortices, self.dimension)
-        else:
-            self.center = tuple(int(c) for c in self.center)
-        if len(self.center) != self.dimension:
-            raise ValueError("center dimension mismatch")
         smallest = self.build_domain(self.radii[0])
+        # The builder checks the center; keep the integer tuple it made.
+        self.center = smallest.center
         for pt in self.vortices.points:
             if not smallest.is_interior(pt):
                 raise ValueError(f"vortex {pt} is not interior to the smallest domain")

@@ -47,13 +47,15 @@ def neighbors(x: LatticePoint) -> list[LatticePoint]:
 
 
 class LatticeDomain:
-    """A finite interior set with its derived boundary and dense index map.
+    """A finite interior set with its derived boundary, held once as `coords`.
 
     The boundary is always computed from the interior (exterior sites with
     at least one interior neighbor), so the two sets are disjoint by
-    construction. Index order is interior first, then boundary, each block
-    sorted lexicographically. Instances are immutable by convention and
-    safe to share across threads.
+    construction. `coords` is the one site table, an (n_closure, dimension)
+    int64 array: the interior block, then the boundary block, each sorted
+    lexicographically and free of repeats. A site's closure index is its
+    row, and `locate` finds rows by binary search over the two blocks.
+    Instances are immutable by convention and safe to share across threads.
 
     `interior` is an iterable of points or an (n, dimension) integer array;
     non-integral and boolean coordinates raise ValueError.
@@ -68,8 +70,7 @@ class LatticeDomain:
         center: LatticePoint | None = None,
         size: int | None = None,
     ):
-        if dimension < 2:
-            raise ValueError("lattice dimension must be at least 2")
+        dimension = _dimension(dimension)
         points = _point_array(interior, dimension)
         if not len(points):
             raise ValueError("interior must be non-empty")
@@ -79,53 +80,37 @@ class LatticeDomain:
         self.center = None if center is None else _center(center, dimension)
         self.size = size
 
-        # Sites are found by the lexicographic rank of their coordinate rows,
-        # so no key can overflow however far apart the points lie.
         two_n = 2 * dimension
         # The 2n unit steps +e_1, -e_1, +e_2, ..., the order of `neighbors()`.
         sign = np.tile([1, -1], dimension)[:, None]
         unit = np.repeat(np.eye(dimension, dtype=np.int64), 2, axis=0) * sign
 
-        inner = points[_row_ranks(points)[1]]
+        inner = points[np.unique(_row_keys(points), return_index=True)[1]]
         n = len(inner)
-        rows = np.concatenate([inner, (inner[:, None, :] + unit).reshape(-1, dimension)])
-        ranks, first = _row_ranks(rows)
-        # Closure index of each distinct row: interior rows first, then the
-        # rest (the boundary) in rank order, which is lexicographic order.
-        index = np.full(len(first), -1, dtype=np.int64)
-        index[ranks[:n]] = np.arange(n)
-        outside = np.flatnonzero(index < 0)
-        index[outside] = n + np.arange(len(outside))
-        outer = rows[first[outside]]
-        inner_adjacent = index[ranks[n:]]
-        # Boundary neighbors may lie outside the closure; rank them together
-        # with the closure to find those that do not.
-        coords = np.concatenate([inner, outer])
-        n_closure = len(coords)
-        ranks, first = _row_ranks(
-            np.concatenate([coords, (outer[:, None, :] + unit).reshape(-1, dimension)])
-        )
-        index = np.full(len(first), -1, dtype=np.int64)
-        index[ranks[:n_closure]] = np.arange(n_closure)
-        outer_adjacent = index[ranks[n_closure:]].reshape(len(outer), two_n)
-        found = outer_adjacent >= 0
+        steps = (inner[:, None, :] + unit).reshape(-1, dimension)
+        inner_adjacent = _find_rows(inner, steps)
+        # The boundary: the distinct steps that leave the interior, sorted.
+        off = inner_adjacent < 0
+        _, first, rank = np.unique(_row_keys(steps[off]), return_index=True, return_inverse=True)
+        inner_adjacent[off] = n + rank
+        outer = steps[off][first]
 
         self.n_interior = n
-        self.n_closure = n_closure
-        self.coords = coords
-        self.closure: tuple[LatticePoint, ...] = tuple(map(tuple, coords.tolist()))
-        self.interior: tuple[LatticePoint, ...] = self.closure[:n]
-        self.boundary: tuple[LatticePoint, ...] = self.closure[n:]
-        self.index_of: dict[LatticePoint, int] = dict(zip(self.closure, range(n_closure)))
+        self.coords = np.concatenate([inner, outer])
+        self.n_closure = len(self.coords)
+        # Boundary neighbors may lie outside the closure.
+        outer_adjacent = self.locate(outer[:, None, :] + unit)
+        found = outer_adjacent >= 0
 
         # Closure adjacency in CSR form, neighbors in the order of
         # `neighbors()`; rows for interior points are dense (every neighbor
-        # of an interior site lies in the closure).
+        # of an interior site lies in the closure), so their block is the
+        # (n_interior, 2n) table `interior_neighbors`.
         counts = np.concatenate([np.full(n, two_n), found.sum(axis=1)])
         self.adj_indptr = np.concatenate([[0], np.cumsum(counts)])
         self.adj_indices = np.concatenate([inner_adjacent, outer_adjacent[found]])
         self.outside_degree = two_n - counts
-        self.interior_neighbors = inner_adjacent.reshape(n, two_n)
+        self.interior_neighbors = self.adj_indices[: n * two_n].reshape(n, two_n)
 
         # Unordered edges inside the closure, as index pairs with i < j.
         src = np.repeat(np.arange(self.n_closure), np.diff(self.adj_indptr))
@@ -139,11 +124,27 @@ class LatticeDomain:
         )
 
     def __contains__(self, point: LatticePoint) -> bool:
-        return tuple(point) in self.index_of
+        return bool(self.locate(point) >= 0)
 
     def is_interior(self, point: LatticePoint) -> bool:
-        idx = self.index_of.get(tuple(point))
-        return idx is not None and idx < self.n_interior
+        return bool(0 <= self.locate(point) < self.n_interior)
+
+    def locate(self, points) -> np.ndarray:
+        """Closure index of each point, -1 for a point outside the closure.
+
+        `points` is one point or an array of them with the coordinates along
+        the last axis; the result has the leading shape. A point of another
+        dimension or with a non-integral coordinate lies outside.
+        """
+        rows = np.asarray(points)
+        if rows.shape[-1:] != (self.dimension,):
+            return np.full(rows.shape[:-1], -1, dtype=np.int64)
+        big = rows.dtype == object  # Python ints beyond int64, which no site has
+        with np.errstate(invalid="ignore"):
+            keys = (np.clip(rows, -(2**63), 2**63 - 1) if big else rows).astype(np.int64)
+        inner, outer = (_find_rows(b, keys) for b in np.split(self.coords, [self.n_interior]))
+        found = np.where(outer < 0, inner, self.n_interior + outer).reshape(rows.shape[:-1])
+        return np.where(np.all(keys == rows, axis=-1), found, -1)
 
     def adjacency_row(self, index: int) -> np.ndarray:
         """Closure indices adjacent to the closure point at `index`."""
@@ -152,8 +153,7 @@ class LatticeDomain:
 
 def make_box(dimension: int, half_width: int, center: LatticePoint | None = None) -> LatticeDomain:
     """Axis-aligned box: all points within `half_width` of the center in every coordinate."""
-    if dimension < 2:
-        raise ValueError("lattice dimension must be at least 2")
+    dimension = _dimension(dimension)
     half_width = json_integer(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be positive")
@@ -165,8 +165,7 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
 
 def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -> LatticeDomain:
     """Graph-distance ball: all points within `radius` steps of the center."""
-    if dimension < 2:
-        raise ValueError("lattice dimension must be at least 2")
+    dimension = _dimension(dimension)
     radius = json_integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -191,29 +190,19 @@ def nested_index(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray:
     The map of a domain into the next one of a nested chain. It raises
     ValueError when the dimensions differ or `inner`'s interior is not
     inside `outer`'s interior, which would leave `inner`'s boundary outside
-    `outer`'s closure. Sites are matched by row rank, as in `LatticeDomain`.
+    `outer`'s closure.
     """
-    if inner.dimension != outer.dimension:
-        raise ValueError("dimension mismatch between domains")
-    ranks, first = _row_ranks(np.concatenate([outer.coords, inner.coords]))
-    index = np.full(len(first), -1, dtype=np.int64)
-    index[ranks[: outer.n_closure]] = np.arange(outer.n_closure)
-    found = index[ranks[outer.n_closure :]]
-    inside = found[: inner.n_interior]
-    if np.any((inside < 0) | (inside >= outer.n_interior)):
+    if not is_nested(inner, outer):
         raise ValueError("interior of the inner domain is not inside the outer interior")
-    return found
+    return outer.locate(inner.coords)
 
 
 def is_nested(inner: LatticeDomain, outer: LatticeDomain) -> bool:
     """True when every interior point of `inner` is interior to `outer`."""
     if inner.dimension != outer.dimension:
         raise ValueError("dimension mismatch between domains")
-    try:
-        nested_index(inner, outer)
-    except ValueError:
-        return False
-    return True
+    inside = outer.locate(inner.coords[: inner.n_interior])
+    return bool(np.all((inside >= 0) & (inside < outer.n_interior)))
 
 
 def domain_to_json(domain: LatticeDomain):
@@ -225,7 +214,7 @@ def domain_to_json(domain: LatticeDomain):
             "center": list(domain.center),
             "size": domain.size,
         }
-    return [list(p) for p in domain.interior]
+    return domain.coords[: domain.n_interior].tolist()
 
 
 def json_integer(value, name: str) -> int:
@@ -240,6 +229,13 @@ def json_integer(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _dimension(value) -> int:
+    dimension = json_integer(value, "dimension")
+    if dimension < 2:
+        raise ValueError("lattice dimension must be at least 2")
+    return dimension
 
 
 def _center(center, dimension: int) -> LatticePoint:
@@ -265,15 +261,21 @@ def _point_array(points, dimension: int) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(len(rows), dimension)
 
 
-def _row_ranks(rows: np.ndarray):
-    """Dense lexicographic rank of each row, and the index of one copy of each distinct row."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ranks = np.empty(len(rows), dtype=np.int64)
-    ranks[order] = np.cumsum(new) - 1
-    return ranks, order[new]
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each int64 row (last axis) as one byte string that sorts in lexicographic row order.
+
+    With its sign bit flipped and written big-endian, an int64 orders as its
+    bytes do, so no combined integer key can overflow.
+    """
+    flipped = (rows ^ np.int64(np.iinfo(np.int64).min)).astype(">i8")
+    return flipped.view(f"V{8 * rows.shape[-1]}").ravel()
+
+
+def _find_rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each of `rows` in `block` (distinct, sorted rows) by binary search, or -1."""
+    keys, probes = _row_keys(block), _row_keys(rows)
+    at = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return np.where(keys[at] == probes, at, -1)
 
 
 def domain_from_json(obj, dimension: int | None = None) -> LatticeDomain:

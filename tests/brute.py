@@ -21,47 +21,47 @@ def naive_boundary(interior_points):
     return out
 
 
+def closure_index(dom):
+    """The reference's own point -> closure index dict, read from the site table."""
+    return {tuple(p): i for i, p in enumerate(dom.coords.tolist())}
+
+
 def naive_dirichlet_energy(u):
-    dom = u.domain
-    total = 0.0
-    seen = set()
-    for x in dom.closure:
-        for y in neighbors(x):
-            if y in dom.index_of and (y, x) not in seen:
-                seen.add((x, y))
-                total += (u.value_at(y) - u.value_at(x)) ** 2
-    return total
+    return naive_bilinear_energy(u, u)
 
 
 def naive_bilinear_energy(u, v):
-    dom = u.domain
+    index_of = closure_index(u.domain)
     total = 0.0
     seen = set()
-    for x in dom.closure:
+    for x, i in index_of.items():
         for y in neighbors(x):
-            if y in dom.index_of and (y, x) not in seen:
+            if y in index_of and (y, x) not in seen:
                 seen.add((x, y))
-                total += (u.value_at(y) - u.value_at(x)) * (v.value_at(y) - v.value_at(x))
+                j = index_of[y]
+                total += (u.values[j] - u.values[i]) * (v.values[j] - v.values[i])
     return total
 
 
 def naive_seminorm_q(u, q):
     """Ordered-pair difference sum of the zero-extended field, by definition."""
-    dom = u.domain
+    index_of = closure_index(u.domain)
     total = 0.0
-    for x in dom.closure:
-        ux = u.value_at(x)
+    for x, i in index_of.items():
+        ux = u.values[i]
         for y in neighbors(x):
-            uy = u.value_at(y) if y in dom.index_of else 0.0
+            uy = u.values[index_of[y]] if y in index_of else 0.0
             total += abs(uy - ux) ** q
-            if y not in dom.index_of:
+            if y not in index_of:
                 # the reversed pair, ordered from the exterior point
                 total += abs(ux) ** q
     return total ** (1.0 / q)
 
 
 def naive_laplacian(u, x):
-    return sum(u.value_at(y) - u.value_at(x) for y in neighbors(tuple(x)))
+    index_of = closure_index(u.domain)
+    ux = u.values[index_of[tuple(x)]]
+    return sum(u.values[index_of[y]] - ux for y in neighbors(tuple(x)))
 
 
 def naive_domain_arrays(dimension, interior_points):
@@ -85,10 +85,8 @@ def naive_domain_arrays(dimension, interior_points):
     src = np.repeat(np.arange(len(closure)), np.diff(adj_indptr))
     keep = adj_indices > src
     return {
-        "interior": interior,
-        "boundary": boundary,
-        "closure": closure,
-        "index_of": index_of,
+        "n_interior": len(interior),
+        "n_closure": len(closure),
         "coords": np.array(closure, dtype=np.int64),
         "adj_indptr": adj_indptr,
         "adj_indices": adj_indices,
@@ -104,17 +102,17 @@ def naive_green_identity_defect(u, v, laplacian_fn=naive_laplacian):
     The gradient form at a closure point halves the sum of difference
     products over its neighbors inside the closure.
     """
-    dom = u.domain
+    index_of = closure_index(u.domain)
     lhs = 0.0
-    for x in dom.closure:
+    for x, i in index_of.items():
         lhs += 0.5 * sum(
-            (u.value_at(y) - u.value_at(x)) * (v.value_at(y) - v.value_at(x))
+            (u.values[index_of[y]] - u.values[i]) * (v.values[index_of[y]] - v.values[i])
             for y in neighbors(x)
-            if y in dom.index_of
+            if y in index_of
         )
     rhs = 0.0
-    for x in dom.interior:
-        rhs += laplacian_fn(u, x) * v.value_at(x)
+    for x, i in list(index_of.items())[: u.domain.n_interior]:
+        rhs += laplacian_fn(u, x) * v.values[i]
     return abs(lhs + rhs)
 
 
@@ -122,24 +120,26 @@ def naive_is_nested(inner, outer):
     """Every interior point of `inner` is interior to `outer`, by set membership."""
     if inner.dimension != outer.dimension:
         raise ValueError("dimension mismatch between domains")
-    outer_set = set(outer.interior)
-    return all(p in outer_set for p in inner.interior)
+    outer_set = set(map(tuple, outer.coords[: outer.n_interior].tolist()))
+    return all(tuple(p) in outer_set for p in inner.coords[: inner.n_interior].tolist())
 
 
 def naive_nested_index(inner, outer):
     """Closure index in `outer` of each closure point of `inner`, looked up point by point."""
     if not naive_is_nested(inner, outer):
         raise ValueError("inner domain is not nested in the outer domain")
-    return np.array([outer.index_of[p] for p in inner.closure], dtype=np.int64)
+    index_of = closure_index(outer)
+    return np.array([index_of[p] for p in closure_index(inner)], dtype=np.int64)
 
 
 def naive_null_extend(u, larger):
     """Zero extension of u into `larger`, site by site."""
     if not naive_is_nested(u.domain, larger):
         raise ValueError("field's domain is not nested in the target domain")
+    index_of = closure_index(larger)
     vals = np.zeros(larger.n_closure)
-    for point, value in zip(u.domain.interior, u.interior):
-        vals[larger.index_of[point]] = value
+    for point, value in zip(closure_index(u.domain), u.interior):
+        vals[index_of[point]] = value
     return vals
 
 
@@ -147,4 +147,5 @@ def naive_restrict_field(u, smaller):
     """Values of u at the closure points of `smaller`, site by site."""
     if not naive_is_nested(smaller, u.domain):
         raise ValueError("target domain is not nested in the field's domain")
-    return np.array([u.values[u.domain.index_of[p]] for p in smaller.closure])
+    index_of = closure_index(u.domain)
+    return np.array([u.values[index_of[p]] for p in closure_index(smaller)])

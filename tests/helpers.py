@@ -14,32 +14,46 @@ from lattice_vortex.chern_simons import residual
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, neighbors
 
 
+def closure_points(domain):
+    """The closure points as tuples, in index order, read from `coords`."""
+    return [tuple(p) for p in domain.coords.tolist()]
+
+
+def interior_points(domain):
+    return closure_points(domain)[: domain.n_interior]
+
+
+def boundary_points(domain):
+    return closure_points(domain)[domain.n_interior :]
+
+
 def from_function(domain, fn):
     """The field with value fn(p) at each closure point p."""
-    return LatticeField(domain, np.array([fn(p) for p in domain.closure], dtype=np.float64))
+    return LatticeField(domain, np.array([fn(p) for p in closure_points(domain)], dtype=np.float64))
 
 
 def read_field_csv(domain, path):
     """Inverse of `calculus.write_field_csv` on the same domain."""
-    vals = np.zeros(domain.n_closure)
-    seen = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            point = tuple(int(c) for c in row[:-1])
-            vals[domain.index_of[point]] = float(row[-1])
-            seen += 1
-    if seen != domain.n_closure:
-        raise ValueError(f"expected {domain.n_closure} rows, read {seen}")
+        rows = list(reader)
+    if len(rows) != domain.n_closure:
+        raise ValueError(f"expected {domain.n_closure} rows, read {len(rows)}")
+    at = domain.locate([[int(c) for c in row[:-1]] for row in rows])
+    if np.any(at < 0):
+        raise KeyError("row outside the domain")
+    vals = np.zeros(domain.n_closure)
+    vals[at] = [float(row[-1]) for row in rows]
     return LatticeField(domain, vals)
 
 
 def is_connected(domain):
     """Breadth-first check that the interior is a single edge-connected piece."""
-    interior = set(domain.interior)
-    seen = {domain.interior[0]}
-    queue = [domain.interior[0]]
+    points = interior_points(domain)
+    interior = set(points)
+    seen = {points[0]}
+    queue = [points[0]]
     while queue:
         x = queue.pop()
         for y in neighbors(x):

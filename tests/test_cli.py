@@ -167,6 +167,26 @@ def test_exhaust_rejects_non_integral_radii(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"radii": [True, 8]}, {"center": [0.4, 0]}, {"center": [0, False]}],
+    ids=["radius-bool", "center-fraction", "center-bool"],
+)
+def test_exhaust_non_integral_schedule_is_usage_error(tmp_path, capsys, overrides):
+    cfg = write_exhaust_config(tmp_path / "chain.json", **overrides)
+    out = tmp_path / "out"
+    assert main(["exhaust", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_exhaust_accepts_integral_float_radii_and_center(tmp_path):
+    cfg = write_exhaust_config(tmp_path / "chain.json", radii=[4.0, 8.0, 16.0], center=[0.0, 0.0])
+    out = tmp_path / "out"
+    assert main(["exhaust", str(cfg), "--out", str(out), "--backend", "direct"]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["radii"] == [4, 8, 16]
+
+
 @pytest.mark.parametrize("key", ["global", "decay"])
 def test_exhaust_rejects_non_finite_chain_tolerance(tmp_path, key):
     tolerances = {"global": 1e-3, "decay": 1e-4, key: float("nan")}

@@ -15,7 +15,12 @@ from lattice_vortex.exhaustion import (
 from lattice_vortex.lattice import make_ball, make_box
 
 from brute import naive_null_extend, naive_restrict_field
-from helpers import nested_domain_pairs, tail_is_monotone, verify_global_negativity
+from helpers import (
+    interior_points,
+    nested_domain_pairs,
+    tail_is_monotone,
+    verify_global_negativity,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -51,12 +56,49 @@ def test_schedule_validation():
     assert sched.center == (5, 5)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"radii": (4.5, 8)},
+        {"radii": (True, 8)},
+        {"center": (0.4, 0)},
+        {"center": (False, 0)},
+        {"dimension": 2.5},
+        {"dimension": True},
+    ],
+    ids=[
+        "radius-fraction",
+        "radius-bool",
+        "center-fraction",
+        "center-bool",
+        "dimension-fraction",
+        "dimension-bool",
+    ],
+)
+def test_schedule_rejects_non_integral_values(overrides):
+    args = dict(dimension=2, shape="box", radii=(4, 8), vortices=single_vortex(), center=(0, 0))
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExhaustionSchedule(**(args | overrides))
+
+
+def test_schedule_accepts_integral_floats():
+    sched = ExhaustionSchedule(
+        dimension=2.0,
+        shape="box",
+        radii=(4.0, np.float64(8.0)),
+        vortices=single_vortex(),
+        center=(np.float64(0.0), 0.0),
+    )
+    assert (sched.dimension, sched.radii, sched.center) == (2, (4, 8), (0, 0))
+    assert all(type(v) is int for v in (sched.dimension, *sched.radii, *sched.center))
+
+
 def test_null_extend_preserves_values_and_norms():
     small = make_box(2, 2)
     big = make_box(2, 4)
     u = from_interior(small, RNG.uniform(-1, 0, small.n_interior))
     ext = null_extend(u, big)
-    for p in small.interior:
+    for p in interior_points(small):
         assert ext.value_at(p) == u.value_at(p)
     for q in (1.0, 2.0, 4.0):
         assert lq_norm(ext, q, region="closure") == pytest.approx(

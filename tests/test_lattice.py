@@ -18,8 +18,14 @@ from lattice_vortex.lattice import (
     nested_index,
 )
 
-from brute import naive_boundary, naive_domain_arrays, naive_is_nested, naive_nested_index
-from helpers import is_connected, nested_domain_pairs
+from brute import (
+    closure_index,
+    naive_boundary,
+    naive_domain_arrays,
+    naive_is_nested,
+    naive_nested_index,
+)
+from helpers import boundary_points, interior_points, is_connected, nested_domain_pairs
 
 
 def test_l1_distance_basic():
@@ -61,8 +67,8 @@ def test_neighbors_property(coords):
 
 def test_make_ball_radius_zero():
     dom = make_ball(2, 0)
-    assert dom.interior == ((0, 0),)
-    assert set(dom.boundary) == set(neighbors((0, 0)))
+    assert interior_points(dom) == [(0, 0)]
+    assert set(boundary_points(dom)) == set(neighbors((0, 0)))
 
 
 def test_make_ball_radius_one_classification():
@@ -73,10 +79,10 @@ def test_make_ball_radius_one_classification():
         (i, j) for i in range(-2, 3) for j in range(-2, 3) if abs(i) + abs(j) <= 2
     ]
     interior = {p for p in candidates if abs(p[0]) + abs(p[1]) <= 1}
-    assert set(dom.interior) == interior
-    assert set(dom.boundary) == naive_boundary(interior)
+    assert set(interior_points(dom)) == interior
+    assert set(boundary_points(dom)) == naive_boundary(interior)
     assert dom.n_interior == 5
-    assert len(dom.boundary) == 8
+    assert len(boundary_points(dom)) == 8
 
 
 def test_make_ball_3d_radius_one():
@@ -91,7 +97,7 @@ def test_make_ball_matches_l1_definition(dimension, radius):
     want = sorted(
         tuple(c + o for c, o in zip(center, off)) for off in cube if sum(map(abs, off)) <= radius
     )
-    assert list(make_ball(dimension, radius, center=center).interior) == want
+    assert interior_points(make_ball(dimension, radius, center=center)) == want
 
 
 def test_make_box_counts():
@@ -103,8 +109,8 @@ def test_make_box_boundary_derived():
     # Oracle: classify the full enclosing shell point by point.
     dom = make_box(2, 1)
     interior = set(itertools.product(range(-1, 2), repeat=2))
-    assert set(dom.boundary) == naive_boundary(interior)
-    assert len(dom.boundary) == 12
+    assert set(boundary_points(dom)) == naive_boundary(interior)
+    assert len(boundary_points(dom)) == 12
 
 
 def test_make_box_off_center():
@@ -137,16 +143,16 @@ def test_constructor_rejects_bad_input():
     ids=["box2", "ball2", "box3", "ball3"],
 )
 def test_boundary_invariants_exhaustive(dom):
-    interior = set(dom.interior)
-    boundary = set(dom.boundary)
+    interior = set(interior_points(dom))
+    boundary = set(boundary_points(dom))
     assert not interior & boundary
     for y in boundary:
         assert y not in interior
         assert any(z in interior for z in neighbors(y))
     # dense bijective indexing, interior block first
-    assert sorted(dom.index_of.values()) == list(range(dom.n_closure))
-    assert all(dom.index_of[p] < dom.n_interior for p in dom.interior)
-    assert all(dom.index_of[p] >= dom.n_interior for p in dom.boundary)
+    np.testing.assert_array_equal(dom.locate(dom.coords), np.arange(dom.n_closure))
+    assert all(dom.is_interior(p) for p in interior)
+    assert not any(dom.is_interior(p) for p in boundary)
 
 
 @pytest.mark.parametrize("dom", [make_box(2, 3), make_ball(2, 4), make_ball(3, 2)])
@@ -158,14 +164,15 @@ def test_outside_degree_and_edges_against_enumeration():
     dom = make_box(2, 2)
     # interior sites never have exterior neighbors
     assert all(dom.outside_degree[: dom.n_interior] == 0)
-    for i, pt in enumerate(dom.closure):
-        inside = sum(1 for y in neighbors(pt) if y in dom.index_of)
+    index_of = closure_index(dom)
+    for i, pt in enumerate(index_of):
+        inside = sum(1 for y in neighbors(pt) if y in index_of)
         assert dom.outside_degree[i] == 2 * dom.dimension - inside
     expected_edges = {
-        tuple(sorted((dom.index_of[x], dom.index_of[y])))
-        for x in dom.closure
+        tuple(sorted((index_of[x], index_of[y])))
+        for x in index_of
         for y in neighbors(x)
-        if y in dom.index_of
+        if y in index_of
     }
     got = {tuple(e) for e in dom.edges.tolist()}
     assert got == expected_edges
@@ -248,8 +255,8 @@ def test_json_round_trip_box_and_ball():
     for dom in (make_box(2, 2, center=(1, 1)), make_ball(3, 2)):
         obj = domain_to_json(dom)
         back = domain_from_json(obj)
-        assert back.interior == dom.interior
-        assert back.boundary == dom.boundary
+        np.testing.assert_array_equal(back.coords, dom.coords)
+        assert back.n_interior == dom.n_interior
 
 
 def test_json_round_trip_irregular():
@@ -257,7 +264,7 @@ def test_json_round_trip_irregular():
     obj = domain_to_json(dom)
     assert obj == [[0, 0], [1, 0], [2, 0]]
     back = domain_from_json(obj)
-    assert back.interior == dom.interior
+    assert interior_points(back) == interior_points(dom)
 
 
 def test_json_dimension_conflict_rejected():
@@ -297,9 +304,9 @@ def test_json_rejects_non_integral_values(obj):
 
 def test_json_accepts_integral_floats():
     dom = domain_from_json({"kind": "box", "dimension": 2.0, "size": 8.0, "center": [1.0, -2.0]})
-    assert dom.interior == make_box(2, 8, center=(1, -2)).interior
+    assert interior_points(dom) == interior_points(make_box(2, 8, center=(1, -2)))
     points = domain_from_json([[0.0, 0.0], [1.0, 0.0]])
-    assert points.interior == ((0, 0), (1, 0))
+    assert interior_points(points) == [(0, 0), (1, 0)]
 
 
 def _assert_matches_naive(dom, points):
@@ -311,7 +318,22 @@ def _assert_matches_naive(dom, points):
             np.testing.assert_array_equal(got, expected, err_msg=name)
         else:
             assert got == expected, name
-    assert all(type(c) is int for p in dom.closure for c in p)
+    # `coords` is the naive closure, so each naive closure point locates to
+    # its naive index, and every site just outside the closure to -1.
+    closure = want["coords"]
+    np.testing.assert_array_equal(dom.locate(closure), np.arange(len(closure)))
+    sites = set(map(tuple, closure.tolist()))
+    outside = {y for x in sites for y in neighbors(x)} - sites
+    assert outside and set(dom.locate(sorted(outside)).tolist()) == {-1}
+    assert tuple(closure[-1]) in dom and min(outside) not in dom
+    for wrong in ((0,) * (dom.dimension - 1), (0,) * (dom.dimension + 1)):
+        assert dom.locate([wrong]).tolist() == [-1]
+        assert wrong not in dom
+    # coordinates no site can have: a fraction, NaN, and integers past int64
+    first = closure[0].tolist()
+    for c in (0.5, float("nan"), 2**63, -(2**63) - 1, 10**20):
+        assert dom.locate([first[:-1] + [c], first]).tolist() == [-1, 0]
+        assert first[:-1] + [c] not in dom
 
 
 @pytest.mark.parametrize(
@@ -329,7 +351,7 @@ def _assert_matches_naive(dom, points):
     ids=lambda d: repr(d),
 )
 def test_domain_build_matches_naive_on_boxes_and_balls(dom):
-    _assert_matches_naive(dom, dom.interior)
+    _assert_matches_naive(dom, interior_points(dom))
 
 
 @pytest.mark.parametrize(
@@ -379,7 +401,7 @@ def test_integer_array_interior_matches_point_list():
     points = [(2, 1), (0, 0), (1, 0), (2, 1)]
     from_array = LatticeDomain(2, np.array(points))
     _assert_matches_naive(from_array, points)
-    assert from_array.interior == LatticeDomain(2, points).interior
+    np.testing.assert_array_equal(from_array.coords, LatticeDomain(2, points).coords)
 
 
 @pytest.mark.parametrize(
@@ -395,6 +417,12 @@ def test_integer_array_interior_matches_point_list():
         lambda: make_ball(2, 2, center=(0, 1.2)),
         lambda: make_ball(2, 2, center=(0, float("nan"))),
         lambda: make_ball(2, 1.5),
+        lambda: LatticeDomain(2.5, [(0, 0)]),
+        lambda: LatticeDomain(True, [(0, 0)]),
+        lambda: make_box(3.5, 1),
+        lambda: make_box(True, 1),
+        lambda: make_ball(2.5, 1),
+        lambda: make_ball(True, 1),
     ],
     ids=[
         "points-fraction",
@@ -407,6 +435,12 @@ def test_integer_array_interior_matches_point_list():
         "ball-center-fraction",
         "ball-center-nan",
         "ball-radius",
+        "domain-dimension-fraction",
+        "domain-dimension-bool",
+        "box-dimension-fraction",
+        "box-dimension-bool",
+        "ball-dimension-fraction",
+        "ball-dimension-bool",
     ],
 )
 def test_library_builders_reject_non_integral_values(build):
@@ -415,7 +449,12 @@ def test_library_builders_reject_non_integral_values(build):
 
 
 def test_library_builders_accept_integral_floats():
-    assert LatticeDomain(2, [(0.0, 1.0), (np.int64(2), 0)]).interior == ((0, 1), (2, 0))
+    assert interior_points(LatticeDomain(2, [(0.0, 1.0), (np.int64(2), 0)])) == [(0, 1), (2, 0)]
     box = make_box(2, 2.0, center=(1.0, -2.0))
-    assert box.interior == make_box(2, 2, center=(1, -2)).interior
+    np.testing.assert_array_equal(box.coords, make_box(2, 2, center=(1, -2)).coords)
     assert make_ball(2, 2, center=(np.float64(3.0), 0)).center == (3, 0)
+    points = LatticeDomain(np.float64(2.0), [(0, 1), (2, 0)])
+    assert type(points.dimension) is int
+    np.testing.assert_array_equal(points.coords, LatticeDomain(2, [(0, 1), (2, 0)]).coords)
+    np.testing.assert_array_equal(make_box(2.0, 2).coords, make_box(2, 2).coords)
+    np.testing.assert_array_equal(make_ball(3.0, 2).coords, make_ball(3, 2).coords)

@@ -1,11 +1,14 @@
-"""The package's public surface: the root exports and each module's __all__."""
+"""The package's public surface: root exports, each module's __all__, domain attributes."""
 
 import importlib
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import lattice_vortex
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +35,17 @@ def test_every_module_all_name_exists():
         module = importlib.import_module(f"lattice_vortex.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"lattice_vortex.{info.name}.__all__ names missing objects: {missing}"
+
+
+def test_domains_hold_each_site_once():
+    # `coords` is the one site table: no attribute holds a Python object per
+    # site, and the interior adjacency is a view into the closure adjacency.
+    scattered = [(0, 0), (1, 0), (5, 5), (-7, 3), (10**12, 0), (10**12, -4), (3, 3), (3, 4)]
+    for dom in (make_box(2, 4), make_ball(3, 3), LatticeDomain(2, scattered)):
+        for name, value in vars(dom).items():
+            if isinstance(value, (tuple, list, dict, set, frozenset)):
+                assert name == "center" and len(value) == dom.dimension, name
+            else:
+                assert isinstance(value, (np.ndarray, int, str, type(None))), name
+        assert np.shares_memory(dom.interior_neighbors, dom.adj_indices)
+        assert not {"closure", "interior", "boundary", "index_of"} & set(vars(dom))
