@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus
 from .calculus import LatticeField, _ipow, _require_same_domain, from_interior, laplacian_interior
-from .lattice import LatticeDomain, LatticePoint, json_integer
+from .lattice import LatticeDomain, LatticePoint, json_integer, json_real
 from .linsolve import (
     LinearSolveFailure,
     LinearSolveInfo,
@@ -100,28 +100,19 @@ class ModelParams:
     max_outer_iterations: int = 50_000
 
     def __post_init__(self):
-        # NaN fails every comparison below, so finiteness is checked first.
-        for name in ("lam", "shift", "tol_nonlinear", "tol_residual", "tol_linear"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.p < 0 or int(self.p) != self.p:
-            raise ValueError("p must be a non-negative integer")
-        self.p = int(self.p)
-        bound = (2 * self.p + 2) * self.lam
-        if self.shift is None:
-            self.shift = 2.0 * bound
-        if self.shift <= bound:
-            raise ValueError(f"shift must exceed (2p+2)*lam = {bound}")
-        for name in ("tol_nonlinear", "tol_residual", "tol_linear"):
+        # Booleans, strings, NaN and inf are rejected before any comparison.
+        for name in ("lam", "tol_nonlinear", "tol_residual", "tol_linear"):
+            setattr(self, name, json_real(getattr(self, name), name))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        limit = self.max_outer_iterations
-        if isinstance(limit, bool) or not math.isfinite(limit) or int(limit) != limit:
-            raise ValueError(f"max_outer_iterations must be an integer, got {limit!r}")
-        self.max_outer_iterations = int(limit)
+        self.p = json_integer(self.p, "p")
+        if self.p < 0:
+            raise ValueError("p must be a non-negative integer")
+        bound = (2 * self.p + 2) * self.lam
+        self.shift = 2.0 * bound if self.shift is None else json_real(self.shift, "shift")
+        if self.shift <= bound:
+            raise ValueError(f"shift must exceed (2p+2)*lam = {bound}")
+        self.max_outer_iterations = json_integer(self.max_outer_iterations, "max_outer_iterations")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
 

@@ -1,16 +1,16 @@
 """Command-line front end: domain solves, exhaustion chains, verification.
 
 Exit codes: 0 on success, 1 when a solver or verification suite fails,
-2 for malformed configurations or usage errors. Summary and report JSON
-use a fixed rendering (sorted keys, 17 significant digits) so identical
-inputs produce byte-identical files.
+2 for malformed configurations or usage errors. The library constructors
+check every config value; `_build_inputs` turns their errors into exit 2.
+Summary and report JSON use a fixed rendering (sorted keys, 17
+significant digits) so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,8 +27,10 @@ from .chern_simons import (
     VortexConfig,
     solve_domain,
 )
-from .exhaustion import ExhaustionFailure, ExhaustionSchedule, report_dict, run_exhaustion
-from .lattice import domain_from_json, json_integer
+from .exhaustion import (
+    ExhaustionFailure, ExhaustionSchedule, chain_tolerance, report_dict, run_exhaustion
+)
+from .lattice import domain_from_json
 from .linsolve import LinearSolveFailure, assemble, matrix_to_coo_text
 from .verify import run_suites
 
@@ -39,27 +41,6 @@ EXIT_USAGE = 2
 
 class ConfigError(ValueError):
     pass
-
-
-def _integer(value, name) -> int:
-    """An integral JSON number; truncating 1.5 to 1 would run a different model."""
-    try:
-        return json_integer(value, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _real(value, name) -> float:
-    """A finite JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
 
 
 def render_json(obj) -> str:
@@ -98,52 +79,65 @@ def _write_json(obj, path):
         fh.write(render_json(obj))
 
 
-def _load_config(path) -> dict:
+def _build_inputs(path, build):
+    """Read the JSON config at `path` and return `build(config)`.
+
+    The one place where a bad value or JSON shape met while building
+    becomes ConfigError. A solve or chain run is outside it, so a fault
+    there still shows its traceback.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    try:
+        return build(cfg)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # str() of a KeyError is the missing key, quoted.
+        message = f"config must define {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(message) from None
 
 
-def _parse_vortices(cfg, dimension) -> VortexConfig:
+def _vortices(cfg) -> VortexConfig:
     entries = cfg.get("vortices", [])
-    vortices = []
-    for entry in entries:
-        try:
-            point = tuple(_integer(c, "vortex coordinate") for c in entry["point"])
-            multiplicity = _integer(entry.get("multiplicity", 1), "multiplicity")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad vortex entry {entry!r}: {exc}")
-        if len(point) != dimension:
-            raise ConfigError(f"vortex {point} has wrong dimension")
-        vortices.append((point, multiplicity))
-    try:
-        return VortexConfig(tuple(vortices))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return VortexConfig(tuple((e["point"], e.get("multiplicity", 1)) for e in entries))
 
 
-def _parse_params(cfg) -> ModelParams:
-    if "lambda" not in cfg:
-        raise ConfigError("config must define 'lambda'")
+def _params(cfg) -> ModelParams:
     tols = cfg.get("tolerances", {})
-    kwargs = {
-        "lam": _real(cfg["lambda"], "lambda"),
-        "p": _integer(cfg.get("p", 0), "p"),
-        "shift": _real(cfg["shift"], "shift") if "shift" in cfg else None,
+    kwargs = {f"tol_{key}": tols[key] for key in ("nonlinear", "residual", "linear") if key in tols}
+    for key in ("p", "shift", "max_outer_iterations"):
+        if key in cfg:
+            kwargs[key] = cfg[key]
+    return ModelParams(lam=cfg["lambda"], **kwargs)
+
+
+def _solve_inputs(cfg):
+    domain = domain_from_json(cfg["domain"], dimension=cfg["dimension"])
+    vortices = _vortices(cfg)
+    # A point of another dimension is never interior.
+    for point in vortices.points:
+        if not domain.is_interior(point):
+            raise ValueError(f"vortex {point} is not interior to the domain")
+    return domain, vortices, _params(cfg)
+
+
+def _exhaust_inputs(cfg):
+    schedule = ExhaustionSchedule(
+        dimension=cfg["dimension"],
+        shape=cfg.get("shape", "box"),
+        radii=cfg["radii"],
+        vortices=_vortices(cfg),
+        center=cfg.get("center"),
+    )
+    tols = cfg.get("tolerances", {})
+    chain = {
+        name: chain_tolerance(tols[key], f"tolerances.{key}")
+        for key, name in (("global", "tol_global"), ("decay", "decay_threshold"))
+        if key in tols
     }
-    for key in ("nonlinear", "residual", "linear"):
-        if key in tols:
-            kwargs[f"tol_{key}"] = _real(tols[key], f"tolerances.{key}")
-    if "max_outer_iterations" in cfg:
-        kwargs["max_outer_iterations"] = _integer(
-            cfg["max_outer_iterations"], "max_outer_iterations"
-        )
-    try:
-        return ModelParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return schedule, _params(cfg), chain
 
 
 def _failure_kind(exc: Exception) -> str:
@@ -161,23 +155,11 @@ def _failure_kind(exc: Exception) -> str:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    if "dimension" not in cfg or "domain" not in cfg:
-        raise ConfigError("config must define 'dimension' and 'domain'")
-    dimension = _integer(cfg["dimension"], "dimension")
-    try:
-        domain = domain_from_json(cfg["domain"], dimension=dimension)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad domain: {exc}")
-    vortices = _parse_vortices(cfg, dimension)
-    params = _parse_params(cfg)
-    for point in vortices.points:
-        if not domain.is_interior(point):
-            raise ConfigError(f"vortex {point} is not interior to the domain")
+    domain, vortices, params = _build_inputs(args.config, _solve_inputs)
 
     os.makedirs(args.out, exist_ok=True)
     summary = {
-        "dimension": dimension,
+        "dimension": domain.dimension,
         "interior_size": domain.n_interior,
         "lambda": params.lam,
         "p": params.p,
@@ -229,36 +211,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
-    cfg = _load_config(args.config)
-    for key in ("dimension", "radii"):
-        if key not in cfg:
-            raise ConfigError(f"config must define '{key}'")
-    dimension = _integer(cfg["dimension"], "dimension")
-    vortices = _parse_vortices(cfg, dimension)
-    params = _parse_params(cfg)
-    tols = cfg.get("tolerances", {})
-    tol_global = _real(tols.get("global", 1e-5), "tolerances.global")
-    decay_threshold = _real(tols.get("decay", 1e-4), "tolerances.decay")
-    try:
-        schedule = ExhaustionSchedule(
-            dimension=dimension,
-            shape=cfg.get("shape", "box"),
-            radii=cfg["radii"],
-            vortices=vortices,
-            center=cfg.get("center"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    schedule, params, chain = _build_inputs(args.config, _exhaust_inputs)
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        estimate = run_exhaustion(
-            schedule,
-            params,
-            backend=args.backend,
-            tol_global=tol_global,
-            decay_threshold=decay_threshold,
-        )
+        estimate = run_exhaustion(schedule, params, backend=args.backend, **chain)
     except (SolveFailure, LinearSolveFailure, ExhaustionFailure) as exc:
         _write_json(
             {"success": False, "failure": {"kind": _failure_kind(exc), "message": str(exc)}},

@@ -15,7 +15,9 @@ import numpy as np
 
 from .calculus import LatticeField
 from .chern_simons import IterationTrace, ModelParams, VortexConfig, solve_domain
-from .lattice import LatticeDomain, LatticePoint, json_integer, make_ball, make_box, nested_index
+from .lattice import (
+    LatticeDomain, LatticePoint, json_integer, json_real, make_ball, make_box, nested_index
+)
 
 __all__ = [
     "ExhaustionFailure",
@@ -25,6 +27,7 @@ __all__ = [
     "null_extend",
     "restrict_field",
     "decay_profile",
+    "chain_tolerance",
     "run_exhaustion",
     "report_dict",
 ]
@@ -143,6 +146,14 @@ def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, floa
     return [(int(r), float(mags[dist == r].max())) for r in np.unique(dist)]
 
 
+def chain_tolerance(value, name: str) -> float:
+    """A chain certificate threshold as a float; ValueError unless finite and positive."""
+    value = json_real(value, name)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def run_exhaustion(
     schedule: ExhaustionSchedule,
     params: ModelParams,
@@ -166,7 +177,12 @@ def run_exhaustion(
     solution instead of zero. It is off by default and unverified: the
     decrease guarantee is proven from the zero start only, so warm runs
     rely entirely on the per-step monotonicity checks.
+
+    `tol_global` and `decay_threshold` must be finite and positive
+    (`chain_tolerance`); a NaN would make `success` false on every run.
     """
+    tol_global = chain_tolerance(tol_global, "tol_global")
+    decay_threshold = chain_tolerance(decay_threshold, "decay_threshold")
     domains: list[LatticeDomain] = []
     solutions: list[LatticeField] = []
     traces: list[IterationTrace] = []

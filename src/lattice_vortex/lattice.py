@@ -27,6 +27,7 @@ __all__ = [
     "domain_to_json",
     "domain_from_json",
     "json_integer",
+    "json_real",
 ]
 
 
@@ -229,6 +230,23 @@ def json_integer(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_real(value, name: str) -> float:
+    """A finite real number as a float; a NaN would fail every comparison meant to check it.
+
+    Python and numpy integers and floats pass; booleans, strings and
+    non-finite values raise ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = np.inf
+    if not np.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return real
 
 
 def _dimension(value) -> int:

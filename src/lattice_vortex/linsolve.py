@@ -28,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import LatticeField, from_interior
 from .lattice import LatticeDomain
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "ShiftedLaplacianSystem",
     "interior_laplacian",
     "assemble",
-    "solve",
     "solve_interior",
     "matrix_to_coo_text",
 ]
@@ -117,8 +115,9 @@ class ShiftedLaplacianSystem:
 
 def assemble(domain: LatticeDomain, shift: float) -> ShiftedLaplacianSystem:
     """Build the interior system for the damped operator with the given positive shift."""
-    if shift <= 0:
-        raise ValueError("shift must be positive")
+    # Written so that NaN fails too; an infinite shift has no system.
+    if not 0 < shift < math.inf:
+        raise ValueError(f"shift must be positive and finite, got {shift!r}")
     n_int = domain.n_interior
     matrix = sp.diags(np.full(n_int, float(shift)), format="csr") - interior_laplacian(domain)
     return ShiftedLaplacianSystem(domain, float(shift), matrix.tocsr())
@@ -243,23 +242,6 @@ def solve_interior(
     if not attained <= tol_abs:
         raise LinearSolveFailure(f"{backend} backend missed tolerance {tol_abs:.3e}", attained)
     return x, LinearSolveInfo(iterations, attained, ax)
-
-
-def solve(
-    system: ShiftedLaplacianSystem,
-    rhs: LatticeField,
-    *,
-    backend: str = "cg",
-    tol: float = DEFAULT_TOL_LINEAR,
-    max_iterations: int | None = None,
-) -> LatticeField:
-    """Field-level wrapper around solve_interior; boundary values of rhs are ignored."""
-    if rhs.domain is not system.domain:
-        raise ValueError("rhs field lives on a different domain")
-    w, _ = solve_interior(
-        system, rhs.interior, backend=backend, tol=tol, max_iterations=max_iterations
-    )
-    return from_interior(system.domain, w)
 
 
 def matrix_to_coo_text(system: ShiftedLaplacianSystem) -> str:

@@ -59,6 +59,16 @@ def test_model_params_defaults_and_validation():
         ModelParams(lam=1.0, tol_nonlinear=0.0)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, max_outer_iterations=0)
+    # Booleans and strings are not numbers; lam=True was stored as True.
+    for kwargs in (
+        {"lam": True},
+        {"lam": "1.0"},
+        {"lam": 1.0, "p": True},
+        {"lam": 1.0, "shift": "4"},
+        {"lam": 1.0, "tol_linear": True},
+    ):
+        with pytest.raises(ValueError):
+            ModelParams(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -88,6 +98,18 @@ def test_model_params_accepts_integral_float_max_outer_iterations():
     params = ModelParams(lam=1.0, max_outer_iterations=100.0)
     assert params.max_outer_iterations == 100
     assert type(params.max_outer_iterations) is int
+    # Integral floats and numpy scalars are accepted and stored as Python numbers.
+    params = ModelParams(
+        lam=np.float32(0.5),
+        p=2.0,
+        shift=np.int64(7),
+        tol_linear=np.float64(1e-12),
+        max_outer_iterations=np.int64(100),
+    )
+    assert (params.lam, params.p, params.shift, params.tol_linear) == (0.5, 2, 7.0, 1e-12)
+    assert params.max_outer_iterations == 100
+    assert all(type(v) is float for v in (params.lam, params.shift, params.tol_linear))
+    assert type(params.p) is int and type(params.max_outer_iterations) is int
 
 
 def test_vortex_config_validation():

@@ -196,6 +196,40 @@ def test_exhaust_rejects_non_finite_chain_tolerance(tmp_path, key):
     assert not out.exists()
 
 
+# Config shapes and values the model does not define; each once crashed
+# with a traceback or was read as another model.
+MALFORMED = {
+    "tolerances-int": {"tolerances": 5},
+    "vortices-int": {"vortices": 5},
+    "vortex-list": {"vortices": [[0, 0]]},
+    "lambda-bool": {"lambda": True},
+    "lambda-string": {"lambda": "1.0"},
+    "p-bool": {"p": True},
+    "shift-bool": {"shift": True},
+}
+MALFORMED_FOR = {
+    "solve": {"domain-int": {"domain": 5}},
+    "exhaust": {"radii-int": {"radii": 5}, "center-int": {"center": 3}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        pytest.param(command, overrides, id=f"{command}-{name}")
+        for command, own in MALFORMED_FOR.items()
+        for name, overrides in {**MALFORMED, **own}.items()
+    ],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides):
+    write = write_config if command == "solve" else write_exhaust_config
+    cfg = write(tmp_path / "run.json", **overrides)
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thread_cap_applies_before_numpy_loads():
     # Record OPENBLAS_NUM_THREADS at the moment numpy is first imported.
     probe = (

@@ -197,6 +197,23 @@ def test_run_exhaustion_no_vortices():
     assert all(not u.values.any() for u in est.solutions)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol_global": float("nan")},
+        {"tol_global": 0.0},
+        {"decay_threshold": float("inf")},
+        {"decay_threshold": -1e-4},
+        {"decay_threshold": True},
+    ],
+)
+def test_run_exhaustion_rejects_bad_chain_tolerances(kwargs):
+    # A NaN threshold gave a run whose `success` was false whatever it computed.
+    sched = ExhaustionSchedule(dimension=2, shape="box", radii=(2, 4), vortices=single_vortex())
+    with pytest.raises(ValueError):
+        run_exhaustion(sched, ModelParams(lam=1.0, p=0), **kwargs)
+
+
 def test_run_exhaustion_single_vortex_small():
     sched = ExhaustionSchedule(
         dimension=2, shape="box", radii=(3, 6, 12), vortices=single_vortex()

@@ -13,7 +13,6 @@ from lattice_vortex.linsolve import (
     assemble,
     interior_laplacian,
     matrix_to_coo_text,
-    solve,
     solve_interior,
 )
 
@@ -30,10 +29,10 @@ def test_assemble_single_point():
 
 
 def test_assemble_rejects_nonpositive_shift():
-    with pytest.raises(ValueError):
-        assemble(make_box(2, 1), 0.0)
-    with pytest.raises(ValueError):
-        assemble(make_box(2, 1), -1.0)
+    # NaN built an all-NaN matrix, and inf made CG divide by zero.
+    for shift in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            assemble(make_box(2, 1), shift)
 
 
 def test_assemble_3x3_structure():
@@ -73,9 +72,8 @@ def test_interior_laplacian_matches_pointwise_operator():
 def test_solve_zero_rhs():
     dom = make_box(2, 2)
     system = assemble(dom, 3.0)
-    w = solve(system, zeros(dom))
-    assert np.all(w.values == 0.0)
-    assert w.dirichlet_zero
+    w, _ = solve_interior(system, zeros(dom).interior)
+    assert np.all(w == 0.0)
 
 
 def test_solve_single_point_by_hand():
@@ -145,9 +143,6 @@ def test_solve_rejects_bad_inputs():
         solve_interior(system, np.zeros(5))
     with pytest.raises(ValueError):
         solve_interior(system, np.zeros(dom.n_interior), backend="qr")
-    other = zeros(make_box(2, 1))
-    with pytest.raises(ValueError):
-        solve(system, other)
 
 
 def _box_minus_one_site():
