@@ -42,6 +42,7 @@ __all__ = [
     "IterationTrace",
     "SolveFailure",
     "ConvergenceFailure",
+    "StagnationFailure",
     "MonotonicityBreakdown",
     "NonFiniteBreakdown",
     "source_h",
@@ -63,7 +64,9 @@ ENERGY_SLACK = 1e-9
 
 
 class SolveFailure(RuntimeError):
-    """Base class for nonlinear-solve failures; carries the trace so far."""
+    """Base class for nonlinear-solve failures; carries the trace so far and its CLI `kind`."""
+
+    kind = "solver"
 
     def __init__(self, message: str, trace: "IterationTrace | None" = None):
         super().__init__(message)
@@ -71,15 +74,23 @@ class SolveFailure(RuntimeError):
 
 
 class ConvergenceFailure(SolveFailure):
-    pass
+    kind = "max_iterations"
+
+
+class StagnationFailure(ConvergenceFailure):
+    """A step left the iterate exactly unchanged while the residual was above tolerance."""
+
+    kind = "stagnated"
 
 
 class MonotonicityBreakdown(SolveFailure):
-    pass
+    kind = "monotonicity"
 
 
 class NonFiniteBreakdown(SolveFailure):
     """The iteration met NaN or inf, so no ordering or stop test means anything."""
+
+    kind = "non_finite"
 
 
 @dataclass
@@ -89,6 +100,7 @@ class ModelParams:
     `shift` defaults to twice the strict lower bound (2p+2)*lam, a margin
     that keeps the per-step comparison argument comfortably inside its
     hypothesis while the linear systems stay well conditioned.
+    Each ValueError message begins with the field it rejects.
     """
 
     lam: float
@@ -256,6 +268,16 @@ def _require_zero_boundary(u: LatticeField, name: str):
         raise ValueError(f"{name} must vanish on the boundary")
 
 
+def _start_interior(u: LatticeField, domain: LatticeDomain, name: str) -> np.ndarray:
+    """A copy of the interior of a start field: on `domain`, zero boundary, non-positive."""
+    if u.domain is not domain:
+        raise ValueError(f"{name} lives on a different domain")
+    _require_zero_boundary(u, name)
+    if float(u.values.max()) > MONOTONE_SLACK:
+        raise ValueError(f"{name} must be non-positive")
+    return u.interior.copy()
+
+
 def functional_j(u: LatticeField, h: LatticeField, params: ModelParams) -> float:
     """Energy functional driving the scheme.
 
@@ -295,14 +317,9 @@ def iterate_step(
     silently continued.
     """
     _require_same_domain(u_prev, h)
-    if system.domain is not u_prev.domain:
-        raise ValueError("system assembled for a different domain")
     if abs(system.shift - params.shift) > 0:
         raise ValueError("system shift does not match params.shift")
-    _require_zero_boundary(u_prev, "u_prev")
-    if float(u_prev.values.max()) > MONOTONE_SLACK:
-        raise ValueError("u_prev must be non-positive")
-    u_int = u_prev.interior
+    u_int = _start_interior(u_prev, system.domain, "u_prev")
     w, _ = _step_arrays(u_int, nonlinearity(u_int, params), h.interior, params, system, backend)
     rise = float((w - u_int).max())
     if rise > MONOTONE_SLACK:
@@ -346,15 +363,7 @@ def solve_domain(
     h_int = h.interior.copy()
     n_int = domain.n_interior
     m = 2 * params.p + 2
-    if u_init is None:
-        u = np.zeros(n_int)
-    else:
-        if u_init.domain is not domain:
-            raise ValueError("u_init lives on a different domain")
-        _require_zero_boundary(u_init, "u_init")
-        if float(u_init.values.max()) > MONOTONE_SLACK:
-            raise ValueError("u_init must be non-positive")
-        u = u_init.interior.copy()
+    u = np.zeros(n_int) if u_init is None else _start_interior(u_init, domain, "u_init")
     n_u = nonlinearity(u, params)
     au = None
     j_prev = math.inf
@@ -420,7 +429,7 @@ def solve_domain(
         if sup_change == 0.0:
             # The numerical map is exactly stationary here; repeating the
             # deterministic step cannot improve the residual.
-            raise ConvergenceFailure(
+            raise StagnationFailure(
                 f"stagnated at step {k} with residual {residual_inf:.3e} "
                 f"above tol_residual {params.tol_residual:.3e}",
                 trace,

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a solver or verification suite fails,
 2 for malformed configurations or usage errors. The library constructors
-check every config value; `_build_inputs` turns their errors into exit 2.
+check every config value, every JSON object in a config may hold only the
+keys its reader reads, and `_build_inputs` turns these errors into exit 2
+with the key path they concern.
 Summary and report JSON use a fixed rendering (sorted keys, 17
 significant digits) so identical inputs produce byte-identical files.
 """
@@ -10,6 +12,7 @@ significant digits) so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,19 +21,11 @@ import numpy as np
 
 from . import __version__
 from .calculus import write_field_csv
-from .chern_simons import (
-    ConvergenceFailure,
-    ModelParams,
-    MonotonicityBreakdown,
-    NonFiniteBreakdown,
-    SolveFailure,
-    VortexConfig,
-    solve_domain,
-)
+from .chern_simons import ModelParams, SolveFailure, VortexConfig, solve_domain
 from .exhaustion import (
     ExhaustionFailure, ExhaustionSchedule, chain_tolerance, report_dict, run_exhaustion
 )
-from .lattice import domain_from_json
+from .lattice import domain_from_json, json_object
 from .linsolve import LinearSolveFailure, assemble, matrix_to_coo_text
 from .verify import run_suites
 
@@ -83,30 +78,74 @@ def _build_inputs(path, build):
     """Read the JSON config at `path` and return `build(config)`.
 
     The one place where a bad value or JSON shape met while building
-    becomes ConfigError. A solve or chain run is outside it, so a fault
-    there still shows its traceback.
+    becomes ConfigError, and every message names its config key (see
+    `_at`). A solve or chain run is outside it, so a fault there still
+    shows its traceback.
     """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
+    with _at(""):
         return build(cfg)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        # str() of a KeyError is the missing key, quoted.
-        message = f"config must define {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ConfigError(message) from None
+
+
+# Config key of each ModelParams field whose name differs from it.
+_FIELD_KEYS = {
+    "lam": "lambda",
+    "tol_nonlinear": "tolerances.nonlinear",
+    "tol_residual": "tolerances.residual",
+    "tol_linear": "tolerances.linear",
+}
+# Top-level keys that both commands read.
+_SHARED_KEYS = ("dimension", "vortices", "lambda", "p", "shift", "tolerances", "max_outer_iterations")
+_SOLVER_TOLERANCES = ("nonlinear", "residual", "linear")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Turn an error raised while building the value at key `path` into a ConfigError naming it.
+
+    At the top (`path` ""), ModelParams and ExhaustionSchedule take several
+    keys and begin each message with the field they reject, so that field
+    is replaced by its key; other top-level messages name their key already.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        key = f"{path}.{exc.args[0]}" if path else exc.args[0]
+        raise ConfigError(f"config must define {key}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        message = str(exc)
+        if path:
+            raise ConfigError(f"{path}: {message}") from None
+        field = message.split(" ", 1)[0]
+        raise ConfigError(_FIELD_KEYS.get(field, field) + message[len(field) :]) from None
+
+
+def _tolerances(cfg, keys) -> dict:
+    with _at("tolerances"):
+        return json_object(cfg.get("tolerances", {}), keys)
 
 
 def _vortices(cfg) -> VortexConfig:
-    entries = cfg.get("vortices", [])
-    return VortexConfig(tuple((e["point"], e.get("multiplicity", 1)) for e in entries))
+    with _at("vortices"):
+        entries = cfg.get("vortices", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"expected a list, got {entries!r}")
+        pairs = []
+        for i, entry in enumerate(entries):
+            with _at(f"vortices[{i}]"):
+                json_object(entry, ("point", "multiplicity"))
+                pairs.append((entry["point"], entry.get("multiplicity", 1)))
+        return VortexConfig(tuple(pairs))
 
 
-def _params(cfg) -> ModelParams:
-    tols = cfg.get("tolerances", {})
-    kwargs = {f"tol_{key}": tols[key] for key in ("nonlinear", "residual", "linear") if key in tols}
+def _params(cfg, tols) -> ModelParams:
+    kwargs = {f"tol_{key}": tols[key] for key in _SOLVER_TOLERANCES if key in tols}
     for key in ("p", "shift", "max_outer_iterations"):
         if key in cfg:
             kwargs[key] = cfg[key]
@@ -114,16 +153,20 @@ def _params(cfg) -> ModelParams:
 
 
 def _solve_inputs(cfg):
-    domain = domain_from_json(cfg["domain"], dimension=cfg["dimension"])
+    json_object(cfg, _SHARED_KEYS + ("domain",))
+    block, dimension = cfg["domain"], cfg["dimension"]
+    with _at("domain"):
+        domain = domain_from_json(block, dimension=dimension)
     vortices = _vortices(cfg)
     # A point of another dimension is never interior.
-    for point in vortices.points:
+    for i, point in enumerate(vortices.points):
         if not domain.is_interior(point):
-            raise ValueError(f"vortex {point} is not interior to the domain")
-    return domain, vortices, _params(cfg)
+            raise ValueError(f"vortices[{i}].point {point} is not interior to the domain")
+    return domain, vortices, _params(cfg, _tolerances(cfg, _SOLVER_TOLERANCES))
 
 
 def _exhaust_inputs(cfg):
+    json_object(cfg, _SHARED_KEYS + ("shape", "radii", "center"))
     schedule = ExhaustionSchedule(
         dimension=cfg["dimension"],
         shape=cfg.get("shape", "box"),
@@ -131,27 +174,13 @@ def _exhaust_inputs(cfg):
         vortices=_vortices(cfg),
         center=cfg.get("center"),
     )
-    tols = cfg.get("tolerances", {})
+    tols = _tolerances(cfg, _SOLVER_TOLERANCES + ("global", "decay"))
     chain = {
         name: chain_tolerance(tols[key], f"tolerances.{key}")
         for key, name in (("global", "tol_global"), ("decay", "decay_threshold"))
         if key in tols
     }
-    return schedule, _params(cfg), chain
-
-
-def _failure_kind(exc: Exception) -> str:
-    if isinstance(exc, NonFiniteBreakdown):
-        return "non_finite"
-    if isinstance(exc, MonotonicityBreakdown):
-        return "monotonicity"
-    if isinstance(exc, ConvergenceFailure):
-        return "max_iterations"
-    if isinstance(exc, (LinearSolveFailure,)):
-        return "linear_solve"
-    if isinstance(exc, ExhaustionFailure):
-        return "chain_violation"
-    return "solver"
+    return schedule, _params(cfg, tols), chain
 
 
 def cmd_solve(args) -> int:
@@ -173,7 +202,7 @@ def cmd_solve(args) -> int:
         summary.update(
             {
                 "converged": False,
-                "failure": {"kind": _failure_kind(exc), "message": str(exc)},
+                "failure": {"kind": exc.kind, "message": str(exc)},
             }
         )
         trace = getattr(exc, "trace", None)
@@ -218,7 +247,7 @@ def cmd_exhaust(args) -> int:
         estimate = run_exhaustion(schedule, params, backend=args.backend, **chain)
     except (SolveFailure, LinearSolveFailure, ExhaustionFailure) as exc:
         _write_json(
-            {"success": False, "failure": {"kind": _failure_kind(exc), "message": str(exc)}},
+            {"success": False, "failure": {"kind": exc.kind, "message": str(exc)}},
             os.path.join(args.out, "report.json"),
         )
         print(f"exhaustion failed: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ stand in for the pointwise limit over an infinite chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +39,8 @@ CHAIN_SLACK = 1e-9
 class ExhaustionFailure(RuntimeError):
     """Raised when the inter-domain ordering breaks between two radii."""
 
+    kind = "chain_violation"
+
     def __init__(self, message: str, pair: tuple[int, int] | None = None):
         super().__init__(message)
         self.pair = pair
@@ -53,7 +56,10 @@ def vortex_centroid(vortices: VortexConfig, dimension: int) -> LatticePoint:
 
 @dataclass
 class ExhaustionSchedule:
-    """Chain of domains: shape, strictly increasing integer radii, integer center, charges."""
+    """Chain of domains: shape, strictly increasing integer radii, integer center, charges.
+
+    Each ValueError message begins with the field it rejects.
+    """
 
     dimension: int
     shape: str
@@ -65,9 +71,11 @@ class ExhaustionSchedule:
         if self.shape not in ("box", "ball"):
             raise ValueError(f"shape must be 'box' or 'ball', got {self.shape!r}")
         self.dimension = json_integer(self.dimension, "dimension")
-        self.radii = tuple(json_integer(r, "radius") for r in self.radii)
+        if not isinstance(self.radii, Iterable):
+            raise ValueError(f"radii must be a list of integers, got {self.radii!r}")
+        self.radii = tuple(json_integer(r, "radii entry") for r in self.radii)
         if not self.radii:
-            raise ValueError("at least one radius required")
+            raise ValueError("radii must list at least one radius")
         if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
@@ -79,7 +87,7 @@ class ExhaustionSchedule:
         self.center = smallest.center
         for pt in self.vortices.points:
             if not smallest.is_interior(pt):
-                raise ValueError(f"vortex {pt} is not interior to the smallest domain")
+                raise ValueError(f"vortices must lie inside the smallest domain; {pt} does not")
 
     def build_domain(self, radius: int) -> LatticeDomain:
         maker = make_box if self.shape == "box" else make_ball

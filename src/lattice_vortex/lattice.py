@@ -9,6 +9,7 @@ with zero boundary data reduce to a leading block of the index range.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "domain_from_json",
     "json_integer",
     "json_real",
+    "json_object",
 ]
 
 
@@ -56,6 +58,8 @@ class LatticeDomain:
     int64 array: the interior block, then the boundary block, each sorted
     lexicographically and free of repeats. A site's closure index is its
     row, and `locate` finds rows by binary search over the two blocks.
+    `adjacency` is the one neighbor table, (n_closure, 2n) closure indices
+    with -1 for a neighbor outside the closure.
     Instances are immutable by convention and safe to share across threads.
 
     `interior` is an iterable of points or an (n, dimension) integer array;
@@ -99,24 +103,14 @@ class LatticeDomain:
         self.n_interior = n
         self.coords = np.concatenate([inner, outer])
         self.n_closure = len(self.coords)
-        # Boundary neighbors may lie outside the closure.
-        outer_adjacent = self.locate(outer[:, None, :] + unit)
-        found = outer_adjacent >= 0
-
-        # Closure adjacency in CSR form, neighbors in the order of
-        # `neighbors()`; rows for interior points are dense (every neighbor
-        # of an interior site lies in the closure), so their block is the
-        # (n_interior, 2n) table `interior_neighbors`.
-        counts = np.concatenate([np.full(n, two_n), found.sum(axis=1)])
-        self.adj_indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.adj_indices = np.concatenate([inner_adjacent, outer_adjacent[found]])
-        self.outside_degree = two_n - counts
-        self.interior_neighbors = self.adj_indices[: n * two_n].reshape(n, two_n)
-
-        # Unordered edges inside the closure, as index pairs with i < j.
-        src = np.repeat(np.arange(self.n_closure), np.diff(self.adj_indptr))
-        keep = self.adj_indices > src
-        self.edges = np.column_stack([src[keep], self.adj_indices[keep]])
+        # The one neighbor table, columns in the order of `neighbors()`: a
+        # boundary site's neighbor may lie outside the closure (-1), an
+        # interior site's never, so the interior rows are the (n_interior,
+        # 2n) view `interior_neighbors`.
+        self.adjacency = np.concatenate(
+            [inner_adjacent.reshape(n, two_n), self.locate(outer[:, None, :] + unit)]
+        )
+        self.interior_neighbors = self.adjacency[:n]
 
     def __repr__(self) -> str:
         return (
@@ -147,9 +141,15 @@ class LatticeDomain:
         found = np.where(outer < 0, inner, self.n_interior + outer).reshape(rows.shape[:-1])
         return np.where(np.all(keys == rows, axis=-1), found, -1)
 
-    def adjacency_row(self, index: int) -> np.ndarray:
-        """Closure indices adjacent to the closure point at `index`."""
-        return self.adj_indices[self.adj_indptr[index] : self.adj_indptr[index + 1]]
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """Unordered closure edges as index pairs (i, j) with i < j, in row-major table order.
+
+        Derived from `adjacency` on first use and then held, so a domain
+        that is only solved on never holds it.
+        """
+        i, k = np.nonzero(self.adjacency > np.arange(self.n_closure)[:, None])
+        return np.column_stack([i, self.adjacency[i, k]])
 
 
 def make_box(dimension: int, half_width: int, center: LatticePoint | None = None) -> LatticeDomain:
@@ -249,16 +249,31 @@ def json_real(value, name: str) -> float:
     return real
 
 
+def json_object(value, keys) -> dict:
+    """A JSON object whose keys all lie in `keys`; a misspelt key would silently run a default.
+
+    Anything but a dict, or a dict with another key, raises ValueError.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return value
+
+
 def _dimension(value) -> int:
     dimension = json_integer(value, "dimension")
     if dimension < 2:
-        raise ValueError("lattice dimension must be at least 2")
+        raise ValueError("dimension must be at least 2")
     return dimension
 
 
 def _center(center, dimension: int) -> LatticePoint:
     if center is None:
         return (0,) * dimension
+    if not isinstance(center, Iterable):
+        raise ValueError(f"center must be a list of coordinates, got {center!r}")
     c = tuple(json_integer(v, "center coordinate") for v in center)
     if len(c) != dimension:
         raise ValueError("center dimension mismatch")
@@ -296,25 +311,36 @@ def _find_rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(keys[at] == probes, at, -1)
 
 
+# The keys each kind of domain block reads.
+_DOMAIN_KEYS = {
+    "box": ("kind", "dimension", "size", "center"),
+    "ball": ("kind", "dimension", "size", "center"),
+    "points": ("kind", "dimension", "interior"),
+}
+
+
 def domain_from_json(obj, dimension: int | None = None) -> LatticeDomain:
     """Inverse of domain_to_json; bare lists are read as interior point lists.
 
     Sizes, centers, dimensions and point coordinates must be integral
-    numbers; anything else raises ValueError.
+    numbers, and a block holds only the keys its kind reads; anything else
+    raises ValueError.
     """
     if isinstance(obj, list):
         if not obj:
             raise ValueError("empty point list")
         dim = dimension if dimension is not None else len(obj[0])
         return LatticeDomain(dim, obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object or a list of points, got {obj!r}")
     kind = obj.get("kind")
+    if kind not in _DOMAIN_KEYS:
+        raise ValueError(f"unknown domain kind: {kind!r}")
+    json_object(obj, _DOMAIN_KEYS[kind])
     dim = json_integer(obj.get("dimension", dimension if dimension is not None else 0), "dimension")
     if dimension is not None and dim != dimension:
         raise ValueError(f"domain dimension {dim} conflicts with expected {dimension}")
-    if kind == "box":
-        return make_box(dim, json_integer(obj["size"], "size"), obj["center"])
-    if kind == "ball":
-        return make_ball(dim, json_integer(obj["size"], "size"), obj["center"])
     if kind == "points":
         return LatticeDomain(dim, obj["interior"])
-    raise ValueError(f"unknown domain kind: {kind!r}")
+    maker = make_box if kind == "box" else make_ball
+    return maker(dim, json_integer(obj["size"], "size"), obj["center"])

@@ -53,6 +53,8 @@ _BOX_MAX_SIDE = 320
 class LinearSolveFailure(RuntimeError):
     """Raised when a backend cannot meet the requested residual."""
 
+    kind = "linear_solve"
+
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (attained residual {residual:.3e})")
         self.residual = residual

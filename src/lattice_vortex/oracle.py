@@ -12,7 +12,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .calculus import LatticeField, from_interior
-from .chern_simons import ModelParams, VortexConfig, nonlinearity, nonlinearity_derivative, source_h
+from .chern_simons import (
+    ModelParams, VortexConfig, _start_interior, nonlinearity, nonlinearity_derivative, source_h
+)
 from .lattice import LatticeDomain
 from .linsolve import interior_laplacian
 
@@ -62,12 +64,7 @@ def newton_solve(
     if domain.n_interior > MAX_ORACLE_SIZE:
         raise ValueError(f"oracle limited to {MAX_ORACLE_SIZE} interior points")
     h_int, lap = _system(domain, vortices)
-    if u_init is None:
-        u = np.zeros(domain.n_interior)
-    else:
-        if u_init.domain is not domain:
-            raise ValueError("u_init lives on a different domain")
-        u = u_init.interior.copy()
+    u = np.zeros(domain.n_interior) if u_init is None else _start_interior(u_init, domain, "u_init")
     f_val = _nonlinear_residual(u, lap, h_int, params)
     for _ in range(max_iterations):
         if float(np.abs(f_val).max()) < tol:

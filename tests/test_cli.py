@@ -11,6 +11,7 @@ import pytest
 import lattice_vortex
 from lattice_vortex import chern_simons
 from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, render_json
+from lattice_vortex.linsolve import LinearSolveInfo
 from lattice_vortex.verify import SUITE_NAMES
 
 
@@ -109,6 +110,28 @@ def test_solve_failure_reports_reason(tmp_path):
     assert summary["failure"]["kind"] == "max_iterations"
 
 
+def test_solve_stagnation_reports_its_kind(tmp_path, monkeypatch):
+    # From step 2 on the step returns its start: the change is exactly zero
+    # while the residual is still far above tolerance.
+    real_step = chern_simons._step_arrays
+    calls = []
+
+    def stalled_step(u_int, n_u, h_int, params, system, backend, au=None):
+        calls.append(u_int)
+        if len(calls) == 1:
+            return real_step(u_int, n_u, h_int, params, system, backend, au)
+        return u_int.copy(), LinearSolveInfo(0, 0.0, system.matrix @ u_int)
+
+    monkeypatch.setattr(chern_simons, "_step_arrays", stalled_step)
+    cfg = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["failure"]["kind"] == "stagnated"
+    assert summary["iterations"] == 2
+
+
 def test_solve_dump_matrix(tmp_path):
     cfg = write_config(tmp_path / "run.json")
     out = tmp_path / "out"
@@ -196,37 +219,60 @@ def test_exhaust_rejects_non_finite_chain_tolerance(tmp_path, key):
     assert not out.exists()
 
 
-# Config shapes and values the model does not define; each once crashed
-# with a traceback or was read as another model.
+# Config shapes, values and keys the model does not define, each with the
+# text that names its key in the error line; each once crashed with a
+# traceback, was read as another model or ran the defaults.
 MALFORMED = {
-    "tolerances-int": {"tolerances": 5},
-    "vortices-int": {"vortices": 5},
-    "vortex-list": {"vortices": [[0, 0]]},
-    "lambda-bool": {"lambda": True},
-    "lambda-string": {"lambda": "1.0"},
-    "p-bool": {"p": True},
-    "shift-bool": {"shift": True},
+    "tolerances-int": ({"tolerances": 5}, "tolerances:"),
+    "tolerances-list": ({"tolerances": [1]}, "tolerances:"),
+    "vortices-int": ({"vortices": 5}, "vortices:"),
+    "vortex-list": ({"vortices": [[0, 0]]}, "vortices[0]:"),
+    "vortex-without-point": ({"vortices": [{"multiplicity": 1}]}, "vortices[0].point"),
+    "vortex-unknown-key": (
+        {"vortices": [{"point": [0, 0], "multiplicty": 2}]},
+        "vortices[0]: unknown key 'multiplicty'",
+    ),
+    "unknown-key": ({"lambada": 2.0}, "'lambada'"),
+    "lambda-bool": ({"lambda": True}, "lambda must"),
+    "lambda-string": ({"lambda": "1.0"}, "lambda must"),
+    "p-bool": ({"p": True}, "p must"),
+    "shift-bool": ({"shift": True}, "shift must"),
+    "tolerance-inf": ({"tolerances": {"nonlinear": float("inf")}}, "tolerances.nonlinear must"),
 }
 MALFORMED_FOR = {
-    "solve": {"domain-int": {"domain": 5}},
-    "exhaust": {"radii-int": {"radii": 5}, "center-int": {"center": 3}},
+    "solve": {
+        "domain-int": ({"domain": 5}, "domain:"),
+        "domain-unknown-key": (
+            {"domain": {"kind": "box", "size": 3, "center": [0, 0], "centre": [1, 0]}},
+            "domain: unknown key 'centre'",
+        ),
+        "domain-without-size": ({"domain": {"kind": "box", "center": [0, 0]}}, "domain.size"),
+        "chain-key": ({"radii": 5}, "'radii'"),
+        "chain-tolerance": ({"tolerances": {"global": 1e-3}}, "tolerances: unknown key 'global'"),
+    },
+    "exhaust": {
+        "radii-int": ({"radii": 5}, "radii must"),
+        "center-int": ({"center": 3}, "center must"),
+        "domain-key": ({"domain": {"kind": "box", "size": 3, "center": [0, 0]}}, "'domain'"),
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "command, overrides",
+    "command, overrides, key",
     [
-        pytest.param(command, overrides, id=f"{command}-{name}")
+        pytest.param(command, overrides, key, id=f"{command}-{name}")
         for command, own in MALFORMED_FOR.items()
-        for name, overrides in {**MALFORMED, **own}.items()
+        for name, (overrides, key) in {**MALFORMED, **own}.items()
     ],
 )
-def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides):
+def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides, key):
     write = write_config if command == "solve" else write_exhaust_config
     cfg = write(tmp_path / "run.json", **overrides)
     out = tmp_path / "out"
     assert main([command, str(cfg), "--out", str(out)]) == EXIT_USAGE
-    assert "config error:" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:") and key in line
     assert not out.exists()
 
 

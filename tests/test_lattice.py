@@ -162,12 +162,13 @@ def test_interior_connected(dom):
 
 def test_outside_degree_and_edges_against_enumeration():
     dom = make_box(2, 2)
+    outside_degree = np.count_nonzero(dom.adjacency < 0, axis=1)
     # interior sites never have exterior neighbors
-    assert all(dom.outside_degree[: dom.n_interior] == 0)
+    assert all(outside_degree[: dom.n_interior] == 0)
     index_of = closure_index(dom)
     for i, pt in enumerate(index_of):
         inside = sum(1 for y in neighbors(pt) if y in index_of)
-        assert dom.outside_degree[i] == 2 * dom.dimension - inside
+        assert outside_degree[i] == 2 * dom.dimension - inside
     expected_edges = {
         tuple(sorted((index_of[x], index_of[y])))
         for x in index_of
@@ -302,6 +303,22 @@ def test_json_rejects_non_integral_values(obj):
         domain_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "box", "dimension": 2, "size": 2, "center": [0, 0], "centre": [1, 0]}, "'centre'"),
+        ({"kind": "ball", "dimension": 2, "size": 2, "center": [0, 0], "interior": []}, "'interior'"),
+        ({"kind": "points", "dimension": 2, "interior": [[0, 0]], "size": 1}, "'size'"),
+        ({"kind": "box", "dimension": 2, "size": 2, "center": 3}, "center must be a list"),
+        (5, "expected a JSON object"),
+    ],
+    ids=["box-centre", "ball-interior", "points-size", "center-int", "not-an-object"],
+)
+def test_json_rejects_keys_and_shapes_it_does_not_read(obj, message):
+    with pytest.raises(ValueError, match=message):
+        domain_from_json(obj)
+
+
 def test_json_accepts_integral_floats():
     dom = domain_from_json({"kind": "box", "dimension": 2.0, "size": 8.0, "center": [1.0, -2.0]})
     assert interior_points(dom) == interior_points(make_box(2, 8, center=(1, -2)))
@@ -310,7 +327,7 @@ def test_json_accepts_integral_floats():
 
 
 def _assert_matches_naive(dom, points):
-    want = naive_domain_arrays(dom.dimension, points)
+    want = naive_domain_arrays(points)
     for name, expected in want.items():
         got = getattr(dom, name)
         if isinstance(expected, np.ndarray):

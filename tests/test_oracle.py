@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_vortex.calculus import from_interior, lq_norm, zeros
+from lattice_vortex.calculus import constant, from_interior, lq_norm, zeros
 from lattice_vortex.chern_simons import ModelParams, VortexConfig, residual, solve_domain, source_h
 from lattice_vortex.lattice import make_box
 from lattice_vortex.linsolve import interior_laplacian
@@ -72,6 +72,11 @@ def test_newton_guards():
     other = make_box(2, 2)
     with pytest.raises(ValueError):
         newton_solve(dom, VortexConfig(()), params, u_init=zeros(other))
+    # The start rule of the monotone scheme: non-positive, zero boundary.
+    with pytest.raises(ValueError, match="non-positive"):
+        newton_solve(dom, VortexConfig(()), params, u_init=from_interior(dom, np.ones(dom.n_interior)))
+    with pytest.raises(ValueError, match="boundary"):
+        newton_solve(dom, VortexConfig(()), params, u_init=constant(dom, -1.0))
 
 
 def test_jacobian_at_zero_matches_linear_part():

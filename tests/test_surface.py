@@ -38,8 +38,10 @@ def test_every_module_all_name_exists():
 
 
 def test_domains_hold_each_site_once():
-    # `coords` is the one site table: no attribute holds a Python object per
-    # site, and the interior adjacency is a view into the closure adjacency.
+    # `coords` is the one site table and `adjacency` the one neighbor table:
+    # no attribute holds a Python object per site, the interior adjacency
+    # is a view into the closure adjacency, and `edges` is derived on first
+    # use, so a domain that is only solved on never holds it.
     scattered = [(0, 0), (1, 0), (5, 5), (-7, 3), (10**12, 0), (10**12, -4), (3, 3), (3, 4)]
     for dom in (make_box(2, 4), make_ball(3, 3), LatticeDomain(2, scattered)):
         for name, value in vars(dom).items():
@@ -47,5 +49,9 @@ def test_domains_hold_each_site_once():
                 assert name == "center" and len(value) == dom.dimension, name
             else:
                 assert isinstance(value, (np.ndarray, int, str, type(None))), name
-        assert np.shares_memory(dom.interior_neighbors, dom.adj_indices)
+        assert np.shares_memory(dom.interior_neighbors, dom.adjacency)
         assert not {"closure", "interior", "boundary", "index_of"} & set(vars(dom))
+        arrays = {name for name, value in vars(dom).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"coords", "adjacency", "interior_neighbors"}
+        assert dom.edges is dom.edges and "edges" in vars(dom)
+
