@@ -25,7 +25,7 @@ from .chern_simons import ModelParams, SolveFailure, VortexConfig, solve_domain
 from .exhaustion import (
     ExhaustionFailure, ExhaustionSchedule, chain_tolerance, report_dict, run_exhaustion
 )
-from .lattice import domain_from_json, json_object
+from .lattice import domain_from_json, json_dimension, json_object, json_point
 from .linsolve import LinearSolveFailure, assemble, matrix_to_coo_text
 from .verify import run_suites
 
@@ -131,7 +131,7 @@ def _tolerances(cfg, keys) -> dict:
         return json_object(cfg.get("tolerances", {}), keys)
 
 
-def _vortices(cfg) -> VortexConfig:
+def _vortices(cfg, dimension: int) -> VortexConfig:
     with _at("vortices"):
         entries = cfg.get("vortices", [])
         if not isinstance(entries, list):
@@ -140,7 +140,8 @@ def _vortices(cfg) -> VortexConfig:
         for i, entry in enumerate(entries):
             with _at(f"vortices[{i}]"):
                 json_object(entry, ("point", "multiplicity"))
-                pairs.append((entry["point"], entry.get("multiplicity", 1)))
+                point = json_point(entry["point"], dimension, "point")
+                pairs.append((point, entry.get("multiplicity", 1)))
         return VortexConfig(tuple(pairs))
 
 
@@ -154,11 +155,10 @@ def _params(cfg, tols) -> ModelParams:
 
 def _solve_inputs(cfg):
     json_object(cfg, _SHARED_KEYS + ("domain",))
-    block, dimension = cfg["domain"], cfg["dimension"]
+    block, dimension = cfg["domain"], json_dimension(cfg["dimension"])
     with _at("domain"):
         domain = domain_from_json(block, dimension=dimension)
-    vortices = _vortices(cfg)
-    # A point of another dimension is never interior.
+    vortices = _vortices(cfg, dimension)
     for i, point in enumerate(vortices.points):
         if not domain.is_interior(point):
             raise ValueError(f"vortices[{i}].point {point} is not interior to the domain")
@@ -167,11 +167,12 @@ def _solve_inputs(cfg):
 
 def _exhaust_inputs(cfg):
     json_object(cfg, _SHARED_KEYS + ("shape", "radii", "center"))
+    dimension = json_dimension(cfg["dimension"])
     schedule = ExhaustionSchedule(
-        dimension=cfg["dimension"],
+        dimension=dimension,
         shape=cfg.get("shape", "box"),
         radii=cfg["radii"],
-        vortices=_vortices(cfg),
+        vortices=_vortices(cfg, dimension),
         center=cfg.get("center"),
     )
     tols = _tolerances(cfg, _SOLVER_TOLERANCES + ("global", "decay"))

@@ -17,7 +17,8 @@ import numpy as np
 from .calculus import LatticeField
 from .chern_simons import IterationTrace, ModelParams, VortexConfig, solve_domain
 from .lattice import (
-    LatticeDomain, LatticePoint, json_integer, json_real, make_ball, make_box, nested_index
+    LatticeDomain, LatticePoint, json_dimension, json_integer, json_real, make_ball, make_box,
+    nested_index,
 )
 
 __all__ = [
@@ -70,7 +71,7 @@ class ExhaustionSchedule:
     def __post_init__(self):
         if self.shape not in ("box", "ball"):
             raise ValueError(f"shape must be 'box' or 'ball', got {self.shape!r}")
-        self.dimension = json_integer(self.dimension, "dimension")
+        self.dimension = json_dimension(self.dimension)
         if not isinstance(self.radii, Iterable):
             raise ValueError(f"radii must be a list of integers, got {self.radii!r}")
         self.radii = tuple(json_integer(r, "radii entry") for r in self.radii)

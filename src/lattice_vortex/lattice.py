@@ -27,7 +27,9 @@ __all__ = [
     "is_nested",
     "domain_to_json",
     "domain_from_json",
+    "json_dimension",
     "json_integer",
+    "json_point",
     "json_real",
     "json_object",
 ]
@@ -75,7 +77,7 @@ class LatticeDomain:
         center: LatticePoint | None = None,
         size: int | None = None,
     ):
-        dimension = _dimension(dimension)
+        dimension = json_dimension(dimension)
         points = _point_array(interior, dimension)
         if not len(points):
             raise ValueError("interior must be non-empty")
@@ -154,7 +156,7 @@ class LatticeDomain:
 
 def make_box(dimension: int, half_width: int, center: LatticePoint | None = None) -> LatticeDomain:
     """Axis-aligned box: all points within `half_width` of the center in every coordinate."""
-    dimension = _dimension(dimension)
+    dimension = json_dimension(dimension)
     half_width = json_integer(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be positive")
@@ -166,7 +168,7 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
 
 def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -> LatticeDomain:
     """Graph-distance ball: all points within `radius` steps of the center."""
-    dimension = _dimension(dimension)
+    dimension = json_dimension(dimension)
     radius = json_integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -232,6 +234,21 @@ def json_integer(value, name: str) -> int:
     return int(value)
 
 
+def json_point(value, dimension: int | None = None, name: str = "point") -> LatticePoint:
+    """A lattice point as a tuple of ints, from a list, tuple or 1-D array of coordinates.
+
+    It must hold `dimension` coordinates when that is given, each an
+    integral number (see json_integer); any other shape raises ValueError
+    naming `name` rather than failing inside the iteration over it.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or (dimension is not None and len(value) != dimension):
+        count = "" if dimension is None else f"{dimension} "
+        raise ValueError(f"{name} must be a list of {count}integers, got {value!r}")
+    return tuple(json_integer(c, f"{name} coordinate") for c in value)
+
+
 def json_real(value, name: str) -> float:
     """A finite real number as a float; a NaN would fail every comparison meant to check it.
 
@@ -262,7 +279,8 @@ def json_object(value, keys) -> dict:
     return value
 
 
-def _dimension(value) -> int:
+def json_dimension(value) -> int:
+    """A lattice dimension: an integral number of at least 2 (see json_integer)."""
     dimension = json_integer(value, "dimension")
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
@@ -272,12 +290,7 @@ def _dimension(value) -> int:
 def _center(center, dimension: int) -> LatticePoint:
     if center is None:
         return (0,) * dimension
-    if not isinstance(center, Iterable):
-        raise ValueError(f"center must be a list of coordinates, got {center!r}")
-    c = tuple(json_integer(v, "center coordinate") for v in center)
-    if len(c) != dimension:
-        raise ValueError("center dimension mismatch")
-    return c
+    return json_point(center, dimension, "center")
 
 
 def _point_array(points, dimension: int) -> np.ndarray:
@@ -286,12 +299,10 @@ def _point_array(points, dimension: int) -> np.ndarray:
         if points.shape[1] != dimension:
             raise ValueError(f"points have dimension {points.shape[1]}, not {dimension}")
         return points.astype(np.int64, copy=False)
-    rows = [tuple(p) for p in points]
-    for p in rows:
-        if len(p) != dimension:
-            raise ValueError(f"point {p} does not have dimension {dimension}")
-    flat = [json_integer(c, "point coordinate") for p in rows for c in p]
-    return np.array(flat, dtype=np.int64).reshape(len(rows), dimension)
+    if not isinstance(points, Iterable):
+        raise ValueError(f"interior must be a list of points, got {points!r}")
+    rows = [json_point(p, dimension, f"point {i}") for i, p in enumerate(points)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), dimension)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -329,7 +340,7 @@ def domain_from_json(obj, dimension: int | None = None) -> LatticeDomain:
     if isinstance(obj, list):
         if not obj:
             raise ValueError("empty point list")
-        dim = dimension if dimension is not None else len(obj[0])
+        dim = dimension if dimension is not None else len(json_point(obj[0], name="point 0"))
         return LatticeDomain(dim, obj)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object or a list of points, got {obj!r}")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -389,3 +390,20 @@ def test_field_csv_round_trip(tmp_path):
     back = read_field_csv(dom, path)
     np.testing.assert_array_equal(back.values, u.values)
 
+
+
+def test_field_csv_bytes_match_csv_writer(tmp_path):
+    dom = make_box(3, 2, center=(-1, 0, 4))
+    vals = np.random.default_rng(3).uniform(-1.0, 1.0, dom.n_closure)
+    vals[:8] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -3.5e17, 2.0**60, math.pi]
+    u = LatticeField(dom, vals)
+    path = tmp_path / "field.csv"
+    write_field_csv(u, path)
+    # The rendering csv.writer gave the file.
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(dom.dimension)] + ["value"])
+        for point, value in zip(dom.coords.tolist(), u.values):
+            writer.writerow(point + [format(value, ".17g")])
+    assert path.read_bytes() == ref.read_bytes()

@@ -47,14 +47,14 @@ def single_vortex():
 
 def test_model_params_defaults_and_validation():
     params = ModelParams(lam=1.0, p=0)
-    assert params.shift == 4.0  # twice the strict bound
-    assert ModelParams(lam=0.5, p=2).shift == 2 * 6 * 0.5
+    assert params.shift == 1.1  # 1.1 times the strict bound kappa(0)*lam = 1
+    assert ModelParams(lam=0.5, p=2).shift == 1.1 * (chern_simons.kappa(2) * 0.5)
+    # Valid since the floor is kappa(p)*lam, not (2p+2)*lam.
+    assert ModelParams(lam=1.0, p=0, shift=2.0).shift == 2.0
     with pytest.raises(ValueError):
         ModelParams(lam=0.0)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, p=-1)
-    with pytest.raises(ValueError):
-        ModelParams(lam=1.0, p=0, shift=2.0)  # not strictly above (2p+2)*lam
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, tol_nonlinear=0.0)
     with pytest.raises(ValueError):
@@ -69,6 +69,49 @@ def test_model_params_defaults_and_validation():
     ):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_kappa_is_the_slope_maximum(p):
+    # kappa(p) = max over 0 < s <= 1 of s (1-s)^(2p) ((2p+2) s - 1), s = e^u.
+    s = np.linspace(0.0, 1.0, 1_000_001)[1:]
+    slope = s * (1.0 - s) ** (2 * p) * ((2 * p + 2) * s - 1.0)
+    assert abs(chern_simons.kappa(p) - slope.max()) < 1e-10
+    assert chern_simons.kappa(p) == pytest.approx((1.0, 0.13505, 0.07259, 0.04951)[p], abs=5e-6)
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_model_params_rejects_shift_below_kappa(p):
+    lam = 3.0
+    floor = chern_simons.kappa(p) * lam
+    for shift in (0.999 * floor, floor):
+        with pytest.raises(ValueError, match=r"shift must exceed kappa\(p\)\*lam"):
+            ModelParams(lam=lam, p=p, shift=shift)
+    assert ModelParams(lam=lam, p=p, shift=1.001 * floor).shift == 1.001 * floor
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+def test_default_shift_keeps_every_step_certificate(p, lam):
+    # At 1.1*kappa(p)*lam every step decreases pointwise and pays for its
+    # squared size with a drop in J (from J(0) = 0 at the first step).
+    params = ModelParams(lam=lam, p=p)
+    vortices = VortexConfig((((0, 0), 2), ((2, 0), 1)))
+    _, trace = solve_domain(make_box(2, 4), vortices, params)
+    assert trace.converged
+    assert trace.all_monotone() and trace.all_j_decreasing()
+    j_prev = 0.0
+    for r in trace.records:
+        assert r.j_value + 0.5 * params.shift * r.l2_change**2 <= j_prev + 1e-8
+        j_prev = r.j_value
+
+
+def test_large_lambda_converges_at_default_shift():
+    # At the former default shift 2(2p+2)*lam this run spent all 50,000 steps.
+    _, trace = solve_domain(make_box(2, 3), single_vortex(), ModelParams(lam=1000.0, p=1))
+    assert trace.converged
+    assert trace.iterations < 5000
+    assert trace.all_monotone() and trace.all_j_decreasing()
 
 
 @pytest.mark.parametrize(
@@ -132,6 +175,8 @@ def test_vortex_config_validation():
         ((0, 0), True),
         ((0, 0), 1.5),
         ((0, float("nan")), 1),
+        (5, 1),  # was a TypeError: "'int' object is not iterable"
+        ("00", 1),
     ],
 )
 def test_vortex_config_rejects_non_integral_values(vortex):
@@ -369,7 +414,7 @@ def test_seminorm_closed_form_matches_seminorm():
                 assert closed_form == pytest.approx(seminorm_1q(u, 2.0) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("p, iterations", [(1, 1398), (2, 2605)])
+@pytest.mark.parametrize("p, iterations", [(1, 37), (2, 28)])
 def test_solve_domain_outer_iteration_counts(p, iterations):
     # Regression counts: cheaper per-step arithmetic must not move the step
     # at which the stop rule fires.

@@ -178,6 +178,16 @@ def test_solve_rejects_non_integral_domain(tmp_path):
     )
 
 
+def test_solve_large_lambda_converges_at_default_shift(tmp_path):
+    # The former default shift 2(2p+2)*lam ran out of its 50,000 steps here.
+    cfg = write_config(tmp_path / "run.json", p=1, **{"lambda": 1000.0})
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["shift"] == 1.1 * (chern_simons.kappa(1) * 1000.0)
+
+
 def test_solve_accepts_integral_floats(tmp_path):
     cfg = write_config(tmp_path / "run.json", p=0.0, **{"lambda": 1})
     assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
@@ -228,6 +238,17 @@ MALFORMED = {
     "vortices-int": ({"vortices": 5}, "vortices:"),
     "vortex-list": ({"vortices": [[0, 0]]}, "vortices[0]:"),
     "vortex-without-point": ({"vortices": [{"multiplicity": 1}]}, "vortices[0].point"),
+    "vortex-point-int": (
+        {"vortices": [{"point": 5}]},
+        "vortices[0]: point must be a list of 2 integers, got 5",
+    ),
+    "vortex-point-3d": (
+        {"vortices": [{"point": [0, 0, 0]}]},
+        "vortices[0]: point must be a list of 2 integers, got [0, 0, 0]",
+    ),
+    # The top-level key, not the domain block that reads it.
+    "dimension-string": ({"dimension": "2"}, "config error: dimension must be an integer"),
+    "dimension-one": ({"dimension": 1}, "config error: dimension must be at least 2"),
     "vortex-unknown-key": (
         {"vortices": [{"point": [0, 0], "multiplicty": 2}]},
         "vortices[0]: unknown key 'multiplicty'",
@@ -237,6 +258,7 @@ MALFORMED = {
     "lambda-string": ({"lambda": "1.0"}, "lambda must"),
     "p-bool": ({"p": True}, "p must"),
     "shift-bool": ({"shift": True}, "shift must"),
+    "shift-below-floor": ({"shift": 0.999}, "shift must exceed kappa(p)*lam = 1.0"),
     "tolerance-inf": ({"tolerances": {"nonlinear": float("inf")}}, "tolerances.nonlinear must"),
 }
 MALFORMED_FOR = {
@@ -247,6 +269,14 @@ MALFORMED_FOR = {
             "domain: unknown key 'centre'",
         ),
         "domain-without-size": ({"domain": {"kind": "box", "center": [0, 0]}}, "domain.size"),
+        "domain-point-int": (
+            {"domain": [[0, 0], 5]},
+            "domain: point 1 must be a list of 2 integers, got 5",
+        ),
+        "domain-interior-int": (
+            {"domain": {"kind": "points", "interior": 5}},
+            "domain: interior must be a list of points",
+        ),
         "chain-key": ({"radii": 5}, "'radii'"),
         "chain-tolerance": ({"tolerances": {"global": 1e-3}}, "tolerances: unknown key 'global'"),
     },

@@ -311,8 +311,15 @@ def test_json_rejects_non_integral_values(obj):
         ({"kind": "points", "dimension": 2, "interior": [[0, 0]], "size": 1}, "'size'"),
         ({"kind": "box", "dimension": 2, "size": 2, "center": 3}, "center must be a list"),
         (5, "expected a JSON object"),
+        ([[0, 0], 5], "point 1 must be a list of 2 integers, got 5"),
+        ([5], "point 0 must be a list of integers, got 5"),
+        ({"kind": "points", "dimension": 2, "interior": 5}, "interior must be a list of points"),
+        ({"kind": "points", "dimension": 2, "interior": [[0, 0], [1]]}, "point 1 must be a list of 2"),
     ],
-    ids=["box-centre", "ball-interior", "points-size", "center-int", "not-an-object"],
+    ids=[
+        "box-centre", "ball-interior", "points-size", "center-int", "not-an-object",
+        "list-point-int", "list-first-point-int", "interior-int", "points-short",
+    ],
 )
 def test_json_rejects_keys_and_shapes_it_does_not_read(obj, message):
     with pytest.raises(ValueError, match=message):
