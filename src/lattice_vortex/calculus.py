@@ -45,7 +45,6 @@ class LatticeField:
 
     domain: LatticeDomain
     values: np.ndarray
-    dirichlet_zero: bool = False
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -53,8 +52,6 @@ class LatticeField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match closure size {self.domain.n_closure}"
             )
-        if self.dirichlet_zero and np.any(self.boundary_values != 0.0):
-            raise ValueError("dirichlet_zero field has nonzero boundary values")
 
     @property
     def interior(self) -> np.ndarray:
@@ -71,11 +68,11 @@ class LatticeField:
         return float(self.values[idx])
 
     def copy(self) -> "LatticeField":
-        return LatticeField(self.domain, self.values.copy(), self.dirichlet_zero)
+        return LatticeField(self.domain, self.values.copy())
 
 
 def zeros(domain: LatticeDomain) -> LatticeField:
-    return LatticeField(domain, np.zeros(domain.n_closure), dirichlet_zero=True)
+    return LatticeField(domain, np.zeros(domain.n_closure))
 
 
 def constant(domain: LatticeDomain, value: float) -> LatticeField:
@@ -86,12 +83,18 @@ def from_interior(domain: LatticeDomain, interior_values) -> LatticeField:
     """Field with the given interior values and zero boundary; a (k, n_interior) array gives a stack."""
     vals = np.zeros(np.shape(interior_values)[:-1] + (domain.n_closure,))
     vals[..., : domain.n_interior] = interior_values
-    return LatticeField(domain, vals, dirichlet_zero=True)
+    return LatticeField(domain, vals)
 
 
 def _require_same_domain(u: LatticeField, v: LatticeField):
     if u.domain is not v.domain:
         raise ValueError("fields live on different domains")
+
+
+def _require_zero_boundary(u: LatticeField, name: str):
+    """ValueError unless u is zero at every boundary site; `name` names u in the message."""
+    if np.any(u.boundary_values != 0.0):
+        raise ValueError(f"{name} must vanish on the boundary")
 
 
 def _interior_index(u: LatticeField, x: LatticePoint) -> int:
@@ -163,8 +166,7 @@ def green_identity_defect(
     harnesses can inject a corrupted operator and confirm the check trips.
     """
     _require_same_domain(u, v)
-    if np.any(v.boundary_values != 0.0):
-        raise ValueError("v must vanish on the boundary")
+    _require_zero_boundary(v, "v")
     dom = u.domain
     lap = np.asarray(laplacian_fn(u), dtype=np.float64)
     if lap.shape != (dom.n_interior,):
@@ -258,8 +260,7 @@ def gns_ratio(u: LatticeField, p: int):
     """
     if p < 0 or int(p) != p:
         raise ValueError("p must be a non-negative integer")
-    if np.any(u.boundary_values != 0.0):
-        raise ValueError("field must be supported on the interior")
+    _require_zero_boundary(u, "field")
     if not np.all(np.any(u.values, axis=-1)):
         raise ValueError("ratio undefined for the zero field")
     m = 2 * p + 2

@@ -280,6 +280,8 @@ def cmd_verify(args) -> int:
         raise ConfigError("--sizes must list at least one half-width")
     if min(sizes) < 1:
         raise ConfigError(f"--sizes half-widths must be positive, got {min(sizes)}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     results = run_suites(args.seed, sizes, inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -139,7 +139,7 @@ def _extend(u: LatticeField, larger: LatticeDomain, at: np.ndarray) -> LatticeFi
     """`null_extend` through `at` = nested_index(u.domain, larger); the boundary stays zero."""
     vals = np.zeros(larger.n_closure)
     vals[at[: u.domain.n_interior]] = u.interior
-    return LatticeField(larger, vals, dirichlet_zero=True)
+    return LatticeField(larger, vals)
 
 
 def restrict_field(u: LatticeField, smaller: LatticeDomain) -> LatticeField:

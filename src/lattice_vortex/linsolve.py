@@ -77,11 +77,12 @@ def interior_laplacian(domain: LatticeDomain) -> sp.csr_matrix:
     n_int = domain.n_interior
     nbr = domain.interior_neighbors
     keep = nbr < n_int
-    rows = np.repeat(np.arange(n_int), keep.sum(axis=1))
-    cols = nbr[keep]
-    off = sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n_int, n_int))
-    diag = sp.diags(np.full(n_int, -2.0 * domain.dimension), format="csr")
-    return (off + diag).tocsr()
+    sites = np.arange(n_int)
+    rows = np.concatenate([sites, np.repeat(sites, keep.sum(axis=1))])
+    cols = np.concatenate([sites, nbr[keep]])
+    vals = np.concatenate([np.full(n_int, -2.0 * domain.dimension), np.ones(len(rows) - n_int)])
+    # One COO to CSR conversion, which sorts each row's columns.
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int))
 
 
 class ShiftedLaplacianSystem:
@@ -170,7 +171,12 @@ def _pcg(system, x, r, tol_abs, max_iterations):
     rz = float(r @ z)
     for iterations in range(1, max_iterations + 1):
         mp = matrix @ p
-        alpha = rz / float(p @ mp)
+        pmp = float(p @ mp)
+        # p.Ap leaves (0, inf) only once the recurrence residual has underflowed;
+        # this pass moved nothing, and certification reports the residual.
+        if not 0.0 < pmp < math.inf:
+            return iterations - 1
+        alpha = rz / pmp
         x += alpha * p
         r -= alpha * mp
         if np.abs(r).max() <= tol_abs:

@@ -3,7 +3,8 @@
 Each suite builds its own instances from a seeded generator, so a run is
 reproducible given (seed, sizes). Suites return a result record instead
 of raising, and support deliberate fault injection where noted, so the
-checks themselves can be shown to catch defects.
+checks themselves can be shown to catch defects. `oracle_equivalence`
+checks the scheme against `chern_simons.newton_solve` on the same `residual`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import calculus, oracle
+from . import calculus
 from .calculus import LatticeField, from_interior, green_identity_defect, laplacian_interior
-from .chern_simons import ModelParams, VortexConfig, max_principle_check, solve_domain
+from .chern_simons import ModelParams, VortexConfig, max_principle_check, newton_solve, solve_domain
 from .lattice import make_box
 from .linsolve import interior_laplacian
 
@@ -172,7 +173,7 @@ def gns_ratio_suite(rng, fields=1000) -> SuiteResult:
 
 
 def oracle_equivalence_suite(rng, instances=3) -> SuiteResult:
-    """Monotone scheme vs damped Newton on small random instances."""
+    """Monotone scheme vs `chern_simons.newton_solve` on small random instances."""
     failures = []
     worst = 0.0
     for i in range(instances):
@@ -190,7 +191,7 @@ def oracle_equivalence_suite(rng, instances=3) -> SuiteResult:
             tol_residual=1e-10,
         )
         u_scheme, _ = solve_domain(domain, vortices, params)
-        u_newton = oracle.newton_solve(domain, vortices, params)
+        u_newton = newton_solve(domain, vortices, params)
         diff = float(np.abs(u_scheme.values - u_newton.values).max())
         worst = max(worst, diff)
         if diff >= 1e-7:

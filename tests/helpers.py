@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from lattice_vortex.calculus import LatticeField
-from lattice_vortex.chern_simons import residual
+from lattice_vortex.chern_simons import jacobian, residual, source_h
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, neighbors
 
 
@@ -113,3 +113,23 @@ def nested_domain_pairs():
             LatticeDomain(2, scattered + [(2, 0), (5, 6), (10**12, 1), (-8, 3), (-3, -3)]),
         ),
     ]
+
+
+def jacobian_fd_check(domain, vortices, params, u, *, step=1e-6):
+    """Largest scaled entry error of `jacobian` against central differences of `residual`.
+
+    Each column j is probed with u +- step*e_j; the error is scaled by
+    1 + |entry| so exact zeros are compared absolutely.
+    """
+    h = source_h(domain, vortices)
+    n = domain.n_interior
+    analytic = jacobian(u, params).toarray()
+    fd = np.empty((n, n))
+    for j in range(n):
+        bumped = []
+        for sign in (1.0, -1.0):
+            vals = u.values.copy()
+            vals[j] += sign * step
+            bumped.append(residual(LatticeField(domain, vals), h, params).interior)
+        fd[:, j] = (bumped[0] - bumped[1]) / (2.0 * step)
+    return float((np.abs(analytic - fd) / (1.0 + np.abs(analytic))).max())

@@ -19,7 +19,7 @@ from lattice_vortex.chern_simons import (
     max_principle_check,
     source_h,
 )
-from lattice_vortex.chern_simons import solve_domain
+from lattice_vortex.chern_simons import newton_solve, solve_domain
 from lattice_vortex.exhaustion import (
     ExhaustionSchedule,
     restrict_field,
@@ -27,11 +27,10 @@ from lattice_vortex.exhaustion import (
 )
 from lattice_vortex.lattice import make_box
 from lattice_vortex.linsolve import assemble, solve_interior
-from lattice_vortex.oracle import jacobian_fd_check, newton_solve
 from lattice_vortex.verify import random_max_principle_instance
 from lattice_vortex.calculus import green_identity_defect
 
-from helpers import tail_is_monotone
+from helpers import jacobian_fd_check, tail_is_monotone
 
 SEED = 20240811
 

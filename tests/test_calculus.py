@@ -55,10 +55,6 @@ def test_field_validation():
     dom = make_box(2, 1)
     with pytest.raises(ValueError):
         LatticeField(dom, np.zeros(3))
-    vals = np.zeros(dom.n_closure)
-    vals[-1] = 1.0
-    with pytest.raises(ValueError):
-        LatticeField(dom, vals, dirichlet_zero=True)
 
 
 def test_laplacian_of_constant_vanishes():
@@ -338,7 +334,7 @@ def test_gns_ratio_scale_invariant():
     dom = make_box(2, 3)
     u = random_interior_field(dom)
     r1 = gns_ratio(u, 1)
-    r2 = gns_ratio(LatticeField(dom, 37.5 * u.values, dirichlet_zero=True), 1)
+    r2 = gns_ratio(LatticeField(dom, 37.5 * u.values), 1)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 

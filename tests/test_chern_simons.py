@@ -25,6 +25,7 @@ from lattice_vortex.chern_simons import (
     functional_j,
     iterate_step,
     max_principle_check,
+    newton_solve,
     nonlinearity,
     nonlinearity_derivative,
     residual,
@@ -34,7 +35,6 @@ from lattice_vortex.chern_simons import (
 from lattice_vortex.exhaustion import restrict_field
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import LinearSolveFailure, assemble, solve_interior
-from lattice_vortex.oracle import newton_solve
 
 from helpers import verify_subsolution_dominance
 

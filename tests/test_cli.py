@@ -110,6 +110,21 @@ def test_solve_failure_reports_reason(tmp_path):
     assert summary["failure"]["kind"] == "max_iterations"
 
 
+def test_solve_unreachable_residual_reports_linear_solve(tmp_path):
+    # A residual tolerance of 1e-300 becomes a linear target no CG iterate
+    # can meet; p.Ap underflows to zero and the pass ends instead of dividing.
+    cfg = write_config(
+        tmp_path / "run.json",
+        domain={"kind": "box", "size": 4, "center": [0, 0]},
+        tolerances={"residual": 1e-300},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["failure"]["kind"] == "linear_solve"
+
+
 def test_solve_stagnation_reports_its_kind(tmp_path, monkeypatch):
     # From step 2 on the step returns its start: the change is exactly zero
     # while the residual is still far above tolerance.
@@ -395,6 +410,11 @@ def test_verify_zero_size_is_usage_error(capsys):
 def test_verify_negative_size_is_usage_error(capsys):
     assert main(["verify", "--sizes", "-3"]) == EXIT_USAGE
     assert "positive" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_output_rows_parse(capsys):

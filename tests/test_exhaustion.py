@@ -138,7 +138,7 @@ def test_null_extend_and_restrict_match_naive(inner, outer):
     u = from_interior(inner, rng.uniform(-1, 0, inner.n_interior))
     ext = null_extend(u, outer)
     np.testing.assert_array_equal(ext.values, naive_null_extend(u, outer))
-    assert ext.dirichlet_zero
+    assert not ext.boundary_values.any()
     v = LatticeField(outer, rng.uniform(-1, 1, outer.n_closure))
     np.testing.assert_array_equal(
         restrict_field(v, inner).values, naive_restrict_field(v, inner)

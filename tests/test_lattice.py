@@ -346,6 +346,8 @@ def _assert_matches_naive(dom, points):
     # its naive index, and every site just outside the closure to -1.
     closure = want["coords"]
     np.testing.assert_array_equal(dom.locate(closure), np.arange(len(closure)))
+    for i in {0, dom.n_interior, len(closure) - 1}:  # one point from each block
+        assert dom.locate(closure[i]) == i and dom.locate(tuple(closure[i].tolist())) == i
     sites = set(map(tuple, closure.tolist()))
     outside = {y for x in sites for y in neighbors(x)} - sites
     assert outside and set(dom.locate(sorted(outside)).tolist()) == {-1}

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from lattice_vortex.calculus import constant, from_interior, lq_norm, zeros
-from lattice_vortex.chern_simons import ModelParams, VortexConfig, residual, solve_domain, source_h
+from lattice_vortex.chern_simons import (
+    ModelParams, VortexConfig, newton_solve, residual, solve_domain, source_h
+)
 from lattice_vortex.lattice import make_box
 from lattice_vortex.linsolve import interior_laplacian
-from lattice_vortex.oracle import jacobian_fd_check, newton_solve
+
+from helpers import jacobian_fd_check
 
 RNG = np.random.default_rng(41)
 

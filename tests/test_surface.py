@@ -13,15 +13,30 @@ from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_bullets(title):
+    """The bullet lines of README's section `title`."""
+    section = README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("- ")]
+
+
 def library_use_names():
     """Backticked names on the bullet lines of README's "Library use" section, in order."""
-    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return [name for line in readme_bullets("Library use") for name in re.findall(r"`(\w+)`", line)]
+
+
+def layout_module_names():
+    """Backticked names before the " - " of each bullet in README's "Layout" section."""
     return [
         name
-        for line in section.splitlines()
-        if line.startswith("- ")
-        for name in re.findall(r"`(\w+)`", line)
+        for line in readme_bullets("Layout")
+        for name in re.findall(r"`(\w+)`", line.split(" - ", 1)[0])
     ]
+
+
+def test_readme_layout_lists_each_module():
+    # A deleted module cannot stay documented, nor a new one go undocumented.
+    modules = [info.name for info in pkgutil.iter_modules(lattice_vortex.__path__)]
+    assert sorted(layout_module_names()) == sorted(modules)
 
 
 def test_root_exports_match_readme():
