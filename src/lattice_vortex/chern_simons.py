@@ -1,8 +1,8 @@
 """Vortex model on a finite lattice domain and its monotone solution scheme.
 
 The equation couples the graph Laplacian to the stiff source term
-lam * e^u (e^u - 1)^(2p+1) plus point charges of strength 4*pi*n_j. With a
-damping shift strictly above kappa(p)*lam, the supremum of the
+lam * e^u (e^u - 1)^(2p+1) plus point charges of strength 4*pi*n_j. With the
+damping shift 1.1*kappa(p)*lam, above the supremum kappa(p)*lam of the
 nonlinearity's slope over u <= 0, repeatedly solving the linear problem
 
     (Laplacian - shift) u_new = nonlinearity(u_old) + h - shift * u_old
@@ -31,6 +31,7 @@ from .calculus import (
 )
 from .lattice import LatticeDomain, LatticePoint, json_integer, json_point, json_real
 from .linsolve import (
+    DEFAULT_TOL_LINEAR,
     LinearSolveFailure,
     LinearSolveInfo,
     ShiftedLaplacianSystem,
@@ -73,6 +74,10 @@ FOUR_PI = 4.0 * math.pi
 MONOTONE_SLACK = 1e-9
 ENERGY_SLACK = 1e-9
 _NEWTON_MAX_SIZE = 10_000  # interior sites; each Newton step factors a sparse Jacobian
+_NEWTON_TOL = 1e-12  # sup-norm residual at which newton_solve returns
+_NEWTON_MAX_ITERATIONS = 50
+# max_principle_check's rounding allowance on its hypotheses and its conclusion.
+_MAX_PRINCIPLE_SLACK = 1e-12
 
 
 class SolveFailure(RuntimeError):
@@ -137,39 +142,39 @@ def kappa(p: int) -> float:
 class ModelParams:
     """Model and solver parameters.
 
-    `shift` must exceed kappa(p)*lam, the slope bound the per-step
-    comparison argument needs, and defaults to 1.1 times it. The error
+    The damping `shift` is not an input: it is 1.1 times kappa(p)*lam, the
+    slope bound the per-step comparison argument needs. The error
     contracts by about shift/(shift + mu) per step, mu the lowest
     eigenvalue of -Laplacian + N'(u*), so the step count grows with the
-    shift; over p <= 3 and lam from 1e-2 to 1e3, every step of shifts
-    1.0001 to 2 times the bound stayed monotone and energy-decreasing.
+    shift. The 10% margin keeps it near the bound yet clear of it: over
+    p <= 3 and lam from 1e-2 to 1e3, every step of shifts 1.0001 to 2
+    times the bound stayed monotone and energy-decreasing.
     Each ValueError message begins with the field it rejects.
     """
 
     lam: float
     p: int = 0
-    shift: float | None = None
     tol_nonlinear: float = 1e-10
     tol_residual: float = 1e-8
-    tol_linear: float = 1e-12
     max_outer_iterations: int = 50_000
 
     def __post_init__(self):
         # Booleans, strings, NaN and inf are rejected before any comparison.
-        for name in ("lam", "tol_nonlinear", "tol_residual", "tol_linear"):
+        for name in ("lam", "tol_nonlinear", "tol_residual"):
             setattr(self, name, json_real(getattr(self, name), name))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         self.p = json_integer(self.p, "p")
         if self.p < 0:
             raise ValueError("p must be a non-negative integer")
-        floor = kappa(self.p) * self.lam
-        self.shift = 1.1 * floor if self.shift is None else json_real(self.shift, "shift")
-        if self.shift <= floor:
-            raise ValueError(f"shift must exceed kappa(p)*lam = {floor}")
         self.max_outer_iterations = json_integer(self.max_outer_iterations, "max_outer_iterations")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
+
+    @property
+    def shift(self) -> float:
+        """The damping shift, 1.1 * kappa(p)*lam."""
+        return 1.1 * (kappa(self.p) * self.lam)
 
 
 @dataclass(frozen=True)
@@ -333,11 +338,11 @@ def functional_j(u: LatticeField, h: LatticeField, params: ModelParams) -> float
 
 def _step_arrays(u_int, n_u, h_int, params: ModelParams, system, backend: str, au=None):
     """One linear solve; `n_u` is nonlinearity(u_int) and `au` the product A u_int, if held."""
-    rhs = n_u + h_int - params.shift * u_int
+    rhs = n_u + h_int - system.shift * u_int
     # The linear noise floor bounds the reachable equation defect; keep it a
     # decade under tol_residual or the residual stop can become unreachable.
     scale = 1.0 + float(np.abs(rhs).max())
-    tol = min(params.tol_linear, params.tol_residual / (10.0 * scale))
+    tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
     return solve_interior(system, rhs, backend=backend, tol=tol, x0=u_int, ax0=au)
 
 
@@ -424,7 +429,7 @@ def solve_domain(
         # Laplacian of the zero-boundary iterate from the certifying product;
         # summing w * Laplacian(w) by parts gives minus the Dirichlet energy.
         aw = info.product
-        lap = params.shift * w - aw
+        lap = system.shift * w - aw
         energy = -float(w @ lap)
         # N(w) is both this step's residual term and the next step's rhs.
         n_w, pot = _nonlinearity_parts(w, params)
@@ -502,9 +507,6 @@ def newton_solve(
     vortices: VortexConfig,
     params: ModelParams,
     u_init: LatticeField | None = None,
-    *,
-    tol: float = 1e-12,
-    max_iterations: int = 50,
 ) -> LatticeField:
     """Solve the zero-boundary vortex equation by damped Newton iteration.
 
@@ -513,7 +515,9 @@ def newton_solve(
     plain Newton can overshoot into positive u, where the nonlinearity
     grows violently. `u_init` replaces the zero start under the scheme's
     start rule (non-positive, zero boundary). Returns once the sup-norm
-    residual is below `tol`, else raises NewtonFailure.
+    residual is below `_NEWTON_TOL` (1e-12). Raises NewtonFailure after
+    `_NEWTON_MAX_ITERATIONS` (50) steps, on a singular Jacobian, or when
+    the line search runs out.
     """
     if domain.n_interior > _NEWTON_MAX_SIZE:
         raise ValueError(f"newton_solve is limited to {_NEWTON_MAX_SIZE} interior points")
@@ -521,12 +525,12 @@ def newton_solve(
     start = np.zeros(domain.n_interior) if u_init is None else _start_interior(u_init, domain, "u_init")
     u = from_interior(domain, start)
     f_val = residual(u, h, params).interior
-    for iterations in range(max_iterations + 1):
-        if float(np.abs(f_val).max()) < tol:
+    for iterations in range(_NEWTON_MAX_ITERATIONS + 1):
+        if float(np.abs(f_val).max()) < _NEWTON_TOL:
             return u
-        if iterations == max_iterations:
+        if iterations == _NEWTON_MAX_ITERATIONS:
             raise NewtonFailure(
-                f"no convergence in {max_iterations} iterations "
+                f"no convergence in {_NEWTON_MAX_ITERATIONS} iterations "
                 f"(residual {float(np.abs(f_val).max()):.3e})"
             )
         try:
@@ -544,22 +548,20 @@ def newton_solve(
         u, f_val = trial, f_trial
 
 
-def max_principle_check(
-    f: LatticeField, g: LatticeField, *, slack: float = 1e-12
-) -> bool:
+def max_principle_check(f: LatticeField, g: LatticeField) -> bool:
     """Assert the damped comparison principle on a concrete instance.
 
     Hypotheses checked numerically: g > 0 on the closure, f <= 0 on the
-    boundary, and Laplacian(f) - g*f >= 0 on the interior (within `slack`).
+    boundary, and Laplacian(f) - g*f >= 0 on the interior (within 1e-12).
     Inputs failing them are rejected. Returns True when f <= 1e-12
     everywhere, which the hypotheses force.
     """
     _require_same_domain(f, g)
     if float(g.values.min()) <= 0.0:
         raise ValueError("g must be strictly positive on the closure")
-    if float(f.boundary_values.max(initial=-math.inf)) > slack:
+    if float(f.boundary_values.max(initial=-math.inf)) > _MAX_PRINCIPLE_SLACK:
         raise ValueError("f must be non-positive on the boundary")
     damped = laplacian_interior(f) - g.interior * f.interior
-    if float(damped.min()) < -slack:
+    if float(damped.min()) < -_MAX_PRINCIPLE_SLACK:
         raise ValueError("(Laplacian - g) f must be non-negative on the interior")
-    return bool(np.all(f.values <= 1e-12))
+    return bool(np.all(f.values <= _MAX_PRINCIPLE_SLACK))

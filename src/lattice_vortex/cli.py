@@ -96,11 +96,10 @@ _FIELD_KEYS = {
     "lam": "lambda",
     "tol_nonlinear": "tolerances.nonlinear",
     "tol_residual": "tolerances.residual",
-    "tol_linear": "tolerances.linear",
 }
 # Top-level keys that both commands read.
-_SHARED_KEYS = ("dimension", "vortices", "lambda", "p", "shift", "tolerances", "max_outer_iterations")
-_SOLVER_TOLERANCES = ("nonlinear", "residual", "linear")
+_SHARED_KEYS = ("dimension", "vortices", "lambda", "p", "tolerances", "max_outer_iterations")
+_SOLVER_TOLERANCES = ("nonlinear", "residual")
 
 
 @contextlib.contextmanager
@@ -147,7 +146,7 @@ def _vortices(cfg, dimension: int) -> VortexConfig:
 
 def _params(cfg, tols) -> ModelParams:
     kwargs = {f"tol_{key}": tols[key] for key in _SOLVER_TOLERANCES if key in tols}
-    for key in ("p", "shift", "max_outer_iterations"):
+    for key in ("p", "max_outer_iterations"):
         if key in cfg:
             kwargs[key] = cfg[key]
     return ModelParams(lam=cfg["lambda"], **kwargs)

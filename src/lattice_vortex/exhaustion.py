@@ -57,7 +57,7 @@ def vortex_centroid(vortices: VortexConfig, dimension: int) -> LatticePoint:
 
 @dataclass
 class ExhaustionSchedule:
-    """Chain of domains: shape, strictly increasing integer radii, integer center, charges.
+    """Chain of domains: shape, two or more strictly increasing integer radii, center, charges.
 
     Each ValueError message begins with the field it rejects.
     """
@@ -75,8 +75,9 @@ class ExhaustionSchedule:
         if not isinstance(self.radii, Iterable):
             raise ValueError(f"radii must be a list of integers, got {self.radii!r}")
         self.radii = tuple(json_integer(r, "radii entry") for r in self.radii)
-        if not self.radii:
-            raise ValueError("radii must list at least one radius")
+        # One radius measures no gap, so it certifies nothing.
+        if len(self.radii) < 2:
+            raise ValueError("radii must list at least two radii")
         if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
@@ -110,7 +111,6 @@ class GlobalSolutionEstimate:
     boundary_shell_sup: float
     tol_global: float
     decay_threshold: float
-    chain_violation: float = 0.0
 
     @property
     def finest_field(self) -> LatticeField:
@@ -196,7 +196,6 @@ def run_exhaustion(
     solutions: list[LatticeField] = []
     traces: list[IterationTrace] = []
     gaps: list[float] = []
-    worst_rise = -np.inf
     for radius in schedule.radii:
         dom = schedule.build_domain(radius)
         u_init = None
@@ -214,7 +213,6 @@ def run_exhaustion(
             prev_dom, prev_u = domains[-1], solutions[-1]
             on_prev = u.values[at]
             rise = float((on_prev - prev_u.values).max())
-            worst_rise = max(worst_rise, rise)
             if rise > CHAIN_SLACK:
                 raise ExhaustionFailure(
                     f"solution on radius {radius} rises {rise:.3e} above radius "
@@ -245,11 +243,10 @@ def run_exhaustion(
         inter_domain_gaps=gaps,
         decay=profile,
         gaps_strictly_decreasing=strict,
-        final_gap=gaps[-1] if gaps else 0.0,
+        final_gap=gaps[-1],
         boundary_shell_sup=edge_sup,
         tol_global=tol_global,
         decay_threshold=decay_threshold,
-        chain_violation=max(worst_rise, 0.0) if len(schedule.radii) > 1 else 0.0,
     )
 
 

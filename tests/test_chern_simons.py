@@ -49,8 +49,6 @@ def test_model_params_defaults_and_validation():
     params = ModelParams(lam=1.0, p=0)
     assert params.shift == 1.1  # 1.1 times the strict bound kappa(0)*lam = 1
     assert ModelParams(lam=0.5, p=2).shift == 1.1 * (chern_simons.kappa(2) * 0.5)
-    # Valid since the floor is kappa(p)*lam, not (2p+2)*lam.
-    assert ModelParams(lam=1.0, p=0, shift=2.0).shift == 2.0
     with pytest.raises(ValueError):
         ModelParams(lam=0.0)
     with pytest.raises(ValueError):
@@ -64,8 +62,7 @@ def test_model_params_defaults_and_validation():
         {"lam": True},
         {"lam": "1.0"},
         {"lam": 1.0, "p": True},
-        {"lam": 1.0, "shift": "4"},
-        {"lam": 1.0, "tol_linear": True},
+        {"lam": 1.0, "tol_residual": True},
     ):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
@@ -81,13 +78,16 @@ def test_kappa_is_the_slope_maximum(p):
 
 
 @pytest.mark.parametrize("p", range(4))
-def test_model_params_rejects_shift_below_kappa(p):
+def test_model_params_shift_is_derived(p):
     lam = 3.0
-    floor = chern_simons.kappa(p) * lam
-    for shift in (0.999 * floor, floor):
-        with pytest.raises(ValueError, match=r"shift must exceed kappa\(p\)\*lam"):
-            ModelParams(lam=lam, p=p, shift=shift)
-    assert ModelParams(lam=lam, p=p, shift=1.001 * floor).shift == 1.001 * floor
+    params = ModelParams(lam=lam, p=p)
+    assert params.shift == 1.1 * (chern_simons.kappa(p) * lam)
+    with pytest.raises(AttributeError):
+        params.shift = 2.0
+    # The shift and the linear tolerance are not inputs.
+    for name in ("shift", "tol_linear"):
+        with pytest.raises(TypeError):
+            ModelParams(lam=lam, p=p, **{name: 2.0})
 
 
 @pytest.mark.parametrize("p", range(4))
@@ -119,11 +119,11 @@ def test_large_lambda_converges_at_default_shift():
     [
         {"lam": math.nan},
         {"lam": math.inf},
-        {"lam": 1.0, "shift": math.nan},
-        {"lam": 1.0, "shift": math.inf},
+        {"lam": -math.inf},
         {"lam": 1.0, "tol_nonlinear": math.nan},
+        {"lam": 1.0, "tol_nonlinear": math.inf},
         {"lam": 1.0, "tol_residual": math.nan},
-        {"lam": 1.0, "tol_linear": math.inf},
+        {"lam": 1.0, "tol_residual": math.inf},
     ],
 )
 def test_model_params_rejects_non_finite(kwargs):
@@ -145,13 +145,13 @@ def test_model_params_accepts_integral_float_max_outer_iterations():
     params = ModelParams(
         lam=np.float32(0.5),
         p=2.0,
-        shift=np.int64(7),
-        tol_linear=np.float64(1e-12),
+        tol_nonlinear=np.int64(1),
+        tol_residual=np.float64(1e-12),
         max_outer_iterations=np.int64(100),
     )
-    assert (params.lam, params.p, params.shift, params.tol_linear) == (0.5, 2, 7.0, 1e-12)
+    assert (params.lam, params.p, params.tol_nonlinear, params.tol_residual) == (0.5, 2, 1.0, 1e-12)
     assert params.max_outer_iterations == 100
-    assert all(type(v) is float for v in (params.lam, params.shift, params.tol_linear))
+    assert all(type(v) is float for v in (params.lam, params.tol_nonlinear, params.tol_residual))
     assert type(params.p) is int and type(params.max_outer_iterations) is int
 
 
@@ -272,7 +272,7 @@ def test_functional_j_single_point_hand_value():
     # One interior site with value -1 and charge 4*pi; four unit edges give
     # energy 4, and the potential term is (1/2)(e^-1 - 1)^2.
     dom = make_ball(2, 0)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     u = from_interior(dom, np.array([-1.0]))
     h = source_h(dom, single_vortex())
     expected = 0.5 * 4.0 + 0.5 * math.expm1(-1.0) ** 2 + 4.0 * math.pi * (-1.0)
@@ -313,7 +313,7 @@ def test_iterate_step_zero_fixed_point():
 
 def test_iterate_step_first_two_steps():
     dom = make_box(2, 3)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     system = assemble(dom, params.shift)
     h = source_h(dom, single_vortex())
     u1 = iterate_step(zeros(dom), h, params, system)
@@ -363,7 +363,7 @@ def test_solve_domain_no_vortices_is_trivial():
 @pytest.mark.parametrize("backend", ["cg", "direct"])
 def test_solve_domain_single_vortex(backend):
     dom = make_box(2, 3)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     u, trace = solve_domain(dom, single_vortex(), params, backend=backend)
     assert trace.converged
     assert trace.final.residual_inf < 1e-8
@@ -377,7 +377,7 @@ def test_solve_domain_single_vortex(backend):
 
 def test_solve_domain_p1_case():
     dom = make_box(2, 3)
-    params = ModelParams(lam=1.0, p=1, shift=8.1)
+    params = ModelParams(lam=1.0, p=1)
     u, trace = solve_domain(dom, single_vortex(), params)
     assert trace.converged
     assert trace.final.l2p2_norm > 0.0
@@ -495,7 +495,7 @@ def test_first_iterate_bounds():
 
 def test_fixed_point_consistency():
     dom = make_box(2, 3)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     u, _ = solve_domain(dom, single_vortex(), params)
     system = assemble(dom, params.shift)
     h = source_h(dom, single_vortex())
@@ -530,7 +530,7 @@ def test_solve_domain_iteration_cap():
 def test_subsolution_dominance_reflexive_and_restriction():
     small = make_box(2, 2)
     big = make_box(2, 4)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     h = source_h(small, single_vortex())
     u_small, _ = solve_domain(small, single_vortex(), params)
     assert verify_subsolution_dominance(u_small, u_small, h, params)
@@ -543,7 +543,7 @@ def test_subsolution_dominance_reflexive_and_restriction():
 
 def test_subsolution_dominance_rejects_invalid_candidate():
     dom = make_box(2, 2)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     h = source_h(dom, single_vortex())
     u, _ = solve_domain(dom, single_vortex(), params)
     # constant fields fail the inequality at the vortex, where h dominates
@@ -557,7 +557,7 @@ def test_subsolution_dominance_shifted_solution_branch():
     # is monotone along the shift; verify the check classifies it honestly
     # and, when accepted, confirms dominance.
     dom = make_box(2, 2)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     h = source_h(dom, single_vortex())
     u, _ = solve_domain(dom, single_vortex(), params)
     shifted = from_interior(dom, u.interior - 0.1)

@@ -45,6 +45,8 @@ def test_schedule_validation():
         ExhaustionSchedule(dimension=2, shape="hex", radii=(2, 4), vortices=vort)
     with pytest.raises(ValueError):
         ExhaustionSchedule(dimension=2, shape="box", radii=(), vortices=vort)
+    with pytest.raises(ValueError, match="radii must list at least two radii"):
+        ExhaustionSchedule(dimension=2, shape="box", radii=(4,), vortices=vort)
     far = VortexConfig((((9, 9), 1),))
     with pytest.raises(ValueError):
         ExhaustionSchedule(
@@ -221,7 +223,6 @@ def test_run_exhaustion_single_vortex_small():
     est = run_exhaustion(sched, ModelParams(lam=1.0, p=0), backend="direct")
     assert len(est.inter_domain_gaps) == 2
     assert est.gaps_strictly_decreasing
-    assert est.chain_violation <= 1e-9
     assert all(verify_global_negativity(u) for u in est.solutions)
     # consecutive zero extensions sit below their predecessors
     for small_dom, small_u, big_u in zip(est.domains, est.solutions, est.solutions[1:]):

@@ -28,7 +28,7 @@ def test_newton_trivial_problem():
 
 def test_newton_residual_tolerance():
     dom = make_box(2, 3)
-    params = ModelParams(lam=1.0, p=0, shift=4.1)
+    params = ModelParams(lam=1.0, p=0)
     u = newton_solve(dom, single_vortex(), params)
     h = source_h(dom, single_vortex())
     assert lq_norm(residual(u, h, params), math.inf) < 1e-12

@@ -1,6 +1,7 @@
 """The package's public surface: root exports, each module's __all__, domain attributes."""
 
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import lattice_vortex
+from lattice_vortex.cli import _solve_inputs
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -37,6 +39,14 @@ def test_readme_layout_lists_each_module():
     # A deleted module cannot stay documented, nor a new one go undocumented.
     modules = [info.name for info in pkgutil.iter_modules(lattice_vortex.__path__)]
     assert sorted(layout_module_names()) == sorted(modules)
+
+
+def test_readme_solve_config_builds():
+    # A key the CLI does not read cannot appear in README's example.
+    after = README.read_text().split("`solve` configuration:", 1)[1]
+    block = after.split("```json\n", 1)[1].split("```", 1)[0]
+    domain, vortices, params = _solve_inputs(json.loads(block))
+    assert domain.n_interior > 0 and len(vortices) == 1 and params.lam == 1.0
 
 
 def test_root_exports_match_readme():
