@@ -112,9 +112,13 @@ def laplacian(u: LatticeField, x: LatticePoint) -> float:
 
 
 def laplacian_interior(u: LatticeField) -> np.ndarray:
-    """Graph Laplacian of u at every interior point, as one vectorized gather."""
+    """Graph Laplacian of u at every interior point, as one vectorized gather.
+
+    The gather is direction-major, one row per lattice direction, so the
+    sum adds whole contiguous rows rather than 2n values per site.
+    """
     dom = u.domain
-    nbr_sum = u.values[dom.interior_neighbors].sum(axis=1)
+    nbr_sum = u.values.take(dom.interior_neighbors.T).sum(axis=0)
     return nbr_sum - 2 * dom.dimension * u.interior
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import calculus
 from .calculus import (
@@ -39,6 +38,9 @@ from .linsolve import (
     interior_laplacian,
     solve_interior,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "FOUR_PI",
@@ -390,7 +392,7 @@ def solve_domain(
     solve's certifying product A w (A = shift*I - Laplacian) also gives the
     step's residual, its Dirichlet energy (by summation by parts, since w
     vanishes on the boundary) and the next solve's CG start, so a CG step on
-    a box takes one preconditioner apply and two sparse products, and a
+    a box takes one preconditioner apply and two products with A, and a
     direct step one.
 
     `u_init` replaces the zero start; it must be non-positive with zero
@@ -519,6 +521,8 @@ def newton_solve(
     `_NEWTON_MAX_ITERATIONS` (50) steps, on a singular Jacobian, or when
     the line search runs out.
     """
+    import scipy.sparse.linalg as spla
+
     if domain.n_interior > _NEWTON_MAX_SIZE:
         raise ValueError(f"newton_solve is limited to {_NEWTON_MAX_SIZE} interior points")
     h = source_h(domain, vortices)

@@ -1,18 +1,20 @@
 """Zero-boundary solves for the shift-damped lattice Laplacian.
 
-The operator is assembled once per domain and shift as a sparse symmetric
-positive definite matrix over interior sites; the boundary is eliminated
-by the index ordering. Two backends share one contract: a cached sparse
-LU factorization, the reference backend, and preconditioned conjugate
-gradients, the default. When the interior fills an axis-aligned box, the
-CG preconditioner is the exact inverse by fast diagonalization (Lynch,
-Rice & Thomas, Numer. Math. 6, 1964), so a solve takes one iteration;
-on any other interior it is the Jacobi diagonal.
+The operator A = shift*I - Laplacian acts on interior sites; the boundary
+is eliminated by the index ordering, and A is symmetric positive definite.
+Two backends share one contract: a cached sparse LU factorization, the
+reference, and preconditioned conjugate gradients, the default. When the
+interior fills an axis-aligned box, the CG preconditioner is the exact
+inverse by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+1964), so a solve takes one iteration, and numpy forms the product A x
+on the box grid. On any other interior the preconditioner is the Jacobi
+diagonal and the product is scipy's CSR. scipy is imported only where a
+CSR matrix is built or factored, so a CG solve on a box never loads it.
 
-Every solve is certified against one sparse product A x, which
-`solve_interior` returns in `LinearSolveInfo.product`. A caller that
-solves again from that x passes the product back as `ax0`, so CG starts
-from b - A x0 without forming A x0 a second time.
+Every solve is certified against one product A x, which `solve_interior`
+returns in `LinearSolveInfo.product`. A caller that solves again from
+that x passes the product back as `ax0`, so CG starts from b - A x0
+without forming A x0 a second time.
 
 Note that solutions do not restrict across nested domains: each domain
 re-pins its own boundary to zero, so the same right-hand side solved on a
@@ -21,14 +23,17 @@ larger domain gives different interior values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import LatticeDomain
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "LinearSolveFailure",
@@ -74,6 +79,8 @@ def interior_laplacian(domain: LatticeDomain) -> sp.csr_matrix:
     Row for site x: diagonal -2n, +1 for every interior neighbor; boundary
     neighbors contribute nothing because their values are pinned to zero.
     """
+    import scipy.sparse as sp
+
     n_int = domain.n_interior
     nbr = domain.interior_neighbors
     keep = nbr < n_int
@@ -86,29 +93,56 @@ def interior_laplacian(domain: LatticeDomain) -> sp.csr_matrix:
 
 
 class ShiftedLaplacianSystem:
-    """Sparse form of shift*I - Laplacian on interior sites (SPD for shift > 0)."""
+    """shift*I - Laplacian on interior sites (SPD for shift > 0): its product, preconditioner and LU.
 
-    def __init__(self, domain: LatticeDomain, shift: float, matrix: sp.csr_matrix):
+    Whether the exact box inverse exists (`_box_shape`) picks both the CG
+    preconditioner and the product: on a box, the exact inverse and a numpy
+    product on the grid; elsewhere, the Jacobi diagonal and the CSR
+    `matrix`. `matrix` is built on first use, by `lu()`, the COO dump
+    or a product off a box.
+    """
+
+    def __init__(self, domain: LatticeDomain, shift: float):
         self.domain = domain
         self.shift = shift
-        self.matrix = matrix
         self._lu = None
         self._preconditioner = None
+        self._box = _box_shape(domain)
+        self._layout = None if self._box is None else _padded_layout(self._box)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The CSR matrix, built on first use."""
+        import scipy.sparse as sp
+
+        n_int = self.domain.n_interior
+        matrix = sp.diags(np.full(n_int, self.shift), format="csr") - interior_laplacian(self.domain)
+        return matrix.tocsr()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x, bit for bit what `matrix @ x` gives."""
+        if self._box is None:
+            return self.matrix @ x
+        return _box_product(self._layout, self.shift + 2 * self.domain.dimension, x)
 
     def lu(self):
         # The matrix is symmetric, so a minimum-degree ordering of A^T + A
         # keeps about half the fill of the default COLAMD column ordering.
         if self._lu is None:
+            import scipy.sparse.linalg as spla
+
             self._lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._lu
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The CG preconditioner applied to r: exact on a full box, Jacobi otherwise."""
         if self._preconditioner is None:
-            self._preconditioner = _box_inverse(self.domain, self.shift)
-            if self._preconditioner is None:
-                diag_inv = 1.0 / self.matrix.diagonal()
+            if self._box is None:
+                # Every diagonal entry of A is shift + 2n.
+                diag_inv = 1.0 / (self.shift + 2 * self.domain.dimension)
                 self._preconditioner = lambda v: diag_inv * v
+            else:
+                self._preconditioner = _box_inverse(self._box, self.shift)
         return self._preconditioner(r)
 
     @property
@@ -117,29 +151,80 @@ class ShiftedLaplacianSystem:
 
 
 def assemble(domain: LatticeDomain, shift: float) -> ShiftedLaplacianSystem:
-    """Build the interior system for the damped operator with the given positive shift."""
+    """The interior system for the damped operator with the given positive shift."""
     # Written so that NaN fails too; an infinite shift has no system.
     if not 0 < shift < math.inf:
         raise ValueError(f"shift must be positive and finite, got {shift!r}")
-    n_int = domain.n_interior
-    matrix = sp.diags(np.full(n_int, float(shift)), format="csr") - interior_laplacian(domain)
-    return ShiftedLaplacianSystem(domain, float(shift), matrix.tocsr())
+    return ShiftedLaplacianSystem(domain, float(shift))
 
 
-def _box_inverse(domain: LatticeDomain, shift: float):
-    """The exact inverse of shift*I - Laplacian on a full-box interior, else None.
+def _box_shape(domain: LatticeDomain) -> list[int] | None:
+    """The grid shape of a full-box interior with every side up to _BOX_MAX_SIDE, else None.
 
     The interior is a full axis-aligned box exactly when its size equals the
     product of its coordinate extents. Interior sites are sorted
-    lexicographically, so the interior vector is that grid in C order. The
-    orthonormal, symmetric sine matrix of each axis diagonalizes the 1D
-    Dirichlet Laplacian, so the operator's inverse is S (1/Lambda) S with
-    S the tensor product of the axis sine matrices.
+    lexicographically, so the interior vector is that grid in C order.
     """
     coords = domain.coords[: domain.n_interior]
     shape = [int(m) for m in coords.max(axis=0) - coords.min(axis=0) + 1]
     if math.prod(shape) != domain.n_interior or max(shape) > _BOX_MAX_SIDE:
         return None
+    return shape
+
+
+def _padded_layout(shape: list[int]):
+    """The zero-padded buffer layout of `_box_product` for a box grid of the given shape.
+
+    Every axis but the first gets one trailing zero slot, and a band of
+    zeros one first-axis stride long goes before and after. A step of -1
+    or +1 along axis k is then a shift by that axis's stride which, from
+    the grid's edge, lands on a zero, so each neighbor term of A x is a
+    contiguous slice of the buffer. Returns the grid shape, the padded
+    shape, the grid's index within it and the padded axis strides.
+    """
+    padded = (shape[0], *(m + 1 for m in shape[1:]))
+    strides = [math.prod(padded[k + 1 :]) for k in range(len(shape))]
+    grid = (slice(None),) + (slice(None, -1),) * (len(shape) - 1)
+    return tuple(shape), padded, grid, strides
+
+
+def _box_product(layout, diagonal: float, x: np.ndarray) -> np.ndarray:
+    """A @ x on a full-box interior; `layout` is `_padded_layout` of its grid, `diagonal` shift + 2n.
+
+    CSR sums a row in column order, which on the lexicographic grid is
+    -x at the -e1, ..., -en neighbors, diagonal * x, then -x at the +en,
+    ..., +e1 neighbors, skipping boundary neighbors. Here each term is a
+    shifted slice of x in the zero-padded layout, so a boundary neighbor
+    adds zero and whole arrays are summed in that order. The sum is formed
+    negated, which gives the same bits since rounding is symmetric, and
+    subtracting it from +0.0 gives CSR's +0.0 where a row sums to zero.
+    """
+    shape, padded, grid, strides = layout
+    band = strides[0]
+    size = band * padded[0]
+    buf = np.zeros(size + 2 * band)
+
+    def shifted(step):
+        return buf[band + step : band + step + size]
+
+    center = shifted(0)
+    center.reshape(padded)[grid] = x.reshape(shape)
+    acc = shifted(-strides[0]) + shifted(-strides[1])
+    for step in strides[2:]:
+        acc += shifted(-step)
+    acc -= diagonal * center
+    for step in reversed(strides):
+        acc += shifted(step)
+    return np.subtract(0.0, acc.reshape(padded)[grid]).reshape(-1)
+
+
+def _box_inverse(shape: list[int], shift: float):
+    """The exact inverse of shift*I - Laplacian on a full-box interior of the given shape.
+
+    The orthonormal, symmetric sine matrix of each axis diagonalizes the 1D
+    Dirichlet Laplacian, so the operator's inverse is S (1/Lambda) S with
+    S the tensor product of the axis sine matrices.
+    """
     sines = []
     eig = np.float64(shift)
     for m in shape:
@@ -163,14 +248,13 @@ def _pcg(system, x, r, tol_abs, max_iterations):
 
     Updates x and its residual r = b - A x in place.
     """
-    matrix = system.matrix
     iterations = 0
     if np.abs(r).max() <= tol_abs:
         return iterations
     p = z = system.precondition(r)
     rz = float(r @ z)
     for iterations in range(1, max_iterations + 1):
-        mp = matrix @ p
+        mp = system.matvec(p)
         pmp = float(p @ mp)
         # p.Ap leaves (0, inf) only once the recurrence residual has underflowed;
         # this pass moved nothing, and certification reports the residual.
@@ -205,14 +289,14 @@ def solve_interior(
     either backend; a miss raises LinearSolveFailure, as does a right-hand
     side or an attained residual that is not finite; its `residual` is
     then not finite either. `info.product` is the
-    certifying product A w of the assembled matrix A = shift*I - Laplacian.
+    certifying product A w, A = shift*I - Laplacian.
     `ax0`, when given, must be A @ x0, typically the product of the solve
     that returned x0; CG then starts without multiplying by A.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (system.size,):
         raise ValueError(f"rhs length {f.shape} does not match system size {system.size}")
-    # The assembled matrix is -(Laplacian - shift), which is SPD.
+    # A is -(Laplacian - shift), which is SPD.
     b = -f
     b_max = float(np.abs(b).max())
     # NaN and inf both propagate through max; a non-finite rhs has no
@@ -223,7 +307,7 @@ def solve_interior(
     if backend == "direct":
         x = system.lu().solve(b)
         iterations = 1
-        ax = system.matrix @ x
+        ax = system.matvec(x)
         attained = float(np.abs(b - ax).max())
     elif backend == "cg":
         limit = max_iterations if max_iterations is not None else 10 * system.size
@@ -235,11 +319,11 @@ def solve_interior(
             r = b.copy()
         else:
             x = np.array(x0, dtype=np.float64)
-            r = b - (system.matrix @ x if ax0 is None else ax0)
+            r = b - (system.matvec(x) if ax0 is None else ax0)
         iterations = 0
         for _ in range(3):
             iterations += _pcg(system, x, r, 0.25 * tol_abs, max(limit - iterations, 0))
-            ax = system.matrix @ x
+            ax = system.matvec(x)
             r = b - ax
             attained = float(np.abs(r).max())
             if attained <= tol_abs or iterations >= limit:

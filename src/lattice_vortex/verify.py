@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import calculus
 from .calculus import LatticeField, from_interior, green_identity_defect, laplacian_interior
@@ -58,6 +56,8 @@ def _damped_operator(domain):
     column order. Writing g + 2n there gives (diag(g) - Laplacian).tocsc()
     exactly, since the Laplacian's diagonal is -2n.
     """
+    import scipy.sparse as sp
+
     n_int = domain.n_interior
     matrix = (sp.identity(n_int, format="csr") - interior_laplacian(domain)).tocsc()
     cols = np.repeat(np.arange(n_int), np.diff(matrix.indptr))
@@ -66,6 +66,8 @@ def _damped_operator(domain):
 
 def _max_principle_instance(rng, domain, operator):
     """`random_max_principle_instance` on the domain's `_damped_operator`, which it overwrites."""
+    import scipy.sparse.linalg as spla
+
     n_int = domain.n_interior
     g_vals = rng.uniform(0.1, 4.0, size=domain.n_closure)
     slack = rng.uniform(0.0, 1.0, size=n_int)

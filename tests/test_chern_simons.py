@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lattice_vortex import chern_simons
 
@@ -424,24 +423,14 @@ def test_solve_domain_outer_iteration_counts(p, iterations):
     assert all(r.norm_chain_ok for r in trace.records)
 
 
-class _CountingMatrix(sp.csr_matrix):
-    """The assembled matrix, counting its products with vectors."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
-
-
 @pytest.mark.parametrize("backend, per_step", [("cg", 2), ("direct", 1)])
 def test_solve_domain_sparse_products_per_step(monkeypatch, backend, per_step):
-    systems = []
+    products = []
 
     def counting_assemble(domain, shift):
         system = assemble(domain, shift)
-        system.matrix = _CountingMatrix(system.matrix)
-        systems.append(system)
+        matvec = system.matvec
+        system.matvec = lambda x: products.append(1) or matvec(x)
         return system
 
     monkeypatch.setattr(chern_simons, "assemble", counting_assemble)
@@ -451,9 +440,9 @@ def test_solve_domain_sparse_products_per_step(monkeypatch, backend, per_step):
     if backend == "cg":
         # One CG iteration per step on a box; the first step also forms A u0.
         assert all(r.linear_iterations == 1 for r in trace.records)
-        assert systems[0].matrix.products == per_step * trace.iterations + 1
+        assert len(products) == per_step * trace.iterations + 1
     else:
-        assert systems[0].matrix.products == per_step * trace.iterations
+        assert len(products) == per_step * trace.iterations
 
 
 @pytest.mark.parametrize(

@@ -346,6 +346,33 @@ def test_thread_cap_applies_before_numpy_loads():
     assert done.stdout.split() == ["1", "1", "2"]
 
 
+def test_cg_box_commands_never_load_scipy(tmp_path):
+    # A fresh interpreter runs a CG solve and a CG chain on boxes with no
+    # scipy module loaded; the commands that need a CSR matrix then load it
+    # in the same process and still succeed.
+    solve = write_config(tmp_path / "box.json", p=1)
+    chain = write_exhaust_config(tmp_path / "chain.json")
+    ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
+    probe = (
+        "import sys\n"
+        "from lattice_vortex.cli import main\n"
+        "def run(*argv):\n"
+        "    code = main(list(argv))\n"
+        "    assert code == 0, (argv, code)\n"
+        f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'box')!r})\n"
+        f"run('exhaust', {str(chain)!r}, '--out', {str(tmp_path / 'chain')!r}, '--backend', 'cg')\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+        f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'direct')!r}, '--backend', 'direct')\n"
+        f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball')!r})\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lattice_vortex.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_exhaust_success(tmp_path):
     cfg = write_exhaust_config(tmp_path / "chain.json")
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import pytest
 
 from lattice_vortex import linsolve
 from lattice_vortex.calculus import from_interior, laplacian, zeros
+from lattice_vortex.chern_simons import kappa
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import (
     _BOX_MAX_SIDE,
@@ -59,6 +60,36 @@ def test_matrix_symmetric_and_positive_definite():
     for _ in range(100):
         v = RNG.standard_normal(dom.n_interior)
         assert v @ (system.matrix @ v) > 0.0
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [make_box(2, 4), make_box(2, 6, center=(3, -7)), make_box(3, 3), make_box(3, 2, center=(1, 2, -1))],
+    ids=["2d", "2d-off-center", "3d", "3d-off-center"],
+)
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_box_product_equals_csr_bitwise(dom, p):
+    # The numpy product adds each row's terms in CSR's column order, so it
+    # must reproduce the CSR product bit for bit, the sign of zero included.
+    system = assemble(dom, 1.1 * (kappa(p) * 1.0))
+    assert system._box is not None
+    rng = np.random.default_rng(p)
+    zero = np.zeros(dom.n_interior)
+    xs = [zero, -zero]
+    for scale in (1e-8, 1.0, 1e3):
+        xs += [rng.uniform(-scale, scale, dom.n_interior), -scale * rng.random(dom.n_interior)]
+    for x in xs:
+        assert system.matvec(x).tobytes() == (system.matrix @ x).tobytes()
+
+
+def test_jacobi_diagonal_is_shift_plus_2n():
+    for dom in (make_ball(2, 6), make_ball(3, 3), _box_minus_one_site()):
+        system = assemble(dom, 1.1 * kappa(1))
+        assert system._box is None
+        diagonal = system.matrix.diagonal()
+        assert np.array_equal(diagonal, np.full(dom.n_interior, system.shift + 2 * dom.dimension))
+        r = RNG.uniform(-1, 1, dom.n_interior)
+        assert np.array_equal(system.precondition(r), (1.0 / diagonal) * r)
 
 
 def test_interior_laplacian_matches_pointwise_operator():
