@@ -38,9 +38,9 @@ class LatticeField:
     """Real values attached to every closure point of a domain.
 
     `values` has shape (n_closure,), or (k, n_closure) for a stack of k
-    fields on one domain. `lq_norm`, `seminorm_1q` and `gns_ratio` reduce
-    over the last axis and accept stacks; every other operator takes a
-    single field.
+    fields on one domain. `laplacian_interior`, `green_identity_defect`,
+    `lq_norm`, `seminorm_1q` and `gns_ratio` work along the last axis and
+    accept stacks; every other operator takes a single field.
     """
 
     domain: LatticeDomain
@@ -115,10 +115,12 @@ def laplacian_interior(u: LatticeField) -> np.ndarray:
     """Graph Laplacian of u at every interior point, as one vectorized gather.
 
     The gather is direction-major, one row per lattice direction, so the
-    sum adds whole contiguous rows rather than 2n values per site.
+    sum adds whole contiguous rows rather than 2n values per site. A stack
+    of k fields gives a (k, n_interior) array whose rows are bitwise the
+    Laplacians of the fields alone.
     """
     dom = u.domain
-    nbr_sum = u.values.take(dom.interior_neighbors.T).sum(axis=0)
+    nbr_sum = u.values.take(dom.interior_neighbors.T, axis=-1).sum(axis=-2)
     return nbr_sum - 2 * dom.dimension * u.interior
 
 
@@ -166,25 +168,29 @@ def green_identity_defect(
     from `interior_neighbors`. Neither uses `edges` or the energy
     functions, so the check stays independent of the edge-array energy
     path. `laplacian_fn` maps a field to its interior
-    Laplacian array (length n_interior); it exists so verification
+    Laplacian array (shape u.interior.shape); it exists so verification
     harnesses can inject a corrupted operator and confirm the check trips.
+
+    Stacks of k pairs (u and v of shape (k, n_closure)) give an array of
+    k defects, each bitwise the defect of that pair alone: every sum runs
+    over the last axis of a row-major gather.
     """
     _require_same_domain(u, v)
     _require_zero_boundary(v, "v")
     dom = u.domain
     lap = np.asarray(laplacian_fn(u), dtype=np.float64)
-    if lap.shape != (dom.n_interior,):
-        raise ValueError(f"laplacian_fn returned shape {lap.shape}, expected ({dom.n_interior},)")
+    if lap.shape != u.interior.shape:
+        raise ValueError(f"laplacian_fn returned shape {lap.shape}, expected {u.interior.shape}")
     # Every closure edge is seen from both ends, so the gradient-form sum
     # is half the sum of the difference products.
     inside = dom.adjacency >= 0
     src = np.repeat(np.arange(dom.n_closure), 2 * dom.dimension)[inside.ravel()]
     nbrs = dom.adjacency[inside]
-    du = u.values[nbrs] - u.values[src]
-    dv = v.values[nbrs] - v.values[src]
-    lhs = 0.5 * np.sum(du * dv)
-    rhs = np.sum(lap * v.interior)
-    return abs(float(lhs + rhs))
+    du = u.values.take(nbrs, axis=-1) - u.values.take(src, axis=-1)
+    dv = v.values.take(nbrs, axis=-1) - v.values.take(src, axis=-1)
+    lhs = 0.5 * np.sum(du * dv, axis=-1)
+    rhs = np.sum(lap * v.interior, axis=-1)
+    return _reduced(np.abs(lhs + rhs))
 
 
 def _ipow(x, k: int):

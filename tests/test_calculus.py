@@ -24,6 +24,7 @@ from lattice_vortex.calculus import (
     zeros,
 )
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
+from lattice_vortex.verify import faulty_laplacian
 
 from brute import (
     naive_bilinear_energy,
@@ -229,6 +230,50 @@ def test_green_identity_rejects_wrong_length_operator():
     v = random_interior_field(dom)
     with pytest.raises(ValueError):
         green_identity_defect(u, v, laplacian_fn=lambda w: laplacian_interior(w)[:-1])
+
+
+STACK_DOMAINS = [make_box(2, 3)] + GREEN_DOMAINS
+
+
+def _stack_pairs(dom, k):
+    """k fields u with boundary values and k zero-boundary fields v, rows scaled 1e-8 to 1e3."""
+    rng = np.random.default_rng(dom.n_closure + k)
+    scales = 10.0 ** rng.integers(-8, 4, size=(k, 1))
+    u = LatticeField(dom, rng.uniform(-1, 1, size=(k, dom.n_closure)) * scales)
+    v = from_interior(dom, rng.uniform(-1, 1, size=(k, dom.n_interior)) * scales)
+    return u, v
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("dom", STACK_DOMAINS, ids=repr)
+def test_stacked_laplacian_interior_equals_per_field_bitwise(dom, k):
+    u, _ = _stack_pairs(dom, k)
+    stacked = laplacian_interior(u)
+    assert stacked.shape == (k, dom.n_interior)
+    for row, values in zip(stacked, u.values):
+        assert row.tobytes() == laplacian_interior(LatticeField(dom, values)).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("dom", STACK_DOMAINS, ids=repr)
+@pytest.mark.parametrize("laplacian_fn", [laplacian_interior, faulty_laplacian])
+def test_stacked_green_identity_defect_equals_per_pair_bitwise(dom, k, laplacian_fn):
+    u, v = _stack_pairs(dom, k)
+    stacked = green_identity_defect(u, v, laplacian_fn=laplacian_fn)
+    assert stacked.shape == (k,)
+    for i in range(k):
+        single = green_identity_defect(
+            LatticeField(dom, u.values[i]), LatticeField(dom, v.values[i]), laplacian_fn=laplacian_fn
+        )
+        assert isinstance(single, float)
+        assert stacked[i].tobytes() == np.float64(single).tobytes()
+
+
+def test_stacked_green_identity_rejects_wrong_shape_operator():
+    u, v = _stack_pairs(make_box(2, 2), 3)
+    for wrong in (lambda w: laplacian_interior(w)[0], lambda w: laplacian_interior(w)[:, :-1]):
+        with pytest.raises(ValueError):
+            green_identity_defect(u, v, laplacian_fn=wrong)
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (0, 1, 2)])

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lattice_vortex import verify
-from lattice_vortex.calculus import from_interior, gns_ratio
+from lattice_vortex.calculus import LatticeField, from_interior, gns_ratio, green_identity_defect
 from lattice_vortex.lattice import make_ball, make_box
 from lattice_vortex.linsolve import interior_laplacian
 from lattice_vortex.verify import (
@@ -20,8 +20,12 @@ from lattice_vortex.verify import (
 # Recorded by run_suites(11, [1, 2]). The gns_ratio line comes from the
 # per-field suites that preceded the stacked ones, whose draws are
 # unchanged; the oracle_equivalence line from solves at the default shift
-# 1.1*kappa(p)*lam.
+# 1.1*kappa(p)*lam. The maximum_principle and green_identity lines come
+# from the per-instance suites (one sparse solve per instance, one call
+# per pair) that preceded the banded and stacked ones.
 RECORDED_SEED_11 = {
+    "maximum_principle": "100 instances, 5 fault probes",
+    "green_identity": "100 pairs x 3 domains, worst defect 2.132e-14",
     "gns_ratio": (
         "1000 fields per combo; max ratios n=2,p=0: 0.2497, n=2,p=1: 0.5214, "
         "n=2,p=2: 0.6555, n=3,p=0: 0.1980, n=3,p=1: 0.4612, n=3,p=2: 0.6024"
@@ -99,18 +103,61 @@ def test_max_principle_suite_builds_each_operator_once(monkeypatch):
 def test_max_principle_operator_equals_assembled_difference(domain):
     n_int = domain.n_interior
     lap = interior_laplacian(domain)
-    operator = verify._damped_operator(domain)
+    band = verify._damped_band(domain)
+    bw = band.shape[0] - 1
     rng = np.random.default_rng(n_int)
     for _ in range(3):
-        f, g, slack = verify._max_principle_instance(rng, domain, operator)
-        want = (sp.diags(g.values[:n_int]) - lap).tocsc()
-        got = operator[0]
-        for name in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    # the public instance is the solve against that difference, bit for bit
+        f, g, slack = verify._max_principle_instance(rng, domain, band)
+        # the symmetric matrix the band stores, entry for entry
+        upper = sp.diags([band[bw - k, k:] for k in range(bw + 1)], range(bw + 1))
+        got = (sp.triu(upper, 1).T + upper).toarray()
+        want = (sp.diags(g.values[:n_int]) - lap).toarray()
+        np.testing.assert_array_equal(got, want)
+    # the public instance solves that difference to rounding
     f, g, slack = random_max_principle_instance(np.random.default_rng(5), domain)
     full_b = np.concatenate([np.zeros(n_int), f.boundary_values])
-    coupling = full_b[domain.interior_neighbors].sum(axis=1)
-    want = spla.spsolve((sp.diags(g.values[:n_int]) - lap).tocsc(), coupling - slack)
-    np.testing.assert_array_equal(f.interior, want)
+    rhs = full_b[domain.interior_neighbors].sum(axis=1) - slack
+    operator = (sp.diags(g.values[:n_int]) - lap).tocsc()
+    bound = 1e-12 * (1.0 + np.abs(f.interior).max())
+    assert np.abs(f.interior - spla.spsolve(operator, rhs)).max() <= bound
+    assert np.abs(operator @ f.interior - rhs).max() <= bound
 
+
+def _faulty_where_first_value_high(u):
+    """Faulty only for fields whose first value exceeds 0.9: with seed 4 and
+    sizes [1, 2] the first domain passes, the second fails at pair 14
+    (mid-block) and the third at pair 0."""
+    return verify.laplacian_interior(u) + 1e-6 * (u.values[..., :1] > 0.9)
+
+
+def test_green_identity_suite_matches_per_pair_loop():
+    pairs = 23  # not a multiple of the block
+    sizes = [1, 2]
+    for laplacian_fn in (verify.laplacian_interior, faulty_laplacian, _faulty_where_first_value_high):
+        rng = np.random.default_rng(4)
+        result = green_identity_suite(rng, sizes, pairs=pairs, laplacian_fn=laplacian_fn)
+        ref_rng = np.random.default_rng(4)
+        domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
+        worst = 0.0
+        failures = []
+        for domain in domains:
+            for _ in range(pairs):
+                u = LatticeField(domain, ref_rng.uniform(-1, 1, size=domain.n_closure))
+                v = from_interior(domain, ref_rng.uniform(-1, 1, size=domain.n_interior))
+                defect = green_identity_defect(u, v, laplacian_fn=laplacian_fn)
+                worst = max(worst, defect)
+                if defect >= 1e-10:
+                    failures.append(f"defect {defect:.3e} on {domain!r}")
+                    break
+        detail = f"{pairs} pairs x {len(domains)} domains, worst defect {worst:.3e}"
+        assert result.passed == (not failures)
+        assert result.detail == ("; ".join(failures) or detail)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_verify_suites_make_no_sparse_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spsolve called")
+
+    monkeypatch.setattr(spla, "spsolve", refuse)
+    assert all(r.passed for r in run_suites(0, [1, 3, 7]))
