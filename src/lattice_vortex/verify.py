@@ -23,7 +23,7 @@ from . import calculus
 from .calculus import LatticeField, from_interior, green_identity_defect, laplacian_interior
 from .chern_simons import ModelParams, VortexConfig, max_principle_check, newton_solve, solve_domain
 from .lattice import make_box
-from .linsolve import interior_laplacian
+from .linsolve import damped_band
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
 
@@ -45,28 +45,11 @@ def random_max_principle_instance(rng, domain):
     non-positive respectively, and f is recovered by a banded Cholesky
     solve of (diag(g) - Laplacian) f = boundary coupling - slack.
     """
-    return _max_principle_instance(rng, domain, _damped_band(domain))
-
-
-def _damped_band(domain):
-    """diag(g) - Laplacian on the interior in LAPACK upper band storage, with g still unset.
-
-    Entry (i, j), i <= j, sits at [bw + i - j, j], where the band width bw
-    is the largest j - i of an interior edge (the first-axis stride on a
-    box), so row bw is the diagonal. Writing g + 2n there gives
-    diag(g) - Laplacian exactly, since the Laplacian's diagonal is -2n.
-    """
-    lap = interior_laplacian(domain).tocoo()
-    offset = lap.col - lap.row
-    upper = offset >= 0
-    bw = int(offset.max(initial=0))
-    band = np.zeros((bw + 1, domain.n_interior))
-    band[bw - offset[upper], lap.col[upper]] = -lap.data[upper]
-    return band
+    return _max_principle_instance(rng, domain, damped_band(domain))
 
 
 def _max_principle_instance(rng, domain, band):
-    """`random_max_principle_instance` on the domain's `_damped_band`, whose diagonal it overwrites.
+    """`random_max_principle_instance` on the domain's `damped_band`, whose diagonal it overwrites.
 
     One LAPACK `dpbsv` call factors and solves the SPD band system; it
     orders nothing and skips the argument checks of `solveh_banded`.
@@ -95,7 +78,7 @@ def max_principle_suite(rng, sizes, instances=100) -> SuiteResult:
     damped-operator slack) and requires the checker to reject them.
     """
     domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
-    bands = [_damped_band(domain) for domain in domains]
+    bands = [damped_band(domain) for domain in domains]
     failures = []
     for i in range(instances):
         j = i % len(domains)

@@ -348,8 +348,9 @@ def test_thread_cap_applies_before_numpy_loads():
 
 def test_cg_box_commands_never_load_scipy(tmp_path):
     # A fresh interpreter runs a CG solve and a CG chain on boxes with no
-    # scipy module loaded; the commands that need a CSR matrix then load it
-    # in the same process and still succeed.
+    # scipy module loaded; a direct box solve then loads LAPACK but not
+    # scipy.sparse, and a ball, which needs a CSR matrix, loads it in the
+    # same process and still succeeds.
     solve = write_config(tmp_path / "box.json", p=1)
     chain = write_exhaust_config(tmp_path / "chain.json")
     ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
@@ -364,6 +365,7 @@ def test_cg_box_commands_never_load_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
         f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'direct')!r}, '--backend', 'direct')\n"
+        "assert 'scipy.sparse' not in sys.modules, 'direct box solve loaded scipy.sparse'\n"
         f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball')!r})\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lattice_vortex.__file__).parent.parent))
@@ -371,6 +373,23 @@ def test_cg_box_commands_never_load_scipy(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_direct_commands_never_call_splu(tmp_path, monkeypatch):
+    # The direct backend factors with banded Cholesky; SuperLU is left
+    # only to newton_solve.
+    import scipy.sparse.linalg as spla
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    box = write_config(tmp_path / "box.json", p=1)
+    ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
+    chain = write_exhaust_config(tmp_path / "chain.json")
+    for cfg in (box, ball):
+        assert main(["solve", str(cfg), "--out", str(tmp_path / cfg.stem), "--backend", "direct"]) == EXIT_OK
+    assert main(["exhaust", str(chain), "--out", str(tmp_path / "chain"), "--backend", "direct"]) == EXIT_OK
 
 
 def test_exhaust_success(tmp_path):

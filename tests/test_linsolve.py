@@ -10,8 +10,11 @@ from lattice_vortex.chern_simons import kappa
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import (
     _BOX_MAX_SIDE,
+    DEFAULT_TOL_LINEAR,
     LinearSolveFailure,
+    ShiftedLaplacianSystem,
     assemble,
+    damped_band,
     interior_laplacian,
     matrix_to_coo_text,
     solve_interior,
@@ -281,18 +284,62 @@ def test_non_finite_rhs_rejected_before_solving(monkeypatch, backend, bad):
     assert math.isnan(err.value.residual)
     # no CG iteration, no preconditioner and no factorization was spent on it
     assert calls == []
-    assert system._preconditioner is None and system._lu is None
+    assert system._preconditioner is None and system._cholesky is None
 
 
 def test_non_finite_attained_residual_rejected(monkeypatch):
     system = assemble(make_box(2, 2), 4.0)
 
-    class NanFactor:
-        def solve(self, b):
-            return np.full_like(b, math.nan)
-
-    monkeypatch.setattr(system, "lu", NanFactor)
+    nan_factor = np.full((2, system.size), math.nan, order="F")
+    monkeypatch.setattr(system, "cholesky", lambda: nan_factor)
     with pytest.raises(LinearSolveFailure) as err:
         solve_interior(system, np.ones(system.size), backend="direct")
     assert math.isnan(err.value.residual)
 
+
+
+BAND_DOMAINS = [
+    make_box(2, 4),
+    make_box(2, 5, center=(3, -2)),
+    make_box(3, 3),
+    make_ball(2, 6),
+    LatticeDomain(2, [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2), (5, 5), (5, 6)]),
+]
+BAND_IDS = ["box-2d", "box-2d-off-center", "box-3d", "ball-2d", "point-set"]
+
+
+@pytest.mark.parametrize("dom", BAND_DOMAINS, ids=BAND_IDS)
+def test_damped_band_stores_the_matrix(dom):
+    system = assemble(dom, 1.3)
+    band = damped_band(dom)
+    assert band.flags.f_contiguous
+    bw = band.shape[0] - 1
+    assert band.shape == (bw + 1, dom.n_interior)
+    assert not band[-1].any()
+    band[-1] = system.shift + 2 * dom.dimension
+    # the symmetric matrix the band stores, entry for entry
+    upper = sum(np.diag(band[bw - k, k:], k) for k in range(bw + 1))
+    np.testing.assert_array_equal(upper + np.triu(upper, 1).T, system.matrix.toarray())
+
+
+@pytest.mark.parametrize("dom", BAND_DOMAINS, ids=BAND_IDS)
+def test_direct_solve_certified_and_agrees_with_cg(dom):
+    system = assemble(dom, 1.3)
+    f = np.random.default_rng(dom.n_interior).uniform(-2, 2, dom.n_interior)
+    wd, info = solve_interior(system, f, backend="direct")
+    assert info.residual_inf <= DEFAULT_TOL_LINEAR * (1.0 + np.abs(f).max())
+    assert np.array_equal(info.product, system.matrix @ wd)
+    wc, _ = solve_interior(system, f, backend="cg")
+    # A is diagonally dominant with row sums at least the shift, so
+    # |A^-1|_inf <= 1/1.3 and the two certified solves differ by under 1e-11.
+    assert np.abs(wd - wc).max() <= 1e-11
+
+
+def test_failed_cholesky_raises_linear_solve_failure():
+    # assemble rejects a non-positive shift; built directly, A is indefinite
+    # and LAPACK reports it instead of returning a NaN factor.
+    system = ShiftedLaplacianSystem(make_box(2, 2), -10.0)
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_interior(system, np.ones(system.size), backend="direct")
+    assert math.isnan(err.value.residual)
+    assert system._cholesky is None
