@@ -381,7 +381,7 @@ def solve_domain(
     backend: str = "cg",
     u_init: LatticeField | None = None,
 ) -> tuple[LatticeField, IterationTrace]:
-    """Run the monotone scheme from zero until both stop criteria hold.
+    """Run the monotone scheme from zero, or from `u_init`, until both stop criteria hold.
 
     Stops when the sup-norm step change falls below tol_nonlinear and the
     equation defect falls below tol_residual; either alone can flatter a
@@ -396,9 +396,8 @@ def solve_domain(
     direct step one.
 
     `u_init` replaces the zero start; it must be non-positive with zero
-    boundary. Non-zero starts are an unverified optimization: the
-    pointwise-decrease guarantee is proven only from zero, so the per-step
-    monotonicity checks do the verifying at run time.
+    boundary, and a supersolution for the iterates to decrease from it
+    (`exhaustion.run_exhaustion` starts each domain from one).
 
     A step whose linear solve meets NaN or inf (a non-finite right-hand
     side or residual) raises NonFiniteBreakdown with that step in the

@@ -1,10 +1,10 @@
 """Global solution estimates by solving over a growing chain of domains.
 
-Each domain in the chain is solved independently from zero; the zero
-extension of every solution must sit below its predecessor pointwise,
-the gap between consecutive extensions must shrink, and the outermost
-values of the final solution must be small. Those three finite checks
-stand in for the pointwise limit over an infinite chain.
+The first domain is solved from zero and each later one from the zero
+extension of its predecessor's solution, which the new solution must not
+exceed anywhere. The gap between consecutive solutions must shrink, and
+the outermost values of the final solution must be small. Those three
+finite checks stand in for the pointwise limit over an infinite chain.
 """
 
 from __future__ import annotations
@@ -170,7 +170,6 @@ def run_exhaustion(
     backend: str = "cg",
     tol_global: float = 1e-5,
     decay_threshold: float = 1e-4,
-    warm_start: bool = False,
 ) -> GlobalSolutionEstimate:
     """Solve the chain in order and assemble the global estimate.
 
@@ -179,49 +178,45 @@ def run_exhaustion(
     with the offending radius pair, since it falsifies the ordering the
     whole construction rests on.
 
-    Each consecutive pair forms one `nested_index` map, which checks the
-    nesting and gathers the new solution onto the previous closure.
-
-    `warm_start` seeds each solve with the zero extension of the previous
-    solution instead of zero. It is off by default and unverified: the
-    decrease guarantee is proven from the zero start only, so warm runs
-    rely entirely on the per-step monotonicity checks.
+    Each consecutive pair forms one `nested_index` map. It checks the
+    nesting, extends the previous solution u_R by zero to v, the start of
+    the new solve, and gathers the new solution onto the previous closure.
+    v is a valid start for the monotone scheme:
+    - every iterate satisfies Laplacian(u) - N(u) - h <= 0, up to the
+      linear-solve error, because the shift is at least N' and the iterates
+      decrease; so the converged u_R is a supersolution on its domain;
+    - outside that domain v, h and N(v) are 0 while Laplacian(v) <= 0;
+    - so v is a supersolution on the new domain, above its maximal
+      solution, and the scheme decreases from v to that solution. The
+      first step rises by at most max(residual(v)+) / shift.
 
     `tol_global` and `decay_threshold` must be finite and positive
     (`chain_tolerance`); a NaN would make `success` false on every run.
     """
     tol_global = chain_tolerance(tol_global, "tol_global")
     decay_threshold = chain_tolerance(decay_threshold, "decay_threshold")
-    domains: list[LatticeDomain] = []
-    solutions: list[LatticeField] = []
-    traces: list[IterationTrace] = []
-    gaps: list[float] = []
-    for radius in schedule.radii:
+    dom = schedule.build_domain(schedule.radii[0])
+    u, trace = solve_domain(dom, schedule.vortices, params, backend=backend)
+    domains, solutions, traces, gaps = [dom], [u], [trace], []
+    for prev_radius, radius in zip(schedule.radii, schedule.radii[1:]):
+        prev_dom, prev_u = dom, u
         dom = schedule.build_domain(radius)
-        u_init = None
-        if domains:
-            try:
-                at = nested_index(domains[-1], dom)
-            except ValueError:
-                raise ExhaustionFailure(
-                    f"domain of radius {radius} does not contain its predecessor"
-                ) from None
-            if warm_start:
-                u_init = _extend(solutions[-1], dom, at)
+        try:
+            at = nested_index(prev_dom, dom)
+        except ValueError:
+            raise ExhaustionFailure(
+                f"domain of radius {radius} does not contain its predecessor"
+            ) from None
+        u_init = _extend(prev_u, dom, at)
         u, trace = solve_domain(dom, schedule.vortices, params, backend=backend, u_init=u_init)
-        if domains:
-            prev_dom, prev_u = domains[-1], solutions[-1]
-            on_prev = u.values[at]
-            rise = float((on_prev - prev_u.values).max())
-            if rise > CHAIN_SLACK:
-                raise ExhaustionFailure(
-                    f"solution on radius {radius} rises {rise:.3e} above radius "
-                    f"{schedule.radii[len(domains) - 1]}",
-                    pair=(schedule.radii[len(domains) - 1], radius),
-                )
-            gaps.append(
-                float(np.abs(on_prev[: prev_dom.n_interior] - prev_u.interior).max())
+        on_prev = u.values[at]
+        rise = float((on_prev - prev_u.values).max())
+        if rise > CHAIN_SLACK:
+            raise ExhaustionFailure(
+                f"solution on radius {radius} rises {rise:.3e} above radius {prev_radius}",
+                pair=(prev_radius, radius),
             )
+        gaps.append(float(np.abs(on_prev[: prev_dom.n_interior] - prev_u.interior).max()))
         domains.append(dom)
         solutions.append(u)
         traces.append(trace)
@@ -229,9 +224,8 @@ def run_exhaustion(
     # The very last shells of the closure hold boundary sites pinned to
     # zero; the decay certificate reads the outermost shell that still
     # contains interior sites.
-    last = domains[-1]
     center_arr = np.asarray(schedule.center, dtype=np.int64)
-    interior_dist = np.abs(last.coords[: last.n_interior] - center_arr).sum(axis=1)
+    interior_dist = np.abs(dom.coords[: dom.n_interior] - center_arr).sum(axis=1)
     edge_radius = int(interior_dist.max())
     edge_sup = next(s for r, s in profile if r == edge_radius)
     strict = all(b < a for a, b in zip(gaps, gaps[1:]))

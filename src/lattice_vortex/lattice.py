@@ -195,17 +195,24 @@ def nested_index(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray:
     inside `outer`'s interior, which would leave `inner`'s boundary outside
     `outer`'s closure.
     """
-    if not is_nested(inner, outer):
+    at = _nested_map(inner, outer)
+    if at is None:
         raise ValueError("interior of the inner domain is not inside the outer interior")
-    return outer.locate(inner.coords)
+    return at
 
 
 def is_nested(inner: LatticeDomain, outer: LatticeDomain) -> bool:
     """True when every interior point of `inner` is interior to `outer`."""
+    return _nested_map(inner, outer) is not None
+
+
+def _nested_map(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray | None:
+    """One `outer.locate` of `inner`'s closure; None unless its interior prefix is interior."""
     if inner.dimension != outer.dimension:
         raise ValueError("dimension mismatch between domains")
-    inside = outer.locate(inner.coords[: inner.n_interior])
-    return bool(np.all((inside >= 0) & (inside < outer.n_interior)))
+    at = outer.locate(inner.coords)
+    inside = at[: inner.n_interior]
+    return at if np.all((inside >= 0) & (inside < outer.n_interior)) else None
 
 
 def domain_to_json(domain: LatticeDomain):

@@ -406,6 +406,16 @@ def test_exhaust_success(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+def test_exhaust_starts_each_radius_from_its_predecessor(tmp_path):
+    # From zero every radius after the first took 106 steps; started from
+    # the previous solution the later radii need fewer and fewer.
+    cfg = write_exhaust_config(tmp_path / "chain.json", radii=[4, 8, 16, 32])
+    out = tmp_path / "out"
+    assert main(["exhaust", str(cfg), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert [e["iterations"] for e in report["per_radius"]] == [102, 87, 49, 4]
+
+
 def test_exhaust_no_vortices(tmp_path):
     cfg = write_exhaust_config(tmp_path / "chain.json", vortices=[], radii=[2, 4])
     out = tmp_path / "out"

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from lattice_vortex.calculus import LatticeField, from_interior, lq_norm, zeros
-from lattice_vortex.chern_simons import ModelParams, VortexConfig, solve_domain
+from lattice_vortex.chern_simons import (
+    ModelParams, VortexConfig, residual, solve_domain, source_h,
+)
 from lattice_vortex.exhaustion import (
     ExhaustionSchedule,
     decay_profile,
@@ -241,19 +245,59 @@ def test_run_exhaustion_ball_shape():
     assert est.final_gap < 0.1
 
 
-def test_run_exhaustion_warm_start_matches_cold():
-    # unverified optimization: must reproduce the cold-start chain and
-    # still pass every per-step monotonicity check
+# Chains run by the warm-start tests: dimension, shape, radii, p, backend.
+CHAINS = [
+    (2, "box", (3, 6, 12), 0, "cg"),
+    (2, "box", (3, 6, 12), 0, "direct"),
+    (2, "box", (3, 6, 12), 1, "cg"),
+    (2, "ball", (3, 6, 12), 0, "cg"),
+    (3, "box", (2, 4, 6), 1, "cg"),
+]
+CHAIN_IDS = ["box-p0-cg", "box-p0-direct", "box-p1", "ball-p0", "box3d-p1"]
+
+
+@functools.cache
+def chain_run(dimension, shape, radii, p, backend):
     sched = ExhaustionSchedule(
-        dimension=2, shape="box", radii=(3, 6), vortices=single_vortex()
+        dimension=dimension, shape=shape, radii=radii, vortices=single_vortex(dimension)
     )
-    params = ModelParams(lam=1.0, p=0)
-    cold = run_exhaustion(sched, params, backend="direct")
-    warm = run_exhaustion(sched, params, backend="direct", warm_start=True)
-    for uc, uw in zip(cold.solutions, warm.solutions):
-        assert np.abs(uc.values - uw.values).max() < 1e-8
-    assert warm.traces[1].iterations <= cold.traces[1].iterations
-    assert all(t.all_monotone() for t in warm.traces)
+    return run_exhaustion(sched, ModelParams(lam=1.0, p=p), backend=backend)
+
+
+@pytest.mark.parametrize("dimension, shape, radii, p, backend", CHAINS, ids=CHAIN_IDS)
+def test_chain_matches_independent_solves(dimension, shape, radii, p, backend):
+    # Each domain after the first starts from its predecessor's solution; a
+    # zero-start solve of the same domain must find the same solution, in
+    # at least as many steps.
+    est = chain_run(dimension, shape, radii, p, backend)
+    params = ModelParams(lam=1.0, p=p)
+    for i, (dom, u, trace) in enumerate(zip(est.domains, est.solutions, est.traces)):
+        cold, cold_trace = solve_domain(dom, single_vortex(dimension), params, backend=backend)
+        assert np.abs(u.values - cold.values).max() < 1e-8
+        if i > 0:
+            assert trace.iterations <= cold_trace.iterations
+        assert trace.all_monotone()
+
+
+@pytest.mark.parametrize("dimension, shape, radii, p, backend", CHAINS, ids=CHAIN_IDS)
+def test_zero_extension_is_a_supersolution(dimension, shape, radii, p, backend):
+    # The warm start is valid because the zero extension of each solution is
+    # a supersolution on the next domain: its defect is non-positive there.
+    est = chain_run(dimension, shape, radii, p, backend)
+    params = ModelParams(lam=1.0, p=p)
+    for u, larger in zip(est.solutions, est.domains[1:]):
+        h = source_h(larger, single_vortex(dimension))
+        assert residual(null_extend(u, larger), h, params).interior.max() <= 1e-11
+
+
+@pytest.mark.parametrize("backend", ["cg", "direct"])
+def test_chain_outer_iteration_counts(backend):
+    # Regression counts; from zero every radius after the first took 106.
+    sched = ExhaustionSchedule(
+        dimension=2, shape="box", radii=(4, 8, 16, 32), vortices=single_vortex()
+    )
+    est = run_exhaustion(sched, ModelParams(lam=1.0, p=0), backend=backend)
+    assert [t.iterations for t in est.traces] == [102, 87, 49, 4]
 
 
 def test_solve_domain_rejects_bad_warm_start():

@@ -150,8 +150,9 @@ def test_backends_agree():
 
 
 def test_backends_agree_3d():
-    # 4,913 unknowns, where the fill-reducing LU ordering matters; the
-    # bound is the cross-backend criterion of the acceptance gate.
+    # 4,913 unknowns, where the direct backend's banded Cholesky factors a
+    # band of half-width 289 in the natural order; the bound is the
+    # cross-backend criterion of the acceptance gate.
     dom = make_box(3, 8)
     system = assemble(dom, 4.0)
     f = np.random.default_rng(8).uniform(-2, 2, dom.n_interior)
