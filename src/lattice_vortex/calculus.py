@@ -1,8 +1,9 @@
 """Fields on lattice domains and the discrete calculus over them.
 
-Energy-type sums only ever use edges whose endpoints both lie in the
-closure; sums tagged "extended" treat the field as zero outside the
-closure. All accumulations go through numpy's pairwise summation.
+The summation-by-parts check uses only edges whose endpoints both lie in
+the closure; the seminorm and the interpolation ratio treat the field as
+zero outside the closure. All accumulations go through numpy's pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from .lattice import LatticeDomain, LatticePoint
 
 __all__ = [
     "LatticeField",
-    "zeros",
-    "constant",
     "from_interior",
-    "laplacian",
     "laplacian_interior",
-    "gradient_form",
-    "dirichlet_energy",
-    "bilinear_energy",
     "green_identity_defect",
     "lq_norm",
     "seminorm_1q",
@@ -38,9 +33,8 @@ class LatticeField:
     """Real values attached to every closure point of a domain.
 
     `values` has shape (n_closure,), or (k, n_closure) for a stack of k
-    fields on one domain. `laplacian_interior`, `green_identity_defect`,
-    `lq_norm`, `seminorm_1q` and `gns_ratio` work along the last axis and
-    accept stacks; every other operator takes a single field.
+    fields on one domain. Every operator but `write_field_csv` works along
+    the last axis and accepts stacks.
     """
 
     domain: LatticeDomain
@@ -71,14 +65,6 @@ class LatticeField:
         return LatticeField(self.domain, self.values.copy())
 
 
-def zeros(domain: LatticeDomain) -> LatticeField:
-    return LatticeField(domain, np.zeros(domain.n_closure))
-
-
-def constant(domain: LatticeDomain, value: float) -> LatticeField:
-    return LatticeField(domain, np.full(domain.n_closure, float(value)))
-
-
 def from_interior(domain: LatticeDomain, interior_values) -> LatticeField:
     """Field with the given interior values and zero boundary; a (k, n_interior) array gives a stack."""
     vals = np.zeros(np.shape(interior_values)[:-1] + (domain.n_closure,))
@@ -97,20 +83,6 @@ def _require_zero_boundary(u: LatticeField, name: str):
         raise ValueError(f"{name} must vanish on the boundary")
 
 
-def _interior_index(u: LatticeField, x: LatticePoint) -> int:
-    idx = u.domain.locate(x)
-    if not 0 <= idx < u.domain.n_interior:
-        raise ValueError(f"point {tuple(x)} is not interior to the domain")
-    return int(idx)
-
-
-def laplacian(u: LatticeField, x: LatticePoint) -> float:
-    """Graph Laplacian at an interior point: sum of u(y) - u(x) over the 2n neighbors."""
-    i = _interior_index(u, x)
-    nbrs = u.domain.interior_neighbors[i]
-    return float(np.sum(u.values[nbrs] - u.values[i]))
-
-
 def laplacian_interior(u: LatticeField) -> np.ndarray:
     """Graph Laplacian of u at every interior point, as one vectorized gather.
 
@@ -124,36 +96,6 @@ def laplacian_interior(u: LatticeField) -> np.ndarray:
     return nbr_sum - 2 * dom.dimension * u.interior
 
 
-def _gamma_at(u: LatticeField, v: LatticeField, index: int) -> float:
-    # Neighbor pairs are restricted to the closure, so boundary points see
-    # only their closure-side edges.
-    row = u.domain.adjacency[index]
-    nbrs = row[row >= 0]
-    du = u.values[nbrs] - u.values[index]
-    dv = v.values[nbrs] - v.values[index]
-    return 0.5 * float(np.sum(du * dv))
-
-
-def gradient_form(u: LatticeField, v: LatticeField, x: LatticePoint) -> float:
-    """Pointwise gradient form: half the sum over neighbors of the two difference products."""
-    _require_same_domain(u, v)
-    return _gamma_at(u, v, _interior_index(u, x))
-
-
-def dirichlet_energy(u: LatticeField) -> float:
-    """Sum of squared differences over the unordered closure edges."""
-    d = u.values[u.domain.edges[:, 0]] - u.values[u.domain.edges[:, 1]]
-    return float(np.sum(d * d))
-
-
-def bilinear_energy(u: LatticeField, v: LatticeField) -> float:
-    """Edge-wise difference product; coincides with dirichlet_energy on the diagonal."""
-    _require_same_domain(u, v)
-    du = u.values[u.domain.edges[:, 0]] - u.values[u.domain.edges[:, 1]]
-    dv = v.values[v.domain.edges[:, 0]] - v.values[v.domain.edges[:, 1]]
-    return float(np.sum(du * dv))
-
-
 def green_identity_defect(
     u: LatticeField,
     v: LatticeField,
@@ -165,9 +107,9 @@ def green_identity_defect(
     against v over the interior. The left side is taken over every entry of
     the neighbor table `adjacency` that lies in the closure (`>= 0`), row by
     row, so each point meets its closure neighbors; the right side comes
-    from `interior_neighbors`. Neither uses `edges` or the energy
-    functions, so the check stays independent of the edge-array energy
-    path. `laplacian_fn` maps a field to its interior
+    from `interior_neighbors`. Neither uses `edges`, so the check stays
+    independent of the edge-array path of `seminorm_1q`. `laplacian_fn`
+    maps a field to its interior
     Laplacian array (shape u.interior.shape); it exists so verification
     harnesses can inject a corrupted operator and confirm the check trips.
 
@@ -221,14 +163,9 @@ def _reduced(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def lq_norm(u: LatticeField, q: float, region: str = "interior"):
-    """The l^q norm of the field over the interior or the full closure."""
-    if region == "interior":
-        vals = u.interior
-    elif region == "closure":
-        vals = u.values
-    else:
-        raise ValueError(f"unknown region {region!r}")
+def lq_norm(u: LatticeField, q: float):
+    """The l^q norm of the field over the full closure."""
+    vals = u.values
     if q == math.inf:
         return _reduced(np.abs(vals).max(axis=-1, initial=0.0))
     if q < 1:
@@ -274,9 +211,9 @@ def gns_ratio(u: LatticeField, p: int):
     if not np.all(np.any(u.values, axis=-1)):
         raise ValueError("ratio undefined for the zero field")
     m = 2 * p + 2
-    num = lq_norm(u, 2 * m, region="closure")
+    num = lq_norm(u, 2 * m)
     grad = seminorm_1q(u, 2.0)
-    low = lq_norm(u, 2 * m - 2, region="closure")
+    low = lq_norm(u, 2 * m - 2)
     return num / (grad ** (1.0 / m) * low ** ((m - 1) / m))
 
 

@@ -7,8 +7,9 @@ nonlinearity's slope over u <= 0, repeatedly solving the linear problem
 
     (Laplacian - shift) u_new = nonlinearity(u_old) + h - shift * u_old
 
-from u = 0 produces iterates that decrease pointwise and drive an energy
-functional downward, converging to the maximal zero-boundary solution.
+from u = 0, or from a supersolution, produces iterates that decrease
+pointwise and drive an energy functional downward, converging to the
+maximal zero-boundary solution.
 Every step is recorded so the monotonicity and energy-decrease claims can
 be audited after the fact. `newton_solve`, damped Newton on the one
 `residual` and its one `jacobian`, witnesses on small instances that the
@@ -24,19 +25,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import calculus
 from .calculus import (
     LatticeField, _ipow, _require_same_domain, _require_zero_boundary, from_interior, laplacian_interior
 )
 from .lattice import LatticeDomain, LatticePoint, json_integer, json_point, json_real
 from .linsolve import (
-    DEFAULT_TOL_LINEAR,
-    LinearSolveFailure,
-    LinearSolveInfo,
-    ShiftedLaplacianSystem,
-    assemble,
-    interior_laplacian,
-    solve_interior,
+    DEFAULT_TOL_LINEAR, LinearSolveFailure, LinearSolveInfo, assemble, interior_laplacian, solve_interior
 )
 
 if TYPE_CHECKING:
@@ -60,8 +54,6 @@ __all__ = [
     "source_h",
     "nonlinearity",
     "nonlinearity_derivative",
-    "functional_j",
-    "iterate_step",
     "solve_domain",
     "residual",
     "jacobian",
@@ -324,55 +316,6 @@ def _start_interior(u: LatticeField, domain: LatticeDomain, name: str) -> np.nda
     return u.interior.copy()
 
 
-def functional_j(u: LatticeField, h: LatticeField, params: ModelParams) -> float:
-    """Energy functional driving the scheme.
-
-    Half the Dirichlet energy plus, over interior points, the potential
-    well lam/(2p+2) * (e^u - 1)^(2p+2) and the source coupling h*u.
-    """
-    _require_same_domain(u, h)
-    _require_zero_boundary(u, "u")
-    energy = calculus.dirichlet_energy(u)
-    u_int = u.interior
-    pot = (params.lam / (2 * params.p + 2)) * _nonlinearity_parts(u_int, params)[1]
-    return 0.5 * energy + float(np.sum(pot + h.interior * u_int))
-
-
-def _step_arrays(u_int, n_u, h_int, params: ModelParams, system, backend: str, au=None):
-    """One linear solve; `n_u` is nonlinearity(u_int) and `au` the product A u_int, if held."""
-    rhs = n_u + h_int - system.shift * u_int
-    # The linear noise floor bounds the reachable equation defect; keep it a
-    # decade under tol_residual or the residual stop can become unreachable.
-    scale = 1.0 + float(np.abs(rhs).max())
-    tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
-    return solve_interior(system, rhs, backend=backend, tol=tol, x0=u_int, ax0=au)
-
-
-def iterate_step(
-    u_prev: LatticeField,
-    h: LatticeField,
-    params: ModelParams,
-    system: ShiftedLaplacianSystem,
-    *,
-    backend: str = "cg",
-) -> LatticeField:
-    """One damped linear step; the result never rises above u_prev.
-
-    A pointwise increase beyond the rounding slack means the arithmetic has
-    broken the scheme's ordering and is reported as a breakdown rather than
-    silently continued.
-    """
-    _require_same_domain(u_prev, h)
-    if abs(system.shift - params.shift) > 0:
-        raise ValueError("system shift does not match params.shift")
-    u_int = _start_interior(u_prev, system.domain, "u_prev")
-    w, _ = _step_arrays(u_int, nonlinearity(u_int, params), h.interior, params, system, backend)
-    rise = float((w - u_int).max())
-    if rise > MONOTONE_SLACK:
-        raise MonotonicityBreakdown(f"iterate rose by {rise:.3e} above its predecessor")
-    return from_interior(u_prev.domain, w)
-
-
 def solve_domain(
     domain: LatticeDomain,
     vortices: VortexConfig,
@@ -401,7 +344,9 @@ def solve_domain(
 
     A step whose linear solve meets NaN or inf (a non-finite right-hand
     side or residual) raises NonFiniteBreakdown with that step in the
-    trace, as does a step whose change is not finite.
+    trace, as does a step whose change is not finite. A linear solve that
+    misses its tolerance with a finite residual raises its
+    LinearSolveFailure, carrying the steps taken before it as `trace`.
     """
     h = source_h(domain, vortices)
     system = assemble(domain, params.shift)
@@ -414,10 +359,16 @@ def solve_domain(
     j_prev = math.inf
     trace = IterationTrace()
     for k in range(1, params.max_outer_iterations + 1):
+        rhs = n_u + h_int - system.shift * u
+        # The linear noise floor bounds the reachable equation defect; keep it a
+        # decade under tol_residual or the residual stop can become unreachable.
+        scale = 1.0 + float(np.abs(rhs).max())
+        tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
         try:
-            w, info = _step_arrays(u, n_u, h_int, params, system, backend, au)
+            w, info = solve_interior(system, rhs, backend=backend, tol=tol, x0=u, ax0=au)
         except LinearSolveFailure as exc:
             if math.isfinite(exc.residual):
+                exc.trace = trace
                 raise
             # The step met NaN or inf: record it as all-NaN, so the
             # breakdown below reports it with the trace.
@@ -503,20 +454,14 @@ def jacobian(u: LatticeField, params: ModelParams) -> sp.csr_matrix:
     return jac
 
 
-def newton_solve(
-    domain: LatticeDomain,
-    vortices: VortexConfig,
-    params: ModelParams,
-    u_init: LatticeField | None = None,
-) -> LatticeField:
-    """Solve the zero-boundary vortex equation by damped Newton iteration.
+def newton_solve(domain: LatticeDomain, vortices: VortexConfig, params: ModelParams) -> LatticeField:
+    """Solve the zero-boundary vortex equation by damped Newton iteration from zero.
 
     Each step solves the sparse `jacobian` system for the `residual`, then
     halves the step, at most 30 times, until the Euclidean residual falls:
     plain Newton can overshoot into positive u, where the nonlinearity
-    grows violently. `u_init` replaces the zero start under the scheme's
-    start rule (non-positive, zero boundary). Returns once the sup-norm
-    residual is below `_NEWTON_TOL` (1e-12). Raises NewtonFailure after
+    grows violently. Returns once the sup-norm residual is below
+    `_NEWTON_TOL` (1e-12). Raises NewtonFailure after
     `_NEWTON_MAX_ITERATIONS` (50) steps, on a singular Jacobian, or when
     the line search runs out.
     """
@@ -525,8 +470,7 @@ def newton_solve(
     if domain.n_interior > _NEWTON_MAX_SIZE:
         raise ValueError(f"newton_solve is limited to {_NEWTON_MAX_SIZE} interior points")
     h = source_h(domain, vortices)
-    start = np.zeros(domain.n_interior) if u_init is None else _start_interior(u_init, domain, "u_init")
-    u = from_interior(domain, start)
+    u = from_interior(domain, np.zeros(domain.n_interior))
     f_val = residual(u, h, params).interior
     for iterations in range(_NEWTON_MAX_ITERATIONS + 1):
         if float(np.abs(f_val).max()) < _NEWTON_TOL:

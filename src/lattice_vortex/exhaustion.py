@@ -26,8 +26,6 @@ __all__ = [
     "ExhaustionSchedule",
     "GlobalSolutionEstimate",
     "vortex_centroid",
-    "null_extend",
-    "restrict_field",
     "decay_profile",
     "chain_tolerance",
     "run_exhaustion",
@@ -130,21 +128,15 @@ class GlobalSolutionEstimate:
         )
 
 
-def null_extend(u: LatticeField, larger: LatticeDomain) -> LatticeField:
-    """Zero extension into `larger`; ValueError unless u's domain is nested in it."""
-    return _extend(u, larger, nested_index(u.domain, larger))
-
-
 def _extend(u: LatticeField, larger: LatticeDomain, at: np.ndarray) -> LatticeField:
-    """`null_extend` through `at` = nested_index(u.domain, larger); the boundary stays zero."""
+    """Zero extension of u into `larger` through `at` = nested_index(u.domain, larger).
+
+    Only u's interior is carried over, so the extension vanishes on
+    `larger`'s boundary.
+    """
     vals = np.zeros(larger.n_closure)
     vals[at[: u.domain.n_interior]] = u.interior
     return LatticeField(larger, vals)
-
-
-def restrict_field(u: LatticeField, smaller: LatticeDomain) -> LatticeField:
-    """Values of u on the closure of `smaller`; ValueError unless it is nested in u's domain."""
-    return LatticeField(smaller, u.values[nested_index(smaller, u.domain)])
 
 
 def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, float]]:

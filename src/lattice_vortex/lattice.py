@@ -19,13 +19,9 @@ LatticePoint = tuple[int, ...]
 __all__ = [
     "LatticePoint",
     "LatticeDomain",
-    "l1_distance",
-    "neighbors",
     "make_box",
     "make_ball",
     "nested_index",
-    "is_nested",
-    "domain_to_json",
     "domain_from_json",
     "json_dimension",
     "json_integer",
@@ -33,22 +29,6 @@ __all__ = [
     "json_real",
     "json_object",
 ]
-
-
-def l1_distance(x: LatticePoint, y: LatticePoint) -> int:
-    """Graph distance on the lattice: the sum of coordinate differences."""
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: point of length {len(x)} vs {len(y)}")
-    return sum(abs(a - b) for a, b in zip(x, y))
-
-
-def neighbors(x: LatticePoint) -> list[LatticePoint]:
-    """The 2n points one unit step from x (one coordinate changed by +-1)."""
-    out = []
-    for i in range(len(x)):
-        out.append(x[:i] + (x[i] + 1,) + x[i + 1 :])
-        out.append(x[:i] + (x[i] - 1,) + x[i + 1 :])
-    return out
 
 
 class LatticeDomain:
@@ -61,7 +41,8 @@ class LatticeDomain:
     lexicographically and free of repeats. A site's closure index is its
     row, and `locate` finds rows by binary search over the two blocks.
     `adjacency` is the one neighbor table, (n_closure, 2n) closure indices
-    with -1 for a neighbor outside the closure.
+    of the neighbors x + e_1, x - e_1, x + e_2, ..., with -1 for a neighbor
+    outside the closure.
     Instances are immutable by convention and safe to share across threads.
 
     `interior` is an iterable of points or an (n, dimension) integer array;
@@ -75,7 +56,6 @@ class LatticeDomain:
         *,
         kind: str = "points",
         center: LatticePoint | None = None,
-        size: int | None = None,
     ):
         dimension = json_dimension(dimension)
         points = _point_array(interior, dimension)
@@ -85,10 +65,9 @@ class LatticeDomain:
         self.dimension = dimension
         self.kind = kind
         self.center = None if center is None else _center(center, dimension)
-        self.size = size
 
         two_n = 2 * dimension
-        # The 2n unit steps +e_1, -e_1, +e_2, ..., the order of `neighbors()`.
+        # The 2n unit steps +e_1, -e_1, +e_2, ..., the neighbor order.
         sign = np.tile([1, -1], dimension)[:, None]
         unit = np.repeat(np.eye(dimension, dtype=np.int64), 2, axis=0) * sign
 
@@ -105,7 +84,7 @@ class LatticeDomain:
         self.n_interior = n
         self.coords = np.concatenate([inner, outer])
         self.n_closure = len(self.coords)
-        # The one neighbor table, columns in the order of `neighbors()`: a
+        # The one neighbor table, columns in the order of `unit`: a
         # boundary site's neighbor may lie outside the closure (-1), an
         # interior site's never, so the interior rows are the (n_interior,
         # 2n) view `interior_neighbors`.
@@ -163,7 +142,7 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
     c = _center(center, dimension)
     axes = [np.arange(ci - half_width, ci + half_width + 1) for ci in c]
     interior = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
-    return LatticeDomain(dimension, interior, kind="box", center=c, size=half_width)
+    return LatticeDomain(dimension, interior, kind="box", center=c)
 
 
 def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -> LatticeDomain:
@@ -184,7 +163,7 @@ def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -
         last = np.arange(counts.sum()) - start
         offsets = np.column_stack([np.repeat(offsets, counts, axis=0), last])
     interior = offsets + np.array(c, dtype=np.int64)
-    return LatticeDomain(dimension, interior, kind="ball", center=c, size=radius)
+    return LatticeDomain(dimension, interior, kind="ball", center=c)
 
 
 def nested_index(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray:
@@ -195,36 +174,13 @@ def nested_index(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray:
     inside `outer`'s interior, which would leave `inner`'s boundary outside
     `outer`'s closure.
     """
-    at = _nested_map(inner, outer)
-    if at is None:
-        raise ValueError("interior of the inner domain is not inside the outer interior")
-    return at
-
-
-def is_nested(inner: LatticeDomain, outer: LatticeDomain) -> bool:
-    """True when every interior point of `inner` is interior to `outer`."""
-    return _nested_map(inner, outer) is not None
-
-
-def _nested_map(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray | None:
-    """One `outer.locate` of `inner`'s closure; None unless its interior prefix is interior."""
     if inner.dimension != outer.dimension:
         raise ValueError("dimension mismatch between domains")
     at = outer.locate(inner.coords)
     inside = at[: inner.n_interior]
-    return at if np.all((inside >= 0) & (inside < outer.n_interior)) else None
-
-
-def domain_to_json(domain: LatticeDomain):
-    """JSON form: compact descriptor for boxes and balls, point list otherwise."""
-    if domain.kind in ("box", "ball") and domain.center is not None and domain.size is not None:
-        return {
-            "dimension": domain.dimension,
-            "kind": domain.kind,
-            "center": list(domain.center),
-            "size": domain.size,
-        }
-    return domain.coords[: domain.n_interior].tolist()
+    if not np.all((inside >= 0) & (inside < outer.n_interior)):
+        raise ValueError("interior of the inner domain is not inside the outer interior")
+    return at
 
 
 def json_integer(value, name: str) -> int:
@@ -338,7 +294,7 @@ _DOMAIN_KEYS = {
 
 
 def domain_from_json(obj, dimension: int | None = None) -> LatticeDomain:
-    """Inverse of domain_to_json; bare lists are read as interior point lists.
+    """A domain from its JSON form: a box or ball descriptor, or a list of interior points.
 
     Sizes, centers, dimensions and point coordinates must be integral
     numbers, and a block holds only the keys its kind reads; anything else

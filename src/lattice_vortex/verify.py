@@ -25,9 +25,7 @@ from .chern_simons import ModelParams, VortexConfig, max_principle_check, newton
 from .lattice import make_box
 from .linsolve import damped_band
 
-__all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
-
-SUITE_NAMES = ("maximum_principle", "green_identity", "gns_ratio", "oracle_equivalence")
+__all__ = ["SuiteResult", "run_suites"]
 
 
 @dataclass
@@ -37,22 +35,16 @@ class SuiteResult:
     detail: str
 
 
-def random_max_principle_instance(rng, domain):
-    """Random (f, g) satisfying the comparison-principle hypotheses.
+def random_max_principle_instance(rng, domain, band):
+    """Random (f, g, slack) satisfying the comparison-principle hypotheses.
 
     g is a positive closure field; the damped-operator slack on the
     interior and the boundary data of f are drawn non-negative and
-    non-positive respectively, and f is recovered by a banded Cholesky
-    solve of (diag(g) - Laplacian) f = boundary coupling - slack.
-    """
-    return _max_principle_instance(rng, domain, damped_band(domain))
-
-
-def _max_principle_instance(rng, domain, band):
-    """`random_max_principle_instance` on the domain's `damped_band`, whose diagonal it overwrites.
-
-    One LAPACK `dpbsv` call factors and solves the SPD band system; it
-    orders nothing and skips the argument checks of `solveh_banded`.
+    non-positive respectively, and f is recovered by solving
+    (diag(g) - Laplacian) f = boundary coupling - slack. `band` is the
+    domain's `damped_band`, whose diagonal the call overwrites; one LAPACK
+    `dpbsv` call factors and solves that SPD band system, ordering nothing
+    and skipping the argument checks of `solveh_banded`.
     """
     from scipy.linalg import lapack
 
@@ -82,14 +74,14 @@ def max_principle_suite(rng, sizes, instances=100) -> SuiteResult:
     failures = []
     for i in range(instances):
         j = i % len(domains)
-        f, g, slack = _max_principle_instance(rng, domains[j], bands[j])
+        f, g, slack = random_max_principle_instance(rng, domains[j], bands[j])
         if not max_principle_check(f, g):
             failures.append(f"instance {i}: positive value escaped")
     detected = 0
     probes = 5
     for i in range(probes):
         j = i % len(domains)
-        f, g, slack = _max_principle_instance(rng, domains[j], bands[j])
+        f, g, slack = random_max_principle_instance(rng, domains[j], bands[j])
         corrupt = f.copy()
         corrupt.values[rng.integers(0, domains[j].n_interior)] += float(slack.max()) + 2.0
         try:

@@ -7,7 +7,14 @@ code paths they check.
 
 import numpy as np
 
-from lattice_vortex.lattice import neighbors
+
+def neighbors(x):
+    """The 2n points one unit step from x: x + e_1, x - e_1, x + e_2, ..."""
+    out = []
+    for i in range(len(x)):
+        out.append(x[:i] + (x[i] + 1,) + x[i + 1 :])
+        out.append(x[:i] + (x[i] - 1,) + x[i + 1 :])
+    return out
 
 
 def naive_boundary(interior_points):

@@ -9,9 +9,16 @@ import math
 
 import numpy as np
 
-from lattice_vortex.calculus import LatticeField
-from lattice_vortex.chern_simons import jacobian, residual, source_h
-from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, neighbors
+from lattice_vortex.calculus import LatticeField, from_interior
+from lattice_vortex.chern_simons import jacobian, nonlinearity, residual, source_h
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
+from lattice_vortex.linsolve import solve_interior
+
+from brute import neighbors
+
+
+def zeros(domain):
+    return LatticeField(domain, np.zeros(domain.n_closure))
 
 
 def closure_points(domain):
@@ -61,6 +68,31 @@ def is_connected(domain):
                 seen.add(y)
                 queue.append(y)
     return len(seen) == len(interior)
+
+
+def dirichlet_energy(u):
+    """Sum of squared differences over the unordered closure edges."""
+    d = u.values[u.domain.edges[:, 0]] - u.values[u.domain.edges[:, 1]]
+    return float(np.sum(d * d))
+
+
+def functional_j(u, h, params):
+    """The energy the scheme drives down, from its definition, for u vanishing on the boundary.
+
+    Half the Dirichlet energy plus, over interior points, the potential
+    well lam/(2p+2) * (e^u - 1)^(2p+2) and the source coupling h*u.
+    """
+    m = 2 * params.p + 2
+    u_int = u.interior
+    pot = (params.lam / m) * np.expm1(u_int) ** m
+    return 0.5 * dirichlet_energy(u) + float(np.sum(pot + h.interior * u_int))
+
+
+def scheme_step(u, h, params, system, backend="cg"):
+    """One damped step from its definition: (Laplacian - shift) w = N(u) + h - shift*u."""
+    rhs = nonlinearity(u.interior, params) + h.interior - params.shift * u.interior
+    w, _ = solve_interior(system, rhs, backend=backend)
+    return from_interior(u.domain, w)
 
 
 def tail_is_monotone(profile, *, fraction=0.5, slack=1e-9):

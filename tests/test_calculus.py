@@ -6,34 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_vortex import calculus
 from lattice_vortex.calculus import (
     LatticeField,
-    bilinear_energy,
-    constant,
-    dirichlet_energy,
     from_interior,
     gns_ratio,
-    gradient_form,
     green_identity_defect,
-    laplacian,
     laplacian_interior,
     lq_norm,
     seminorm_1q,
     write_field_csv,
-    zeros,
 )
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.verify import faulty_laplacian
 
 from brute import (
-    naive_bilinear_energy,
     naive_dirichlet_energy,
     naive_green_identity_defect,
     naive_laplacian,
     naive_seminorm_q,
 )
-from helpers import from_function, interior_points, read_field_csv
+from helpers import dirichlet_energy, from_function, interior_points, read_field_csv, zeros
 
 RNG = np.random.default_rng(20240811)
 
@@ -44,6 +36,10 @@ def random_field(domain, rng=RNG, scale=1.0):
 
 def random_interior_field(domain, rng=RNG, scale=1.0):
     return from_interior(domain, rng.uniform(-scale, scale, size=domain.n_interior))
+
+
+def constant(domain, value):
+    return LatticeField(domain, np.full(domain.n_closure, value))
 
 
 def spike(domain, point, height=1.0):
@@ -61,32 +57,23 @@ def test_field_validation():
 def test_laplacian_of_constant_vanishes():
     dom = make_box(2, 2)
     u = constant(dom, 3.7)
-    for x in interior_points(dom):
-        assert laplacian(u, x) == 0.0
+    assert not laplacian_interior(u).any()
 
 
 def test_laplacian_of_quadratic():
     # Discrete second difference of x1^2 + x2^2 is 2 per axis.
     dom = make_box(2, 3)
     u = from_function(dom, lambda p: p[0] ** 2 + p[1] ** 2)
-    for x in interior_points(dom):
-        assert laplacian(u, x) == pytest.approx(4.0, abs=1e-12)
-        assert laplacian(u, x) == pytest.approx(naive_laplacian(u, x), abs=1e-12)
+    vec = laplacian_interior(u)
+    for i, x in enumerate(interior_points(dom)):
+        assert vec[i] == pytest.approx(4.0, abs=1e-12)
+        assert vec[i] == pytest.approx(naive_laplacian(u, x), abs=1e-12)
 
 
 def test_laplacian_of_indicator():
     dom = make_box(3, 1)
     u = spike(dom, (0, 0, 0))
-    assert laplacian(u, (0, 0, 0)) == -6.0
-
-
-def test_laplacian_rejects_non_interior():
-    dom = make_box(2, 1)
-    u = zeros(dom)
-    with pytest.raises(ValueError):
-        laplacian(u, (2, 0))  # boundary
-    with pytest.raises(ValueError):
-        laplacian(u, (9, 9))  # outside
+    assert laplacian_interior(u)[dom.locate((0, 0, 0))] == -6.0
 
 
 def test_laplacian_interior_matches_pointwise():
@@ -94,26 +81,7 @@ def test_laplacian_interior_matches_pointwise():
     u = random_field(dom)
     vec = laplacian_interior(u)
     for i, x in enumerate(interior_points(dom)):
-        assert vec[i] == pytest.approx(laplacian(u, x), abs=1e-13)
-
-
-def test_gradient_form_properties():
-    dom = make_box(2, 2)
-    u = random_field(dom)
-    v = random_field(dom)
-    for x in interior_points(dom):
-        assert gradient_form(u, u, x) >= 0.0
-        assert gradient_form(u, v, x) == pytest.approx(gradient_form(v, u, x), abs=1e-14)
-    c = constant(dom, -2.5)
-    for x in interior_points(dom):
-        assert gradient_form(c, v, x) == 0.0
-
-
-def test_gradient_form_rejects_domain_mismatch():
-    u = zeros(make_box(2, 1))
-    v = zeros(make_box(2, 1))
-    with pytest.raises(ValueError):
-        gradient_form(u, v, (0, 0))
+        assert vec[i] == pytest.approx(naive_laplacian(u, x), abs=1e-13)
 
 
 def test_dirichlet_energy_zero_field():
@@ -138,20 +106,7 @@ def test_dirichlet_energy_shift_invariance():
 @pytest.mark.parametrize("dom", [make_box(2, 2), make_ball(2, 2), make_box(3, 1)])
 def test_energy_matches_naive_enumeration(dom):
     u = random_field(dom)
-    v = random_field(dom)
     assert dirichlet_energy(u) == pytest.approx(naive_dirichlet_energy(u), rel=1e-12)
-    assert bilinear_energy(u, v) == pytest.approx(naive_bilinear_energy(u, v), rel=1e-12)
-
-
-def test_bilinear_energy_properties():
-    dom = make_box(2, 2)
-    u = random_field(dom)
-    v = random_field(dom)
-    assert bilinear_energy(u, zeros(dom)) == 0.0
-    assert bilinear_energy(u, v) == pytest.approx(bilinear_energy(v, u), abs=1e-13)
-    assert bilinear_energy(u, u) == dirichlet_energy(u)
-    # product bound by the energy mean
-    assert abs(bilinear_energy(u, v)) <= 0.5 * dirichlet_energy(u) + 0.5 * dirichlet_energy(v) + 1e-12
 
 
 def test_green_identity_random_pairs():
@@ -176,7 +131,7 @@ def test_green_identity_scaled_bound_for_large_fields():
     u = random_field(dom, scale=1e3)
     v = random_interior_field(dom, scale=1e3)
     bound = 1e-10 * (
-        1.0 + lq_norm(u, math.inf, "closure") * lq_norm(v, math.inf, "closure") * dom.n_closure
+        1.0 + lq_norm(u, math.inf) * lq_norm(v, math.inf) * dom.n_closure
     )
     assert green_identity_defect(u, v) < bound
 
@@ -211,7 +166,7 @@ def test_green_identity_matches_pointwise_reference(dom):
     v = random_interior_field(dom, rng)
     assert np.any(u.boundary_values != 0.0)
     # Summation by parts holds, so both defects are rounding noise.
-    scale = lq_norm(u, math.inf, "closure") * lq_norm(v, math.inf) * dom.n_closure
+    scale = lq_norm(u, math.inf) * lq_norm(v, math.inf) * dom.n_closure
     assert green_identity_defect(u, v) < 1e-13 * scale
     assert naive_green_identity_defect(u, v) < 1e-13 * scale
     # With u/2 added to the operator the defect is |sum u v| / 2, so the two
@@ -312,16 +267,13 @@ def test_lq_norm_basics():
     assert lq_norm(u, math.inf) == 3.0
     with pytest.raises(ValueError):
         lq_norm(u, 0.5)
-    with pytest.raises(ValueError):
-        lq_norm(u, 2.0, region="edge")
 
 
-def test_lq_norm_regions():
+def test_lq_norm_sums_the_closure():
     dom = make_box(2, 1)
     vals = np.ones(dom.n_closure)
     u = LatticeField(dom, vals)
-    assert lq_norm(u, 1.0, region="interior") == 9.0
-    assert lq_norm(u, 1.0, region="closure") == 21.0
+    assert lq_norm(u, 1.0) == 21.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -330,7 +282,7 @@ def test_lq_norm_monotone_in_q(seed):
     dom = make_box(2, 2)
     u = random_field(dom, np.random.default_rng(seed), scale=3.0)
     qs = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0]
-    norms = [lq_norm(u, q, region="closure") for q in qs]
+    norms = [lq_norm(u, q) for q in qs]
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-12
 
@@ -415,12 +367,11 @@ def test_lq_norm_integral_q_matches_pow(q):
     single = LatticeField(dom, rng.uniform(-3.0, 3.0, dom.n_closure))
     stack = LatticeField(dom, rng.uniform(-3.0, 3.0, (7, dom.n_closure)))
     for u in (single, stack):
-        for region, vals in (("closure", u.values), ("interior", u.interior)):
-            want = np.sum(np.abs(vals) ** q, axis=-1) ** (1.0 / q)
-            for exponent in (q, float(q)):
-                got = lq_norm(u, exponent, region=region)
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-            assert np.shape(got) == np.shape(want)
+        want = np.sum(np.abs(u.values) ** q, axis=-1) ** (1.0 / q)
+        for exponent in (q, float(q)):
+            got = lq_norm(u, exponent)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert np.shape(got) == np.shape(want)
 
 
 def test_field_csv_round_trip(tmp_path):

@@ -5,15 +5,7 @@ import pytest
 
 from lattice_vortex import chern_simons
 
-from lattice_vortex.calculus import (
-    _ipow,
-    LatticeField,
-    dirichlet_energy,
-    from_interior,
-    lq_norm,
-    seminorm_1q,
-    zeros,
-)
+from lattice_vortex.calculus import _ipow, LatticeField, from_interior, lq_norm, seminorm_1q
 from lattice_vortex.chern_simons import (
     ENERGY_SLACK,
     ConvergenceFailure,
@@ -21,8 +13,6 @@ from lattice_vortex.chern_simons import (
     MonotonicityBreakdown,
     NonFiniteBreakdown,
     VortexConfig,
-    functional_j,
-    iterate_step,
     max_principle_check,
     newton_solve,
     nonlinearity,
@@ -31,11 +21,10 @@ from lattice_vortex.chern_simons import (
     solve_domain,
     source_h,
 )
-from lattice_vortex.exhaustion import restrict_field
-from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, nested_index
 from lattice_vortex.linsolve import LinearSolveFailure, assemble, solve_interior
 
-from helpers import verify_subsolution_dominance
+from helpers import dirichlet_energy, functional_j, scheme_step, verify_subsolution_dominance, zeros
 
 RNG = np.random.default_rng(99)
 
@@ -279,75 +268,44 @@ def test_functional_j_single_point_hand_value():
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
-def test_functional_j_bit_for_bit_with_separate_potential(p):
-    # The potential lam/(2p+2) * (e^u - 1)^(2p+2) now comes from the solver's
-    # _nonlinearity_parts; it must equal the formula written out on its own.
+def test_nonlinearity_parts_bit_for_bit_with_separate_formulas(p):
+    # The loop takes N(u) and the potential's (e^u - 1)^(2p+2) from one
+    # expm1; each must equal its formula written out on its own.
     dom = make_ball(2, 5)
     params = ModelParams(lam=1.3, p=p)
-    h = source_h(dom, single_vortex())
-    u = from_interior(dom, np.random.default_rng(p).uniform(-3.0, 0.0, dom.n_interior))
-    m = 2 * p + 2
-    u_int = u.interior
-    pot = (params.lam / m) * _ipow(np.expm1(u_int), m)
-    want = 0.5 * dirichlet_energy(u) + float(np.sum(pot + h.interior * u_int))
-    assert functional_j(u, h, params) == want
+    u_int = np.random.default_rng(p).uniform(-3.0, 0.0, dom.n_interior)
+    n_u, pot = chern_simons._nonlinearity_parts(u_int, params)
+    em1 = np.expm1(u_int)
+    assert n_u.tobytes() == (params.lam * np.exp(u_int) * _ipow(em1, 2 * p + 1)).tobytes()
+    assert pot.tobytes() == _ipow(em1, 2 * p + 2).tobytes()
 
 
-def test_functional_j_rejects_nonzero_boundary():
-    dom = make_box(2, 1)
-    params = ModelParams(lam=1.0)
-    bad = LatticeField(dom, np.ones(dom.n_closure))
-    with pytest.raises(ValueError):
-        functional_j(bad, zeros(dom), params)
-
-
-def test_iterate_step_zero_fixed_point():
-    dom = make_box(2, 2)
-    params = ModelParams(lam=1.0, p=0)
-    system = assemble(dom, params.shift)
-    h = source_h(dom, VortexConfig(()))
-    u1 = iterate_step(zeros(dom), h, params, system)
-    assert not u1.values.any()
-
-
-def test_iterate_step_first_two_steps():
+def test_solve_domain_first_two_steps():
     dom = make_box(2, 3)
     params = ModelParams(lam=1.0, p=0)
     system = assemble(dom, params.shift)
     h = source_h(dom, single_vortex())
-    u1 = iterate_step(zeros(dom), h, params, system)
-    # first step solves the pure damped-linear problem with rhs h
+    _, trace = solve_domain(dom, single_vortex(), params)
+    first, second = trace.records[:2]
+    # the first step from zero solves the pure damped-linear problem with rhs h
     direct, _ = solve_interior(system, h.interior, backend="direct")
-    np.testing.assert_allclose(u1.interior, direct, atol=1e-11)
-    assert np.all(u1.values <= 0.0)
-    assert u1.value_at((0, 0)) < 0.0
-    u2 = iterate_step(u1, h, params, system)
-    assert np.all(u2.values <= u1.values + 1e-9)
+    assert np.all(direct <= 0.0)
+    assert first.sup_change == pytest.approx(np.abs(direct).max(), rel=1e-11)
+    assert first.l2_change == pytest.approx(np.linalg.norm(direct), rel=1e-11)
+    assert first.j_value == pytest.approx(functional_j(from_interior(dom, direct), h, params), rel=1e-11)
+    assert first.monotone_ok and second.monotone_ok
 
 
-def test_iterate_step_validation():
-    dom = make_box(2, 1)
-    params = ModelParams(lam=1.0, p=0)
-    system = assemble(dom, params.shift)
-    h = source_h(dom, VortexConfig(()))
-    up = from_interior(dom, np.full(dom.n_interior, 0.5))
-    with pytest.raises(ValueError):
-        iterate_step(up, h, params, system)
-    wrong_shift = assemble(dom, params.shift + 1.0)
-    with pytest.raises(ValueError):
-        iterate_step(zeros(dom), h, params, wrong_shift)
-
-
-def test_iterate_step_flags_breakdown_from_incompatible_state():
+def test_solve_domain_flags_breakdown_from_incompatible_start():
     # A far-too-deep starting field rises near the boundary on the next
-    # step; the step must refuse to continue silently.
+    # step; the loop must refuse to continue silently.
     dom = make_box(2, 2)
     params = ModelParams(lam=1.0, p=0)
-    system = assemble(dom, params.shift)
-    h = source_h(dom, VortexConfig(()))
     deep = from_interior(dom, np.full(dom.n_interior, -10.0))
-    with pytest.raises(MonotonicityBreakdown):
-        iterate_step(deep, h, params, system)
+    with pytest.raises(MonotonicityBreakdown) as err:
+        solve_domain(dom, VortexConfig(()), params, u_init=deep)
+    assert len(err.value.trace) == 1
+    assert not err.value.trace.final.monotone_ok
 
 
 def test_solve_domain_no_vortices_is_trivial():
@@ -475,7 +433,7 @@ def test_first_iterate_bounds():
     params = ModelParams(lam=1.5, p=1)
     system = assemble(dom, params.shift)
     h = source_h(dom, vort)
-    u1 = iterate_step(zeros(dom), h, params, system)
+    u1 = scheme_step(zeros(dom), h, params, system)
     h_sq = float(np.sum(h.interior**2))
     assert float(np.sum(u1.interior**2)) <= h_sq / params.shift**2 + 1e-8
     n = dom.dimension
@@ -488,7 +446,7 @@ def test_fixed_point_consistency():
     u, _ = solve_domain(dom, single_vortex(), params)
     system = assemble(dom, params.shift)
     h = source_h(dom, single_vortex())
-    again = iterate_step(u, h, params, system)
+    again = scheme_step(u, h, params, system)
     assert np.abs(again.values - u.values).max() <= 10 * params.tol_nonlinear
 
 
@@ -526,7 +484,7 @@ def test_subsolution_dominance_reflexive_and_restriction():
     # the big-domain solution restricted to the small closure is a valid
     # subsolution there and must sit below the small-domain solution
     u_big, _ = solve_domain(big, single_vortex(), params)
-    cand = restrict_field(u_big, small)
+    cand = LatticeField(small, u_big.values[nested_index(small, big)])
     assert verify_subsolution_dominance(cand, u_small, h, params)
 
 
@@ -607,8 +565,34 @@ def test_finite_linear_failure_propagates(monkeypatch):
         raise LinearSolveFailure("missed", 1.0)
 
     monkeypatch.setattr(chern_simons, "solve_interior", miss)
-    with pytest.raises(LinearSolveFailure):
+    with pytest.raises(LinearSolveFailure) as err:
         solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0))
+    assert err.value.trace is not None and len(err.value.trace) == 0
+
+
+@pytest.mark.parametrize("backend", ["cg", "direct"])
+@pytest.mark.parametrize("failing_call", [2, 4])
+def test_finite_linear_failure_mid_run_keeps_the_steps_taken(monkeypatch, backend, failing_call):
+    # The trace carried by the failure is the unpatched run's prefix, record
+    # for record, not an empty or a fresh trace.
+    dom = make_box(2, 2)
+    params = ModelParams(lam=1.0, p=1)
+    _, full = solve_domain(dom, single_vortex(), params, backend=backend)
+    assert len(full) > failing_call
+    real_solve = chern_simons.solve_interior
+    calls = []
+
+    def fail_late(system, rhs, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise LinearSolveFailure("missed", 1.0)
+        return real_solve(system, rhs, **kwargs)
+
+    monkeypatch.setattr(chern_simons, "solve_interior", fail_late)
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_domain(dom, single_vortex(), params, backend=backend)
+    assert err.value.residual == 1.0
+    assert err.value.trace.records == full.records[: failing_call - 1]
 
 
 def test_non_finite_failure_mid_run(monkeypatch):

@@ -11,8 +11,9 @@ import pytest
 import lattice_vortex
 from lattice_vortex import chern_simons
 from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, render_json
-from lattice_vortex.linsolve import LinearSolveInfo
-from lattice_vortex.verify import SUITE_NAMES
+from lattice_vortex.linsolve import LinearSolveFailure, LinearSolveInfo
+
+SUITE_NAMES = ("maximum_principle", "green_identity", "gns_ratio", "oracle_equivalence")
 
 
 def write_config(path, **overrides):
@@ -126,18 +127,19 @@ def test_solve_unreachable_residual_reports_linear_solve(tmp_path):
 
 
 def test_solve_stagnation_reports_its_kind(tmp_path, monkeypatch):
-    # From step 2 on the step returns its start: the change is exactly zero
+    # From step 2 on the solve returns its start: the change is exactly zero
     # while the residual is still far above tolerance.
-    real_step = chern_simons._step_arrays
+    real_solve = chern_simons.solve_interior
     calls = []
 
-    def stalled_step(u_int, n_u, h_int, params, system, backend, au=None):
-        calls.append(u_int)
+    def stalled_solve(system, rhs, **kwargs):
+        calls.append(1)
         if len(calls) == 1:
-            return real_step(u_int, n_u, h_int, params, system, backend, au)
-        return u_int.copy(), LinearSolveInfo(0, 0.0, system.matrix @ u_int)
+            return real_solve(system, rhs, **kwargs)
+        x0 = kwargs["x0"]
+        return x0.copy(), LinearSolveInfo(0, 0.0, system.matvec(x0))
 
-    monkeypatch.setattr(chern_simons, "_step_arrays", stalled_step)
+    monkeypatch.setattr(chern_simons, "solve_interior", stalled_solve)
     cfg = write_config(tmp_path / "run.json")
     out = tmp_path / "out"
     assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_SOLVER
@@ -145,6 +147,29 @@ def test_solve_stagnation_reports_its_kind(tmp_path, monkeypatch):
     assert summary["converged"] is False
     assert summary["failure"]["kind"] == "stagnated"
     assert summary["iterations"] == 2
+
+
+def test_solve_linear_failure_keeps_its_trace(tmp_path, monkeypatch):
+    # The third linear solve misses its tolerance with a finite residual:
+    # the two steps already taken are still reported.
+    real_solve = chern_simons.solve_interior
+    calls = []
+
+    def fail_third(system, rhs, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise LinearSolveFailure("missed", 1.0)
+        return real_solve(system, rhs, **kwargs)
+
+    monkeypatch.setattr(chern_simons, "solve_interior", fail_third)
+    cfg = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"]["kind"] == "linear_solve"
+    assert summary["iterations"] == 2
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["k", "1", "2"]
 
 
 def test_solve_dump_matrix(tmp_path):

@@ -6,17 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_vortex.lattice import (
-    LatticeDomain,
-    domain_from_json,
-    domain_to_json,
-    is_nested,
-    l1_distance,
-    make_ball,
-    make_box,
-    neighbors,
-    nested_index,
-)
+from lattice_vortex.lattice import LatticeDomain, domain_from_json, make_ball, make_box, nested_index
 
 from brute import (
     closure_index,
@@ -24,19 +14,13 @@ from brute import (
     naive_domain_arrays,
     naive_is_nested,
     naive_nested_index,
+    neighbors,
 )
 from helpers import boundary_points, interior_points, is_connected, nested_domain_pairs
 
 
-def test_l1_distance_basic():
-    assert l1_distance((0, 0), (0, 0)) == 0
-    assert l1_distance((0, 0), (1, 0)) == 1
-    assert l1_distance((2, -1, 3), (0, 0, 0)) == 6
-
-
-def test_l1_distance_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        l1_distance((0, 0), (0, 0, 0))
+def l1_distance(x, y):
+    return sum(abs(a - b) for a, b in zip(x, y, strict=True))
 
 
 def test_neighbors_2d_origin():
@@ -179,14 +163,15 @@ def test_outside_degree_and_edges_against_enumeration():
     assert got == expected_edges
 
 
-def test_is_nested():
+def test_nested_index_on_balls():
     inner = make_ball(2, 1)
     outer = make_ball(2, 2)
-    assert is_nested(inner, outer)
-    assert not is_nested(outer, inner)
-    assert is_nested(inner, make_ball(2, 1))
+    assert len(nested_index(inner, outer)) == inner.n_closure
     with pytest.raises(ValueError):
-        is_nested(make_ball(2, 1), make_ball(3, 2))
+        nested_index(outer, inner)
+    np.testing.assert_array_equal(nested_index(inner, make_ball(2, 1)), np.arange(inner.n_closure))
+    with pytest.raises(ValueError):
+        nested_index(make_ball(2, 1), make_ball(3, 2))
 
 
 @pytest.mark.parametrize("inner, outer", nested_domain_pairs())
@@ -194,9 +179,7 @@ def test_nested_index_matches_naive(inner, outer):
     at = nested_index(inner, outer)
     assert at.dtype == np.int64
     np.testing.assert_array_equal(at, naive_nested_index(inner, outer))
-    assert is_nested(inner, outer)
     # the reversed pair is nested only between equal interiors
-    assert is_nested(outer, inner) == naive_is_nested(outer, inner)
     if not naive_is_nested(outer, inner):
         with pytest.raises(ValueError):
             nested_index(outer, inner)
@@ -216,8 +199,22 @@ def test_nested_index_matches_naive(inner, outer):
 )
 def test_nested_index_rejects_non_nested(inner, outer):
     assert not naive_is_nested(inner, outer)
-    assert not is_nested(inner, outer)
     with pytest.raises(ValueError):
+        nested_index(inner, outer)
+
+
+@pytest.mark.parametrize(
+    "inner, outer, reason",
+    [
+        (make_ball(2, 1), make_ball(3, 2), "dimension mismatch"),
+        # the inner interior reaches the outer boundary
+        (make_box(2, 3), make_box(2, 2), "not inside the outer interior"),
+        # the inner interior leaves the outer closure
+        (make_ball(3, 1, center=(10, 0, 0)), make_ball(3, 2), "not inside the outer interior"),
+    ],
+)
+def test_nested_index_names_its_reason(inner, outer, reason):
+    with pytest.raises(ValueError, match=reason):
         nested_index(inner, outer)
 
 
@@ -245,27 +242,31 @@ def test_nested_index_matches_naive_on_random_point_sets(case):
         for x, y in ((inner, outer), (outer, inner)):
             if naive_is_nested(x, y):
                 np.testing.assert_array_equal(nested_index(x, y), naive_nested_index(x, y))
-                assert is_nested(x, y)
             else:
                 with pytest.raises(ValueError):
                     nested_index(x, y)
-                assert not is_nested(x, y)
 
 
-def test_json_round_trip_box_and_ball():
-    for dom in (make_box(2, 2, center=(1, 1)), make_ball(3, 2)):
-        obj = domain_to_json(dom)
+def test_domain_from_json_box_and_ball():
+    for dom, obj in (
+        (make_box(2, 2, center=(1, 1)), {"kind": "box", "dimension": 2, "center": [1, 1], "size": 2}),
+        (make_ball(3, 2), {"kind": "ball", "dimension": 3, "center": [0, 0, 0], "size": 2}),
+    ):
         back = domain_from_json(obj)
         np.testing.assert_array_equal(back.coords, dom.coords)
         assert back.n_interior == dom.n_interior
 
 
-def test_json_round_trip_irregular():
-    dom = LatticeDomain(2, [(0, 0), (1, 0), (2, 0)])
-    obj = domain_to_json(dom)
-    assert obj == [[0, 0], [1, 0], [2, 0]]
-    back = domain_from_json(obj)
-    assert interior_points(back) == interior_points(dom)
+def test_domain_from_json_point_list():
+    points = [[0, 0], [1, 0], [2, 0]]
+    want = LatticeDomain(2, [(0, 0), (1, 0), (2, 0)])
+    for obj in (points, {"kind": "points", "dimension": 2, "interior": points}):
+        back = domain_from_json(obj)
+        assert back.dimension == 2
+        np.testing.assert_array_equal(back.coords, want.coords)
+        assert back.n_interior == 3
+    with pytest.raises(ValueError):
+        domain_from_json(points, dimension=3)
 
 
 def test_json_dimension_conflict_rejected():

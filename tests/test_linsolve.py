@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lattice_vortex import linsolve
-from lattice_vortex.calculus import from_interior, laplacian, zeros
+from lattice_vortex.calculus import from_interior
 from lattice_vortex.chern_simons import kappa
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import (
@@ -20,6 +20,7 @@ from lattice_vortex.linsolve import (
     solve_interior,
 )
 
+from brute import naive_laplacian
 from helpers import interior_points
 
 RNG = np.random.default_rng(7)
@@ -100,13 +101,13 @@ def test_interior_laplacian_matches_pointwise_operator():
     u = from_interior(dom, RNG.uniform(-1, 1, dom.n_interior))
     lap = interior_laplacian(dom) @ u.interior
     for i, x in enumerate(interior_points(dom)):
-        assert lap[i] == pytest.approx(laplacian(u, x), abs=1e-13)
+        assert lap[i] == pytest.approx(naive_laplacian(u, x), abs=1e-13)
 
 
 def test_solve_zero_rhs():
     dom = make_box(2, 2)
     system = assemble(dom, 3.0)
-    w, _ = solve_interior(system, zeros(dom).interior)
+    w, _ = solve_interior(system, np.zeros(dom.n_interior))
     assert np.all(w == 0.0)
 
 
@@ -136,7 +137,7 @@ def test_solve_residual_pointwise(backend):
     w, _ = solve_interior(system, f, backend=backend)
     w_field = from_interior(dom, w)
     for i, x in enumerate(interior_points(dom)):
-        assert laplacian(w_field, x) - shift * w[i] == pytest.approx(f[i], abs=1e-10)
+        assert naive_laplacian(w_field, x) - shift * w[i] == pytest.approx(f[i], abs=1e-10)
 
 
 def test_backends_agree():
@@ -226,13 +227,45 @@ def test_cg_jacobi_fallback(dom):
 
 
 def test_cg_failure_reports_residual():
-    # A ball, not a box: one Jacobi iteration cannot meet the tolerance.
+    # A ball, not a box: Jacobi-CG, whose attained residual cannot reach 1e-300.
+    # On this draw r.z underflows to 0 while p.Ap stays positive.
     dom = make_ball(2, 12)
     system = assemble(dom, 0.5)
-    f = RNG.uniform(-1, 1, dom.n_interior)
+    f = np.random.default_rng(7).uniform(-1, 1, dom.n_interior)
     with pytest.raises(LinearSolveFailure) as err:
-        solve_interior(system, f, backend="cg", max_iterations=1)
+        solve_interior(system, f, backend="cg", tol=1e-300)
     assert err.value.residual > 0.0
+
+
+def test_solve_interior_failure_carries_no_trace():
+    # Only solve_domain attaches the steps taken; a direct call has none.
+    system = assemble(make_ball(2, 12), 0.5)
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_interior(system, np.ones(system.size), backend="cg", tol=1e-300)
+    assert err.value.trace is None
+    assert LinearSolveFailure("missed", 1.0).trace is None
+
+
+@pytest.mark.parametrize("dom", [make_ball(2, 12), make_ball(3, 4)], ids=["ball2d", "ball3d"])
+def test_cg_budget_is_ten_times_interior_size(monkeypatch, dom):
+    # A tolerance no iterate meets: the three passes share one budget.
+    real_pcg = linsolve._pcg
+    budgets, spent = [], []
+
+    def counting(system, x, r, tol_abs, max_iterations):
+        budgets.append(max_iterations)
+        spent.append(real_pcg(system, x, r, tol_abs, max_iterations))
+        return spent[-1]
+
+    monkeypatch.setattr(linsolve, "_pcg", counting)
+    system = assemble(dom, 0.5)
+    rng = np.random.default_rng(dom.n_interior)
+    with pytest.raises(LinearSolveFailure):
+        solve_interior(system, rng.uniform(-1, 1, system.size), backend="cg", tol=1e-300)
+    assert len(budgets) == 3
+    assert budgets[0] == 10 * dom.n_interior
+    assert all(b == budgets[0] - sum(spent[:i]) for i, b in enumerate(budgets))
+    assert sum(spent) <= 10 * dom.n_interior
 
 
 def test_coo_dump_round_trip():

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lattice_vortex.calculus import constant, from_interior, lq_norm, zeros
+from lattice_vortex.calculus import from_interior, lq_norm
 from lattice_vortex.chern_simons import (
     ModelParams, VortexConfig, newton_solve, residual, solve_domain, source_h
 )
 from lattice_vortex.lattice import make_box
-from lattice_vortex.linsolve import interior_laplacian
+from lattice_vortex.linsolve import assemble, interior_laplacian
 
-from helpers import jacobian_fd_check
+from helpers import jacobian_fd_check, scheme_step, zeros
 
 RNG = np.random.default_rng(41)
 
@@ -45,25 +45,13 @@ def test_newton_agrees_with_monotone_scheme(p, lam):
 
 
 def test_newton_solution_is_fixed_point_of_scheme_step():
-    from lattice_vortex.chern_simons import iterate_step
-    from lattice_vortex.linsolve import assemble
-
     dom = make_box(2, 3)
     params = ModelParams(lam=1.0, p=1)
     u = newton_solve(dom, single_vortex(), params)
     system = assemble(dom, params.shift)
     h = source_h(dom, single_vortex())
-    stepped = iterate_step(u, h, params, system)
+    stepped = scheme_step(u, h, params, system)
     assert np.abs(stepped.values - u.values).max() <= 10 * params.tol_nonlinear
-
-
-def test_newton_warm_start_from_first_iterate():
-    dom = make_box(2, 2)
-    params = ModelParams(lam=1.0, p=0)
-    cold = newton_solve(dom, single_vortex(), params)
-    start = from_interior(dom, np.full(dom.n_interior, -0.5))
-    warm = newton_solve(dom, single_vortex(), params, u_init=start)
-    assert np.abs(cold.values - warm.values).max() < 1e-10
 
 
 def test_newton_guards():
@@ -71,15 +59,6 @@ def test_newton_guards():
     big = make_box(2, 55)  # 111^2 > 10000 interior sites
     with pytest.raises(ValueError):
         newton_solve(big, VortexConfig(()), params)
-    dom = make_box(2, 2)
-    other = make_box(2, 2)
-    with pytest.raises(ValueError):
-        newton_solve(dom, VortexConfig(()), params, u_init=zeros(other))
-    # The start rule of the monotone scheme: non-positive, zero boundary.
-    with pytest.raises(ValueError, match="non-positive"):
-        newton_solve(dom, VortexConfig(()), params, u_init=from_interior(dom, np.ones(dom.n_interior)))
-    with pytest.raises(ValueError, match="boundary"):
-        newton_solve(dom, VortexConfig(()), params, u_init=constant(dom, -1.0))
 
 
 def test_jacobian_at_zero_matches_linear_part():

@@ -1,5 +1,7 @@
 """The package's public surface: root exports, each module's __all__, domain attributes."""
 
+import ast
+import collections
 import importlib
 import json
 import pkgutil
@@ -13,6 +15,7 @@ from lattice_vortex.cli import _solve_inputs
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(lattice_vortex.__file__).parent
 
 
 def readme_bullets(title):
@@ -60,6 +63,48 @@ def test_every_module_all_name_exists():
         module = importlib.import_module(f"lattice_vortex.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"lattice_vortex.{info.name}.__all__ names missing objects: {missing}"
+
+
+def package_reads():
+    """Module name -> the names that package code reads from that module, found with ast.
+
+    A name is read by `from .module import name`, by a load of the bare
+    name inside its own module, or by a `module.name` load where `module`
+    was bound by `from . import module`; `np.zeros` reads nothing here.
+    """
+    reads = collections.defaultdict(set)
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    bound.update({alias.asname or alias.name: alias.name for alias in node.names})
+                else:
+                    reads[node.module].update(alias.name for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[path.stem].add(node.id)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            ):
+                reads[bound[node.value.id]].add(node.attr)
+    return reads
+
+
+def test_every_public_name_has_a_package_reader():
+    # A public name that only the tests read belongs in the tests.
+    reads = package_reads()
+    unread = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(lattice_vortex.__path__)
+        for name in getattr(importlib.import_module(f"lattice_vortex.{info.name}"), "__all__", ())
+        if name not in reads[info.name]
+    ]
+    assert not unread, f"public names no package code reads: {unread}"
 
 
 def test_domains_hold_each_site_once():

@@ -17,6 +17,8 @@ from lattice_vortex.verify import (
     run_suites,
 )
 
+from brute import naive_laplacian
+
 # Recorded by run_suites(11, [1, 2]). The gns_ratio line comes from the
 # per-field suites that preceded the stacked ones, whose draws are
 # unchanged; the oracle_equivalence line from solves at the default shift
@@ -107,20 +109,41 @@ def test_max_principle_operator_equals_assembled_difference(domain):
     bw = band.shape[0] - 1
     rng = np.random.default_rng(n_int)
     for _ in range(3):
-        f, g, slack = verify._max_principle_instance(rng, domain, band)
+        f, g, slack = random_max_principle_instance(rng, domain, band)
         # the symmetric matrix the band stores, entry for entry
         upper = sp.diags([band[bw - k, k:] for k in range(bw + 1)], range(bw + 1))
         got = (sp.triu(upper, 1).T + upper).toarray()
         want = (sp.diags(g.values[:n_int]) - lap).toarray()
         np.testing.assert_array_equal(got, want)
     # the public instance solves that difference to rounding
-    f, g, slack = random_max_principle_instance(np.random.default_rng(5), domain)
+    f, g, slack = random_max_principle_instance(np.random.default_rng(5), domain, damped_band(domain))
     full_b = np.concatenate([np.zeros(n_int), f.boundary_values])
     rhs = full_b[domain.interior_neighbors].sum(axis=1) - slack
     operator = (sp.diags(g.values[:n_int]) - lap).tocsc()
     bound = 1e-12 * (1.0 + np.abs(f.interior).max())
     assert np.abs(f.interior - spla.spsolve(operator, rhs)).max() <= bound
     assert np.abs(operator @ f.interior - rhs).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "domain", [make_box(2, 1), make_box(3, 2), make_ball(2, 3)], ids=["box2d", "box3d", "ball2d"]
+)
+def test_random_max_principle_instance_meets_the_hypotheses(domain):
+    # Checked site by site with the enumerated Laplacian, not the package's.
+    rng = np.random.default_rng(domain.n_closure)
+    for _ in range(3):
+        f, g, slack = random_max_principle_instance(rng, domain, damped_band(domain))
+        assert g.values.min() > 0.0
+        assert slack.min() >= 0.0
+        assert f.boundary_values.max() <= 0.0
+        damped = [
+            naive_laplacian(f, x) - g.values[i] * f.values[i]
+            for i, x in enumerate(map(tuple, domain.coords[: domain.n_interior]))
+        ]
+        bound = 1e-12 * (1.0 + np.abs(f.values).max())
+        np.testing.assert_allclose(damped, slack, rtol=0.0, atol=bound)
+        # the comparison principle's conclusion
+        assert f.values.max() <= 0.0
 
 
 def _faulty_where_first_value_high(u):
