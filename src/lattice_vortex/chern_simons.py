@@ -30,7 +30,8 @@ from .calculus import (
 )
 from .lattice import LatticeDomain, LatticePoint, json_integer, json_point, json_real
 from .linsolve import (
-    DEFAULT_TOL_LINEAR, LinearSolveFailure, LinearSolveInfo, assemble, interior_laplacian, solve_interior
+    DEFAULT_TOL_LINEAR, LinearSolveFailure, LinearSolveInfo, ShiftedLaplacianSystem, interior_laplacian,
+    solve_interior,
 )
 
 if TYPE_CHECKING:
@@ -161,6 +162,8 @@ class ModelParams:
         self.p = json_integer(self.p, "p")
         if self.p < 0:
             raise ValueError("p must be a non-negative integer")
+        if not 0 < self.shift < math.inf:  # lam over- or underflows the shift
+            raise ValueError(f"lam {self.lam!r} gives shift {self.shift!r}, not positive and finite")
         self.max_outer_iterations = json_integer(self.max_outer_iterations, "max_outer_iterations")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
@@ -176,9 +179,9 @@ class VortexConfig:
     """Point charges: locations with positive integer multiplicities.
 
     Each point must be a list of integral coordinates and each
-    multiplicity an integral number (integral floats are accepted);
-    other shapes, fractions and booleans raise ValueError rather than
-    being truncated to another vortex.
+    multiplicity an integral number (integral floats are accepted) with
+    a finite charge 4*pi*n; other shapes, fractions, booleans and larger
+    numbers raise ValueError rather than being truncated to another vortex.
     """
 
     vortices: tuple[tuple[LatticePoint, int], ...]
@@ -188,12 +191,16 @@ class VortexConfig:
         seen = set()
         for point, multiplicity in self.vortices:
             pt = json_point(point, name="vortex point")
-            if json_integer(multiplicity, f"multiplicity at {pt}") < 1:
+            n = json_integer(multiplicity, f"multiplicity at {pt}")
+            if n < 1:
                 raise ValueError(f"multiplicity at {pt} must be a positive integer")
+            # 4*pi*2**1023 is already inf, and a larger int cannot convert to float.
+            if not math.isfinite(FOUR_PI * min(n, 2**1023)):
+                raise ValueError(f"multiplicity at {pt} must have a finite charge 4*pi*n")
             if pt in seen:
                 raise ValueError(f"duplicate vortex point {pt}")
             seen.add(pt)
-            normalized.append((pt, int(multiplicity)))
+            normalized.append((pt, n))
         object.__setattr__(self, "vortices", tuple(normalized))
 
     def __len__(self) -> int:
@@ -349,7 +356,7 @@ def solve_domain(
     LinearSolveFailure, carrying the steps taken before it as `trace`.
     """
     h = source_h(domain, vortices)
-    system = assemble(domain, params.shift)
+    system = ShiftedLaplacianSystem(domain, params.shift)
     h_int = h.interior.copy()
     n_int = domain.n_interior
     m = 2 * params.p + 2

@@ -22,11 +22,9 @@ import numpy as np
 from . import __version__
 from .calculus import write_field_csv
 from .chern_simons import ModelParams, SolveFailure, VortexConfig, solve_domain
-from .exhaustion import (
-    ExhaustionFailure, ExhaustionSchedule, chain_tolerance, report_dict, run_exhaustion
-)
+from .exhaustion import ExhaustionFailure, ExhaustionSchedule, report_dict, run_exhaustion
 from .lattice import domain_from_json, json_dimension, json_object, json_point
-from .linsolve import LinearSolveFailure, assemble, matrix_to_coo_text
+from .linsolve import LinearSolveFailure, ShiftedLaplacianSystem, matrix_to_coo_text
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -91,15 +89,19 @@ def _build_inputs(path, build):
         return build(cfg)
 
 
-# Config key of each ModelParams field whose name differs from it.
+# Config key of each ModelParams and ExhaustionSchedule field whose name differs from it.
 _FIELD_KEYS = {
     "lam": "lambda",
     "tol_nonlinear": "tolerances.nonlinear",
     "tol_residual": "tolerances.residual",
+    "tol_global": "tolerances.global",
+    "decay_threshold": "tolerances.decay",
 }
 # Top-level keys that both commands read.
 _SHARED_KEYS = ("dimension", "vortices", "lambda", "p", "tolerances", "max_outer_iterations")
-_SOLVER_TOLERANCES = ("nonlinear", "residual")
+# The fields of ModelParams and of ExhaustionSchedule that the tolerances block sets.
+_SOLVER_TOLERANCES = ("tol_nonlinear", "tol_residual")
+_CHAIN_TOLERANCES = ("tol_global", "decay_threshold")
 
 
 @contextlib.contextmanager
@@ -125,9 +127,11 @@ def _at(path: str):
         raise ConfigError(_FIELD_KEYS.get(field, field) + message[len(field) :]) from None
 
 
-def _tolerances(cfg, keys) -> dict:
+def _tolerances(cfg, fields) -> dict:
+    """The values the tolerances block sets for `fields`, keyed by field name."""
+    keys = {_FIELD_KEYS[name].split(".")[1]: name for name in fields}
     with _at("tolerances"):
-        return json_object(cfg.get("tolerances", {}), keys)
+        return {keys[key]: v for key, v in json_object(cfg.get("tolerances", {}), keys).items()}
 
 
 def _vortices(cfg, dimension: int) -> VortexConfig:
@@ -145,7 +149,7 @@ def _vortices(cfg, dimension: int) -> VortexConfig:
 
 
 def _params(cfg, tols) -> ModelParams:
-    kwargs = {f"tol_{key}": tols[key] for key in _SOLVER_TOLERANCES if key in tols}
+    kwargs = {name: tols[name] for name in _SOLVER_TOLERANCES if name in tols}
     for key in ("p", "max_outer_iterations"):
         if key in cfg:
             kwargs[key] = cfg[key]
@@ -167,20 +171,16 @@ def _solve_inputs(cfg):
 def _exhaust_inputs(cfg):
     json_object(cfg, _SHARED_KEYS + ("shape", "radii", "center"))
     dimension = json_dimension(cfg["dimension"])
+    tols = _tolerances(cfg, _SOLVER_TOLERANCES + _CHAIN_TOLERANCES)
     schedule = ExhaustionSchedule(
         dimension=dimension,
         shape=cfg.get("shape", "box"),
         radii=cfg["radii"],
         vortices=_vortices(cfg, dimension),
         center=cfg.get("center"),
+        **{name: tols[name] for name in _CHAIN_TOLERANCES if name in tols},
     )
-    tols = _tolerances(cfg, _SOLVER_TOLERANCES + ("global", "decay"))
-    chain = {
-        name: chain_tolerance(tols[key], f"tolerances.{key}")
-        for key, name in (("global", "tol_global"), ("decay", "decay_threshold"))
-        if key in tols
-    }
-    return schedule, _params(cfg, tols), chain
+    return schedule, _params(cfg, tols)
 
 
 def cmd_solve(args) -> int:
@@ -231,7 +231,7 @@ def cmd_solve(args) -> int:
     _write_json(summary, os.path.join(args.out, "summary.json"))
     if args.dump_matrix:
         with open(os.path.join(args.out, "matrix.coo"), "w") as fh:
-            fh.write(matrix_to_coo_text(assemble(domain, params.shift)))
+            fh.write(matrix_to_coo_text(ShiftedLaplacianSystem(domain, params.shift)))
     print(
         f"converged in {trace.iterations} iterations, "
         f"residual {final.residual_inf:.3e}, J {final.j_value:.6f}"
@@ -240,11 +240,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
-    schedule, params, chain = _build_inputs(args.config, _exhaust_inputs)
+    schedule, params = _build_inputs(args.config, _exhaust_inputs)
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        estimate = run_exhaustion(schedule, params, backend=args.backend, **chain)
+        estimate = run_exhaustion(schedule, params, backend=args.backend)
     except (SolveFailure, LinearSolveFailure, ExhaustionFailure) as exc:
         _write_json(
             {"success": False, "failure": {"kind": exc.kind, "message": str(exc)}},
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=".", help="output directory")
     p_solve.add_argument("--backend", choices=("cg", "direct"), default="cg")
     p_solve.add_argument(
-        "--dump-matrix", action="store_true", help="write the assembled operator in COO text"
+        "--dump-matrix", action="store_true", help="write the damped operator in COO text"
     )
     p_solve.set_defaults(func=cmd_solve)
 

@@ -17,8 +17,8 @@ import numpy as np
 from .calculus import LatticeField
 from .chern_simons import IterationTrace, ModelParams, VortexConfig, solve_domain
 from .lattice import (
-    LatticeDomain, LatticePoint, json_dimension, json_integer, json_real, make_ball, make_box,
-    nested_index,
+    LatticeDomain, LatticePoint, json_center, json_dimension, json_integer, json_real, make_ball,
+    make_box, nested_index,
 )
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "GlobalSolutionEstimate",
     "vortex_centroid",
     "decay_profile",
-    "chain_tolerance",
     "run_exhaustion",
     "report_dict",
 ]
@@ -57,7 +56,10 @@ def vortex_centroid(vortices: VortexConfig, dimension: int) -> LatticePoint:
 class ExhaustionSchedule:
     """Chain of domains: shape, two or more strictly increasing integer radii, center, charges.
 
-    Each ValueError message begins with the field it rejects.
+    A run succeeds when its final gap is below `tol_global` and its outer
+    shell sup below `decay_threshold`. Both must be finite and positive; a
+    NaN would make `success` false on every run. Each ValueError message
+    begins with the field it rejects.
     """
 
     dimension: int
@@ -65,8 +67,14 @@ class ExhaustionSchedule:
     radii: tuple[int, ...]
     vortices: VortexConfig
     center: LatticePoint | None = None
+    tol_global: float = 1e-5
+    decay_threshold: float = 1e-4
 
     def __post_init__(self):
+        for name in ("tol_global", "decay_threshold"):
+            setattr(self, name, json_real(getattr(self, name), name))
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.shape not in ("box", "ball"):
             raise ValueError(f"shape must be 'box' or 'ball', got {self.shape!r}")
         self.dimension = json_dimension(self.dimension)
@@ -82,9 +90,9 @@ class ExhaustionSchedule:
             raise ValueError("radii must be strictly increasing")
         if self.center is None:
             self.center = vortex_centroid(self.vortices, self.dimension)
+        # Checked against the largest domain now, not when the run reaches it.
+        self.center = json_center(self.center, self.dimension, self.radii[-1])
         smallest = self.build_domain(self.radii[0])
-        # The builder checks the center; keep the integer tuple it made.
-        self.center = smallest.center
         for pt in self.vortices.points:
             if not smallest.is_interior(pt):
                 raise ValueError(f"vortices must lie inside the smallest domain; {pt} does not")
@@ -107,8 +115,6 @@ class GlobalSolutionEstimate:
     gaps_strictly_decreasing: bool
     final_gap: float
     boundary_shell_sup: float
-    tol_global: float
-    decay_threshold: float
 
     @property
     def finest_field(self) -> LatticeField:
@@ -121,10 +127,9 @@ class GlobalSolutionEstimate:
     @property
     def success(self) -> bool:
         return (
-            all(t.converged for t in self.traces)
-            and self.gaps_non_increasing
-            and self.final_gap < self.tol_global
-            and self.boundary_shell_sup < self.decay_threshold
+            self.gaps_non_increasing
+            and self.final_gap < self.schedule.tol_global
+            and self.boundary_shell_sup < self.schedule.decay_threshold
         )
 
 
@@ -147,23 +152,10 @@ def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, floa
     return [(int(r), float(mags[dist == r].max())) for r in np.unique(dist)]
 
 
-def chain_tolerance(value, name: str) -> float:
-    """A chain certificate threshold as a float; ValueError unless finite and positive."""
-    value = json_real(value, name)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
 def run_exhaustion(
-    schedule: ExhaustionSchedule,
-    params: ModelParams,
-    *,
-    backend: str = "cg",
-    tol_global: float = 1e-5,
-    decay_threshold: float = 1e-4,
+    schedule: ExhaustionSchedule, params: ModelParams, *, backend: str = "cg"
 ) -> GlobalSolutionEstimate:
-    """Solve the chain in order and assemble the global estimate.
+    """Solve the chain in order and build the global estimate.
 
     Per-domain solver failures propagate unchanged. A rise of one zero-
     extended solution above its predecessor (beyond rounding slack) aborts
@@ -181,24 +173,14 @@ def run_exhaustion(
     - so v is a supersolution on the new domain, above its maximal
       solution, and the scheme decreases from v to that solution. The
       first step rises by at most max(residual(v)+) / shift.
-
-    `tol_global` and `decay_threshold` must be finite and positive
-    (`chain_tolerance`); a NaN would make `success` false on every run.
     """
-    tol_global = chain_tolerance(tol_global, "tol_global")
-    decay_threshold = chain_tolerance(decay_threshold, "decay_threshold")
     dom = schedule.build_domain(schedule.radii[0])
     u, trace = solve_domain(dom, schedule.vortices, params, backend=backend)
     domains, solutions, traces, gaps = [dom], [u], [trace], []
     for prev_radius, radius in zip(schedule.radii, schedule.radii[1:]):
         prev_dom, prev_u = dom, u
         dom = schedule.build_domain(radius)
-        try:
-            at = nested_index(prev_dom, dom)
-        except ValueError:
-            raise ExhaustionFailure(
-                f"domain of radius {radius} does not contain its predecessor"
-            ) from None
+        at = nested_index(prev_dom, dom)
         u_init = _extend(prev_u, dom, at)
         u, trace = solve_domain(dom, schedule.vortices, params, backend=backend, u_init=u_init)
         on_prev = u.values[at]
@@ -231,8 +213,6 @@ def run_exhaustion(
         gaps_strictly_decreasing=strict,
         final_gap=gaps[-1],
         boundary_shell_sup=edge_sup,
-        tol_global=tol_global,
-        decay_threshold=decay_threshold,
     )
 
 
@@ -258,7 +238,7 @@ def report_dict(estimate: GlobalSolutionEstimate) -> dict:
         "final_gap": estimate.final_gap,
         "gaps_strictly_decreasing": estimate.gaps_strictly_decreasing,
         "boundary_shell_sup": estimate.boundary_shell_sup,
-        "tol_global": estimate.tol_global,
-        "decay_threshold": estimate.decay_threshold,
+        "tol_global": estimate.schedule.tol_global,
+        "decay_threshold": estimate.schedule.decay_threshold,
         "success": estimate.success,
     }

@@ -16,6 +16,8 @@ import numpy as np
 
 LatticePoint = tuple[int, ...]
 
+_COORD_LIMIT = 2**63 - 2  # the largest interior |coordinate|: x - 1 and x + 1 fit in int64
+
 __all__ = [
     "LatticePoint",
     "LatticeDomain",
@@ -26,6 +28,7 @@ __all__ = [
     "json_dimension",
     "json_integer",
     "json_point",
+    "json_center",
     "json_real",
     "json_object",
 ]
@@ -46,7 +49,8 @@ class LatticeDomain:
     Instances are immutable by convention and safe to share across threads.
 
     `interior` is an iterable of points or an (n, dimension) integer array;
-    non-integral and boolean coordinates raise ValueError.
+    non-integral and boolean coordinates raise ValueError, as do
+    coordinates beyond +-(2**63 - 2), whose neighbors would wrap in int64.
     """
 
     def __init__(
@@ -64,7 +68,7 @@ class LatticeDomain:
 
         self.dimension = dimension
         self.kind = kind
-        self.center = None if center is None else _center(center, dimension)
+        self.center = None if center is None else json_center(center, dimension, 0)
 
         two_n = 2 * dimension
         # The 2n unit steps +e_1, -e_1, +e_2, ..., the neighbor order.
@@ -139,7 +143,7 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
     half_width = json_integer(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be positive")
-    c = _center(center, dimension)
+    c = json_center(center, dimension, half_width)
     axes = [np.arange(ci - half_width, ci + half_width + 1) for ci in c]
     interior = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
     return LatticeDomain(dimension, interior, kind="box", center=c)
@@ -151,7 +155,7 @@ def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -
     radius = json_integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    c = _center(center, dimension)
+    c = json_center(center, dimension, radius)
     # Grow the ball one axis at a time: each offset so far extends by every
     # last coordinate its remaining l1 budget allows. Each intermediate is a
     # lower-dimensional ball, never larger than the result.
@@ -250,10 +254,16 @@ def json_dimension(value) -> int:
     return dimension
 
 
-def _center(center, dimension: int) -> LatticePoint:
-    if center is None:
-        return (0,) * dimension
-    return json_point(center, dimension, "center")
+def json_center(value, dimension: int, reach: int) -> LatticePoint:
+    """A domain center (see json_point), the origin when None.
+
+    A domain reaching `reach` steps from it along each axis must keep its
+    interior within +-(2**63 - 2) (see LatticeDomain), or ValueError.
+    """
+    center = (0,) * dimension if value is None else json_point(value, dimension, "center")
+    if any(abs(c) > _COORD_LIMIT - reach for c in center):
+        raise ValueError(f"center {center} +- {reach + 1} leaves the int64 range")
+    return center
 
 
 def _point_array(points, dimension: int) -> np.ndarray:
@@ -261,11 +271,16 @@ def _point_array(points, dimension: int) -> np.ndarray:
     if isinstance(points, np.ndarray) and points.dtype.kind == "i" and points.ndim == 2:
         if points.shape[1] != dimension:
             raise ValueError(f"points have dimension {points.shape[1]}, not {dimension}")
-        return points.astype(np.int64, copy=False)
-    if not isinstance(points, Iterable):
+        rows = points
+    elif isinstance(points, Iterable):
+        # Python ints of any size, range-checked before int64 holds them.
+        rows = [json_point(p, dimension, f"point {i}") for i, p in enumerate(points)]
+        rows = np.array(rows, dtype=object).reshape(len(rows), dimension)
+    else:
         raise ValueError(f"interior must be a list of points, got {points!r}")
-    rows = [json_point(p, dimension, f"point {i}") for i, p in enumerate(points)]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), dimension)
+    if rows.size and not -_COORD_LIMIT <= rows.min() <= rows.max() <= _COORD_LIMIT:
+        raise ValueError("interior coordinates must lie within +-(2**63 - 2)")
+    return rows.astype(np.int64, copy=False)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

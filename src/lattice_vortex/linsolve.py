@@ -53,7 +53,6 @@ __all__ = [
     "ShiftedLaplacianSystem",
     "interior_laplacian",
     "damped_band",
-    "assemble",
     "solve_interior",
     "matrix_to_coo_text",
 ]
@@ -140,12 +139,15 @@ class ShiftedLaplacianSystem:
     product on the grid; elsewhere, the Jacobi diagonal and the CSR
     `matrix`. `matrix` is built on first use, by the COO dump or a
     product off a box. The direct backend's factor (`cholesky`) comes from
-    `damped_band`, not from the CSR matrix.
+    `damped_band`, not from the CSR matrix. A shift that is not positive
+    and finite raises ValueError.
     """
 
     def __init__(self, domain: LatticeDomain, shift: float):
+        if not 0 < shift < math.inf:  # NaN fails too; an infinite shift has no system
+            raise ValueError(f"shift must be positive and finite, got {shift!r}")
         self.domain = domain
-        self.shift = shift
+        self.shift = float(shift)
         self._cholesky = None
         self._preconditioner = None
         self._box = _box_shape(domain)
@@ -199,14 +201,6 @@ class ShiftedLaplacianSystem:
     @property
     def size(self) -> int:
         return self.domain.n_interior
-
-
-def assemble(domain: LatticeDomain, shift: float) -> ShiftedLaplacianSystem:
-    """The interior system for the damped operator with the given positive shift."""
-    # Written so that NaN fails too; an infinite shift has no system.
-    if not 0 < shift < math.inf:
-        raise ValueError(f"shift must be positive and finite, got {shift!r}")
-    return ShiftedLaplacianSystem(domain, float(shift))
 
 
 def _box_shape(domain: LatticeDomain) -> list[int] | None:

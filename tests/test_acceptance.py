@@ -21,7 +21,7 @@ from lattice_vortex.chern_simons import (
 )
 from lattice_vortex.exhaustion import ExhaustionSchedule, run_exhaustion
 from lattice_vortex.lattice import make_box, nested_index
-from lattice_vortex.linsolve import assemble, damped_band, solve_interior
+from lattice_vortex.linsolve import ShiftedLaplacianSystem, damped_band, solve_interior
 from lattice_vortex.verify import random_max_principle_instance
 
 from helpers import dirichlet_energy, jacobian_fd_check, scheme_step, tail_is_monotone, zeros
@@ -58,7 +58,7 @@ def random_runs():
         domain, vortices, params = _random_configuration(rng, i)
         u, trace = solve_domain(domain, vortices, params, backend="direct")
         h = source_h(domain, vortices)
-        system = assemble(domain, params.shift)
+        system = ShiftedLaplacianSystem(domain, params.shift)
         u1 = scheme_step(zeros(domain), h, params, system, backend="direct")
         runs.append(
             {
@@ -98,7 +98,7 @@ def test_criterion_01_monotone_chain(random_runs):
     rechecked = 0
     for run in sorted(random_runs, key=lambda r: r["trace"].iterations)[:3]:
         domain, params, h = run["domain"], run["params"], run["h"]
-        system = assemble(domain, params.shift)
+        system = ShiftedLaplacianSystem(domain, params.shift)
         prev = zeros(domain)
         for _ in range(run["trace"].iterations):
             cur = scheme_step(prev, h, params, system, backend="direct")
@@ -279,7 +279,7 @@ def test_criterion_10_cross_backend_agreement():
     for i in range(10):
         hw = int(rng.integers(4, 17))  # up to 33x33 interior
         domain = make_box(2, hw)
-        system = assemble(domain, float(rng.uniform(0.5, 8.0)))
+        system = ShiftedLaplacianSystem(domain, float(rng.uniform(0.5, 8.0)))
         f = rng.uniform(-5, 5, domain.n_interior)
         wd, _ = solve_interior(system, f, backend="direct")
         wc, _ = solve_interior(system, f, backend="cg")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import lattice_vortex
-from lattice_vortex import chern_simons
-from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main, render_json
+from lattice_vortex import chern_simons, cli
+from lattice_vortex.chern_simons import ModelParams, VortexConfig
+from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, ConfigError, main, render_json
+from lattice_vortex.exhaustion import ExhaustionSchedule
 from lattice_vortex.linsolve import LinearSolveFailure, LinearSolveInfo
 
 SUITE_NAMES = ("maximum_principle", "green_identity", "gns_ratio", "oracle_equivalence")
@@ -299,6 +302,18 @@ MALFORMED = {
         "config error: tolerances: unknown key 'linear'",
     ),
     "tolerance-inf": ({"tolerances": {"nonlinear": float("inf")}}, "tolerances.nonlinear must"),
+    # The shift 1.1*kappa_p*lam overflows to inf or underflows to 0.
+    "lambda-shift-inf": ({"lambda": 1.7e308}, "config error: lambda 1.7e+308 gives shift inf"),
+    "lambda-shift-zero": ({"lambda": 1e-323, "p": 1}, "config error: lambda 1e-323 gives shift 0.0"),
+    # 4*pi*n is inf, or n does not even convert to a float.
+    "multiplicity-charge-inf": (
+        {"vortices": [{"point": [0, 0], "multiplicity": 1e308}]},
+        "config error: vortices: multiplicity at (0, 0) must have a finite charge",
+    ),
+    "multiplicity-beyond-float": (
+        {"vortices": [{"point": [0, 0], "multiplicity": 10**400}]},
+        "config error: vortices: multiplicity at (0, 0) must have a finite charge",
+    ),
 }
 MALFORMED_FOR = {
     "solve": {
@@ -318,6 +333,20 @@ MALFORMED_FOR = {
         ),
         "chain-key": ({"radii": 5}, "'radii'"),
         "chain-tolerance": ({"tolerances": {"global": 1e-3}}, "tolerances: unknown key 'global'"),
+        # Sites, or their neighbors, outside int64: each domain was built with
+        # wrapped coordinates or raised OverflowError after --out was created.
+        "domain-points-int64": (
+            {"domain": [[2**63 - 1, 0]], "vortices": []},
+            "config error: domain: interior coordinates must lie within",
+        ),
+        "domain-ball-int64": (
+            {"domain": {"kind": "ball", "size": 2, "center": [2**63 - 2, 0]}, "vortices": []},
+            "config error: domain: center (9223372036854775806, 0) +- 3 leaves the int64 range",
+        ),
+        "domain-box-int64": (
+            {"domain": {"kind": "box", "size": 3, "center": [2**63 - 1, 0]}, "vortices": []},
+            "config error: domain: center (9223372036854775807, 0) +- 4 leaves the int64 range",
+        ),
     },
     "exhaust": {
         "radii-int": ({"radii": 5}, "radii must"),
@@ -325,6 +354,15 @@ MALFORMED_FOR = {
         "radii-one": ({"radii": [16]}, "config error: radii must list at least two radii"),
         "center-int": ({"center": 3}, "center must"),
         "domain-key": ({"domain": {"kind": "box", "size": 3, "center": [0, 0]}}, "'domain'"),
+        # The smallest domain fits; the largest does not.
+        "center-box-int64": (
+            {"center": [2**63 - 12, 0], "radii": [2, 12], "vortices": []},
+            "config error: center (9223372036854775796, 0) +- 13 leaves the int64 range",
+        ),
+        "center-ball-int64": (
+            {"shape": "ball", "center": [2**63 - 12, 0], "radii": [2, 12], "vortices": []},
+            "config error: center (9223372036854775796, 0) +- 13 leaves the int64 range",
+        ),
     },
 }
 
@@ -345,6 +383,74 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, command, overrides, k
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("config error:") and key in line
     assert not out.exists()
+
+
+def test_solve_box_far_from_the_origin(tmp_path):
+    # Coordinates near 2**62 stay exact: no site or neighbor leaves int64.
+    far = 2**62
+    cfg = write_config(
+        tmp_path / "run.json",
+        domain={"kind": "box", "size": 3, "center": [far, 0]},
+        vortices=[{"point": [far, 0], "multiplicity": 1}],
+    )
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = (out / "solution.csv").read_text().splitlines()[1:]
+    xs = {int(row.split(",")[0]) for row in rows}
+    assert xs == set(range(far - 4, far + 5))
+
+
+# For each field of ModelParams and ExhaustionSchedule, which a config sets
+# one for one, bad values and the config key the CLI reads the field from.
+FIELD_CASES = {
+    ModelParams: {
+        "lam": [(float("nan"), "lambda"), (1.7e308, "lambda")],
+        "p": [(-1, "p")],
+        "tol_nonlinear": [(0.0, "tolerances.nonlinear")],
+        "tol_residual": [(float("inf"), "tolerances.residual")],
+        "max_outer_iterations": [(0, "max_outer_iterations")],
+    },
+    ExhaustionSchedule: {
+        "dimension": [(1, "dimension")],
+        "shape": [("hex", "shape")],
+        "radii": [([4], "radii"), ([4, 2], "radii")],
+        "vortices": [(VortexConfig((((9, 9), 1),)), "vortices")],
+        "center": [([0.5, 0], "center"), ([2**63 - 12, 0], "center")],
+        "tol_global": [(float("nan"), "tolerances.global")],
+        "decay_threshold": [(0.0, "tolerances.decay")],
+    },
+}
+VALID_FIELDS = {
+    ModelParams: {"lam": 1.0},
+    ExhaustionSchedule: {
+        "dimension": 2,
+        "shape": "box",
+        "radii": [2, 12],
+        "vortices": VortexConfig((((0, 0), 1),)),
+        "center": [0, 0],
+    },
+}
+
+
+def test_field_cases_cover_every_field():
+    # A field added to either owner needs a case, and so a config key.
+    for owner, cases in FIELD_CASES.items():
+        assert set(cases) == {f.name for f in dataclasses.fields(owner)}
+
+
+@pytest.mark.parametrize(
+    "owner, field, bad, key",
+    [
+        pytest.param(owner, field, bad, key, id=f"{owner.__name__}.{field}-{i}")
+        for owner, cases in FIELD_CASES.items()
+        for field, values in cases.items()
+        for i, (bad, key) in enumerate(values)
+    ],
+)
+def test_config_error_begins_with_the_config_key(owner, field, bad, key):
+    with pytest.raises(ConfigError) as err, cli._at(""):
+        owner(**{**VALID_FIELDS[owner], field: bad})
+    assert str(err.value).startswith(f"{key} ")
 
 
 def test_thread_cap_applies_before_numpy_loads():

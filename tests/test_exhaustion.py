@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -221,11 +222,25 @@ def test_run_exhaustion_no_vortices():
         {"decay_threshold": True},
     ],
 )
-def test_run_exhaustion_rejects_bad_chain_tolerances(kwargs):
+def test_schedule_rejects_bad_chain_tolerances(kwargs):
     # A NaN threshold gave a run whose `success` was false whatever it computed.
-    sched = ExhaustionSchedule(dimension=2, shape="box", radii=(2, 4), vortices=single_vortex())
-    with pytest.raises(ValueError):
-        run_exhaustion(sched, ModelParams(lam=1.0, p=0), **kwargs)
+    with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must"):
+        ExhaustionSchedule(
+            dimension=2, shape="box", radii=(2, 4), vortices=single_vortex(), **kwargs
+        )
+
+
+def test_schedule_thresholds_decide_success():
+    kwargs = dict(dimension=2, shape="box", radii=(2, 4), vortices=single_vortex())
+    default = ExhaustionSchedule(**kwargs)
+    assert (default.tol_global, default.decay_threshold) == (1e-5, 1e-4)
+    loose = ExhaustionSchedule(**kwargs, tol_global=1.0, decay_threshold=1.0)
+    est = run_exhaustion(loose, ModelParams(lam=1.0, p=0))
+    assert est.success
+    assert (report_dict(est)["tol_global"], report_dict(est)["decay_threshold"]) == (1.0, 1.0)
+    # The same run judged by the default thresholds: its final gap is far above 1e-5.
+    assert est.final_gap > 1e-5
+    assert not dataclasses.replace(est, schedule=default).success
 
 
 def test_run_exhaustion_single_vortex_small():

@@ -121,6 +121,42 @@ def test_constructor_rejects_bad_input():
         make_box(2, 1, center=(0, 0, 0))
 
 
+LIMIT = 2**63 - 2  # the largest interior |coordinate| whose neighbors fit in int64
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(LIMIT + 1, 0)],
+        [(0, -(LIMIT + 1))],
+        [(0, 0), (2**64, 0)],  # beyond int64 itself
+        np.array([[LIMIT + 1, 0]], dtype=np.int64),
+        np.array([[0, -(2**63)]], dtype=np.int64),
+    ],
+    ids=["list-high", "list-low", "list-beyond", "array-high", "array-low"],
+)
+def test_domain_rejects_coordinates_whose_neighbors_leave_int64(points):
+    # [2**63 - 1, 0] was built with a wrapped neighbor -2**63 in its boundary.
+    with pytest.raises(ValueError, match="interior coordinates must lie within"):
+        LatticeDomain(2, points)
+
+
+@pytest.mark.parametrize("x", [LIMIT, -LIMIT])
+def test_domain_at_the_int64_limit_keeps_exact_neighbors(x):
+    dom = LatticeDomain(2, np.array([[x, 0]]))
+    boundary = {tuple(int(c) for c in row) for row in dom.coords[1:]}
+    assert boundary == {(x - 1, 0), (x + 1, 0), (x, 1), (x, -1)}
+
+
+@pytest.mark.parametrize("maker", [make_box, make_ball])
+def test_box_and_ball_check_their_reach_before_building(maker):
+    # make_ball's offsets + center wrapped silently; make_box's arange left int64.
+    assert maker(2, 3, center=(LIMIT - 3, -LIMIT + 3)).n_interior > 0
+    for center in [(LIMIT - 2, 0), (0, -LIMIT + 2), (2**63 - 1, 0), (2**70, 0)]:
+        with pytest.raises(ValueError, match=r"^center .* \+- 4 leaves the int64 range"):
+            maker(2, 3, center=center)
+
+
 @pytest.mark.parametrize(
     "dom",
     [make_box(2, 2), make_ball(2, 3), make_box(3, 1), make_ball(3, 2)],

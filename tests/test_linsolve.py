@@ -13,7 +13,6 @@ from lattice_vortex.linsolve import (
     DEFAULT_TOL_LINEAR,
     LinearSolveFailure,
     ShiftedLaplacianSystem,
-    assemble,
     damped_band,
     interior_laplacian,
     matrix_to_coo_text,
@@ -26,24 +25,24 @@ from helpers import interior_points
 RNG = np.random.default_rng(7)
 
 
-def test_assemble_single_point():
+def test_system_single_point():
     dom = make_ball(2, 0)
-    system = assemble(dom, 1.5)
+    system = ShiftedLaplacianSystem(dom, 1.5)
     assert system.matrix.shape == (1, 1)
     np.testing.assert_allclose(system.matrix.toarray(), [[4.0 + 1.5]])
 
 
-def test_assemble_rejects_nonpositive_shift():
+def test_system_rejects_nonpositive_shift():
     # NaN built an all-NaN matrix, and inf made CG divide by zero.
     for shift in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            assemble(make_box(2, 1), shift)
+            ShiftedLaplacianSystem(make_box(2, 1), shift)
 
 
-def test_assemble_3x3_structure():
+def test_system_3x3_structure():
     dom = make_box(2, 1)
     shift = 2.0
-    system = assemble(dom, shift)
+    system = ShiftedLaplacianSystem(dom, shift)
     dense = system.matrix.toarray()
     assert dense.shape == (9, 9)
     center = int(dom.locate((0, 0)))
@@ -58,7 +57,7 @@ def test_assemble_3x3_structure():
 
 def test_matrix_symmetric_and_positive_definite():
     dom = make_ball(2, 3)
-    system = assemble(dom, 0.7)
+    system = ShiftedLaplacianSystem(dom, 0.7)
     diff = system.matrix - system.matrix.T
     assert diff.nnz == 0
     for _ in range(100):
@@ -75,7 +74,7 @@ def test_matrix_symmetric_and_positive_definite():
 def test_box_product_equals_csr_bitwise(dom, p):
     # The numpy product adds each row's terms in CSR's column order, so it
     # must reproduce the CSR product bit for bit, the sign of zero included.
-    system = assemble(dom, 1.1 * (kappa(p) * 1.0))
+    system = ShiftedLaplacianSystem(dom, 1.1 * (kappa(p) * 1.0))
     assert system._box is not None
     rng = np.random.default_rng(p)
     zero = np.zeros(dom.n_interior)
@@ -88,7 +87,7 @@ def test_box_product_equals_csr_bitwise(dom, p):
 
 def test_jacobi_diagonal_is_shift_plus_2n():
     for dom in (make_ball(2, 6), make_ball(3, 3), _box_minus_one_site()):
-        system = assemble(dom, 1.1 * kappa(1))
+        system = ShiftedLaplacianSystem(dom, 1.1 * kappa(1))
         assert system._box is None
         diagonal = system.matrix.diagonal()
         assert np.array_equal(diagonal, np.full(dom.n_interior, system.shift + 2 * dom.dimension))
@@ -106,7 +105,7 @@ def test_interior_laplacian_matches_pointwise_operator():
 
 def test_solve_zero_rhs():
     dom = make_box(2, 2)
-    system = assemble(dom, 3.0)
+    system = ShiftedLaplacianSystem(dom, 3.0)
     w, _ = solve_interior(system, np.zeros(dom.n_interior))
     assert np.all(w == 0.0)
 
@@ -114,7 +113,7 @@ def test_solve_zero_rhs():
 def test_solve_single_point_by_hand():
     # (laplacian - 1) w = -5 on one site with zero neighbors: -5 w = -5.
     dom = make_ball(2, 0)
-    system = assemble(dom, 1.0)
+    system = ShiftedLaplacianSystem(dom, 1.0)
     w, info = solve_interior(system, np.array([-5.0]))
     assert w[0] == pytest.approx(1.0, abs=1e-12)
     assert info.iterations >= 1
@@ -122,7 +121,7 @@ def test_solve_single_point_by_hand():
 
 def test_cg_single_point_in_one_iteration():
     dom = make_ball(2, 0)
-    system = assemble(dom, 2.0)
+    system = ShiftedLaplacianSystem(dom, 2.0)
     _, info = solve_interior(system, np.array([3.0]), backend="cg")
     assert info.iterations == 1
 
@@ -132,7 +131,7 @@ def test_solve_residual_pointwise(backend):
     # Cross-check the solve against the pointwise Laplacian operator.
     dom = make_box(2, 3)
     shift = 2.5
-    system = assemble(dom, shift)
+    system = ShiftedLaplacianSystem(dom, shift)
     f = RNG.uniform(-1, 1, dom.n_interior)
     w, _ = solve_interior(system, f, backend=backend)
     w_field = from_interior(dom, w)
@@ -142,7 +141,7 @@ def test_solve_residual_pointwise(backend):
 
 def test_backends_agree():
     dom = make_box(2, 7)  # 15x15 interior
-    system = assemble(dom, 1.3)
+    system = ShiftedLaplacianSystem(dom, 1.3)
     f = RNG.uniform(-2, 2, dom.n_interior)
     wd, _ = solve_interior(system, f, backend="direct")
     wc, info = solve_interior(system, f, backend="cg")
@@ -155,7 +154,7 @@ def test_backends_agree_3d():
     # band of half-width 289 in the natural order; the bound is the
     # cross-backend criterion of the acceptance gate.
     dom = make_box(3, 8)
-    system = assemble(dom, 4.0)
+    system = ShiftedLaplacianSystem(dom, 4.0)
     f = np.random.default_rng(8).uniform(-2, 2, dom.n_interior)
     wd, _ = solve_interior(system, f, backend="direct")
     wc, _ = solve_interior(system, f, backend="cg")
@@ -165,7 +164,7 @@ def test_backends_agree_3d():
 def test_nonnegative_rhs_gives_nonpositive_solution():
     # Comparison-principle consequence of the M-matrix structure.
     for dom in (make_box(2, 3), make_ball(3, 2)):
-        system = assemble(dom, 0.9)
+        system = ShiftedLaplacianSystem(dom, 0.9)
         for _ in range(10):
             f = RNG.uniform(0, 1, dom.n_interior)
             w, _ = solve_interior(system, f)
@@ -174,7 +173,7 @@ def test_nonnegative_rhs_gives_nonpositive_solution():
 
 def test_solve_rejects_bad_inputs():
     dom = make_box(2, 1)
-    system = assemble(dom, 1.0)
+    system = ShiftedLaplacianSystem(dom, 1.0)
     with pytest.raises(ValueError):
         solve_interior(system, np.zeros(5))
     with pytest.raises(ValueError):
@@ -202,7 +201,7 @@ def _strip_longer_than_box_cap():
 def test_cg_exact_on_boxes(dom):
     # On a full box the preconditioner is the exact inverse, so CG converges
     # in one iteration whatever the center or the domain kind.
-    system = assemble(dom, 1.3)
+    system = ShiftedLaplacianSystem(dom, 1.3)
     v = RNG.uniform(-1, 1, dom.n_interior)
     assert np.abs(system.precondition(system.matrix @ v) - v).max() < 1e-13
     f = RNG.uniform(-2, 2, dom.n_interior)
@@ -218,7 +217,7 @@ def test_cg_exact_on_boxes(dom):
     ids=["ball", "box-with-hole", "long-strip"],
 )
 def test_cg_jacobi_fallback(dom):
-    system = assemble(dom, 1.3)
+    system = ShiftedLaplacianSystem(dom, 1.3)
     f = RNG.uniform(-2, 2, dom.n_interior)
     wd, _ = solve_interior(system, f, backend="direct")
     wc, info = solve_interior(system, f, backend="cg")
@@ -230,7 +229,7 @@ def test_cg_failure_reports_residual():
     # A ball, not a box: Jacobi-CG, whose attained residual cannot reach 1e-300.
     # On this draw r.z underflows to 0 while p.Ap stays positive.
     dom = make_ball(2, 12)
-    system = assemble(dom, 0.5)
+    system = ShiftedLaplacianSystem(dom, 0.5)
     f = np.random.default_rng(7).uniform(-1, 1, dom.n_interior)
     with pytest.raises(LinearSolveFailure) as err:
         solve_interior(system, f, backend="cg", tol=1e-300)
@@ -239,7 +238,7 @@ def test_cg_failure_reports_residual():
 
 def test_solve_interior_failure_carries_no_trace():
     # Only solve_domain attaches the steps taken; a direct call has none.
-    system = assemble(make_ball(2, 12), 0.5)
+    system = ShiftedLaplacianSystem(make_ball(2, 12), 0.5)
     with pytest.raises(LinearSolveFailure) as err:
         solve_interior(system, np.ones(system.size), backend="cg", tol=1e-300)
     assert err.value.trace is None
@@ -258,7 +257,7 @@ def test_cg_budget_is_ten_times_interior_size(monkeypatch, dom):
         return spent[-1]
 
     monkeypatch.setattr(linsolve, "_pcg", counting)
-    system = assemble(dom, 0.5)
+    system = ShiftedLaplacianSystem(dom, 0.5)
     rng = np.random.default_rng(dom.n_interior)
     with pytest.raises(LinearSolveFailure):
         solve_interior(system, rng.uniform(-1, 1, system.size), backend="cg", tol=1e-300)
@@ -270,7 +269,7 @@ def test_cg_budget_is_ten_times_interior_size(monkeypatch, dom):
 
 def test_coo_dump_round_trip():
     dom = make_box(2, 1)
-    system = assemble(dom, 2.25)
+    system = ShiftedLaplacianSystem(dom, 2.25)
     text = matrix_to_coo_text(system)
     dense = np.zeros((9, 9))
     for line in text.strip().splitlines():
@@ -287,7 +286,7 @@ def test_coo_dump_round_trip():
 def test_seeded_product_gives_identical_solve(dom, backend):
     # Passing back the certifying product of the previous solve as A x0
     # must not change a single bit of the next one.
-    system = assemble(dom, 1.3)
+    system = ShiftedLaplacianSystem(dom, 1.3)
     f1 = RNG.uniform(-2, 2, dom.n_interior)
     f2 = f1 + RNG.uniform(-0.1, 0.1, dom.n_interior)
     x1, info1 = solve_interior(system, f1, backend=backend)
@@ -304,7 +303,7 @@ def test_seeded_product_gives_identical_solve(dom, backend):
 @pytest.mark.parametrize("backend", ["direct", "cg"])
 @pytest.mark.parametrize("bad", ["all_nan", "one_inf", "one_minus_inf"])
 def test_non_finite_rhs_rejected_before_solving(monkeypatch, backend, bad):
-    system = assemble(make_box(2, 2), 4.0)
+    system = ShiftedLaplacianSystem(make_box(2, 2), 4.0)
     rhs = np.ones(system.size)
     if bad == "all_nan":
         rhs[:] = math.nan
@@ -322,7 +321,7 @@ def test_non_finite_rhs_rejected_before_solving(monkeypatch, backend, bad):
 
 
 def test_non_finite_attained_residual_rejected(monkeypatch):
-    system = assemble(make_box(2, 2), 4.0)
+    system = ShiftedLaplacianSystem(make_box(2, 2), 4.0)
 
     nan_factor = np.full((2, system.size), math.nan, order="F")
     monkeypatch.setattr(system, "cholesky", lambda: nan_factor)
@@ -344,7 +343,7 @@ BAND_IDS = ["box-2d", "box-2d-off-center", "box-3d", "ball-2d", "point-set"]
 
 @pytest.mark.parametrize("dom", BAND_DOMAINS, ids=BAND_IDS)
 def test_damped_band_stores_the_matrix(dom):
-    system = assemble(dom, 1.3)
+    system = ShiftedLaplacianSystem(dom, 1.3)
     band = damped_band(dom)
     assert band.flags.f_contiguous
     bw = band.shape[0] - 1
@@ -358,7 +357,7 @@ def test_damped_band_stores_the_matrix(dom):
 
 @pytest.mark.parametrize("dom", BAND_DOMAINS, ids=BAND_IDS)
 def test_direct_solve_certified_and_agrees_with_cg(dom):
-    system = assemble(dom, 1.3)
+    system = ShiftedLaplacianSystem(dom, 1.3)
     f = np.random.default_rng(dom.n_interior).uniform(-2, 2, dom.n_interior)
     wd, info = solve_interior(system, f, backend="direct")
     assert info.residual_inf <= DEFAULT_TOL_LINEAR * (1.0 + np.abs(f).max())
@@ -370,9 +369,11 @@ def test_direct_solve_certified_and_agrees_with_cg(dom):
 
 
 def test_failed_cholesky_raises_linear_solve_failure():
-    # assemble rejects a non-positive shift; built directly, A is indefinite
-    # and LAPACK reports it instead of returning a NaN factor.
-    system = ShiftedLaplacianSystem(make_box(2, 2), -10.0)
+    # The constructor rejects a non-positive shift; set afterwards, before
+    # `cholesky` first reads it, A is indefinite and LAPACK reports it
+    # instead of returning a NaN factor.
+    system = ShiftedLaplacianSystem(make_box(2, 2), 1.0)
+    system.shift = -10.0
     with pytest.raises(LinearSolveFailure) as err:
         solve_interior(system, np.ones(system.size), backend="direct")
     assert math.isnan(err.value.residual)

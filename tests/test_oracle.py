@@ -8,7 +8,7 @@ from lattice_vortex.chern_simons import (
     ModelParams, VortexConfig, newton_solve, residual, solve_domain, source_h
 )
 from lattice_vortex.lattice import make_box
-from lattice_vortex.linsolve import assemble, interior_laplacian
+from lattice_vortex.linsolve import ShiftedLaplacianSystem, interior_laplacian
 
 from helpers import jacobian_fd_check, scheme_step, zeros
 
@@ -48,7 +48,7 @@ def test_newton_solution_is_fixed_point_of_scheme_step():
     dom = make_box(2, 3)
     params = ModelParams(lam=1.0, p=1)
     u = newton_solve(dom, single_vortex(), params)
-    system = assemble(dom, params.shift)
+    system = ShiftedLaplacianSystem(dom, params.shift)
     h = source_h(dom, single_vortex())
     stepped = scheme_step(u, h, params, system)
     assert np.abs(stepped.values - u.values).max() <= 10 * params.tol_nonlinear
