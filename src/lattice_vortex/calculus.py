@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import LatticeDomain, LatticePoint
+from .lattice import LatticeDomain
 
 __all__ = [
     "LatticeField",
@@ -54,12 +54,6 @@ class LatticeField:
     @property
     def boundary_values(self) -> np.ndarray:
         return self.values[..., self.domain.n_interior :]
-
-    def value_at(self, point: LatticePoint) -> float:
-        idx = self.domain.locate(point)
-        if idx < 0:
-            raise KeyError(tuple(point))
-        return float(self.values[idx])
 
     def copy(self) -> "LatticeField":
         return LatticeField(self.domain, self.values.copy())

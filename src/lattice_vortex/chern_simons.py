@@ -162,8 +162,12 @@ class ModelParams:
         self.p = json_integer(self.p, "p")
         if self.p < 0:
             raise ValueError("p must be a non-negative integer")
-        if not 0 < self.shift < math.inf:  # lam over- or underflows the shift
-            raise ValueError(f"lam {self.lam!r} gives shift {self.shift!r}, not positive and finite")
+        try:
+            shift = self.shift
+        except OverflowError:  # kappa's sqrt(20 p^2) leaves the float range above p ~ 3e153
+            raise ValueError("p is too large: kappa(p) overflows a float") from None
+        if not 0 < shift < math.inf:  # lam over- or underflows the shift
+            raise ValueError(f"lam {self.lam!r} gives shift {shift!r}, not positive and finite")
         self.max_outer_iterations = json_integer(self.max_outer_iterations, "max_outer_iterations")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
@@ -210,15 +214,6 @@ class VortexConfig:
     def points(self) -> tuple[LatticePoint, ...]:
         return tuple(p for p, _ in self.vortices)
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.vortices)
-
-    @property
-    def total_charge(self) -> float:
-        """Total source mass, 4*pi times the multiplicity sum."""
-        return FOUR_PI * sum(self.multiplicities)
-
 
 @dataclass
 class TraceRecord:
@@ -241,15 +236,6 @@ class IterationTrace:
         self.records: list[TraceRecord] = []
         self.converged = False
 
-    def append(self, record: TraceRecord):
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
     @property
     def iterations(self) -> int:
         return len(self.records)
@@ -257,12 +243,6 @@ class IterationTrace:
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-    def all_monotone(self) -> bool:
-        return all(r.monotone_ok for r in self.records)
-
-    def all_j_decreasing(self) -> bool:
-        return all(r.j_decrease_ok for r in self.records)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -413,7 +393,7 @@ def solve_domain(
             norm_chain_ok=norm_chain_ok,
             linear_iterations=info.iterations,
         )
-        trace.append(record)
+        trace.records.append(record)
         if not record.monotone_ok:
             if not (math.isfinite(rise) and math.isfinite(sup_change)):
                 raise NonFiniteBreakdown(

@@ -206,7 +206,7 @@ def cmd_solve(args) -> int:
             }
         )
         trace = getattr(exc, "trace", None)
-        if trace is not None and len(trace):
+        if trace is not None and trace.iterations:
             trace.write_csv(os.path.join(args.out, "trace.csv"))
             summary["iterations"] = trace.iterations
         _write_json(summary, os.path.join(args.out, "summary.json"))

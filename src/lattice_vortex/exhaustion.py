@@ -10,6 +10,7 @@ finite checks stand in for the pointwise limit over an infinite chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -35,21 +36,21 @@ CHAIN_SLACK = 1e-9
 
 
 class ExhaustionFailure(RuntimeError):
-    """Raised when the inter-domain ordering breaks between two radii."""
+    """Raised when the inter-domain ordering breaks between two radii; the message names both."""
 
     kind = "chain_violation"
 
-    def __init__(self, message: str, pair: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.pair = pair
-
 
 def vortex_centroid(vortices: VortexConfig, dimension: int) -> LatticePoint:
-    """Coordinate-wise median of the vortex points, rounded to the lattice."""
-    if len(vortices) == 0:
+    """Coordinate-wise median of the vortex points, rounded half to even onto the lattice.
+
+    The median is taken in integers, so coordinates beyond 2**53 stay exact.
+    """
+    n = len(vortices)
+    if n == 0:
         return tuple(0 for _ in range(dimension))
-    pts = np.array(vortices.points, dtype=float)
-    return tuple(int(round(v)) for v in np.median(pts, axis=0))
+    columns = (sorted(axis) for axis in zip(*vortices.points))
+    return tuple(round(Fraction(c[(n - 1) // 2] + c[n // 2], 2)) for c in columns)
 
 
 @dataclass
@@ -107,7 +108,6 @@ class GlobalSolutionEstimate:
     """Everything the chain run produced, plus the three finite certificates."""
 
     schedule: ExhaustionSchedule
-    domains: list[LatticeDomain]
     solutions: list[LatticeField]
     traces: list[IterationTrace]
     inter_domain_gaps: list[float]
@@ -176,7 +176,7 @@ def run_exhaustion(
     """
     dom = schedule.build_domain(schedule.radii[0])
     u, trace = solve_domain(dom, schedule.vortices, params, backend=backend)
-    domains, solutions, traces, gaps = [dom], [u], [trace], []
+    solutions, traces, gaps = [u], [trace], []
     for prev_radius, radius in zip(schedule.radii, schedule.radii[1:]):
         prev_dom, prev_u = dom, u
         dom = schedule.build_domain(radius)
@@ -187,11 +187,9 @@ def run_exhaustion(
         rise = float((on_prev - prev_u.values).max())
         if rise > CHAIN_SLACK:
             raise ExhaustionFailure(
-                f"solution on radius {radius} rises {rise:.3e} above radius {prev_radius}",
-                pair=(prev_radius, radius),
+                f"solution on radius {radius} rises {rise:.3e} above radius {prev_radius}"
             )
         gaps.append(float(np.abs(on_prev[: prev_dom.n_interior] - prev_u.interior).max()))
-        domains.append(dom)
         solutions.append(u)
         traces.append(trace)
     profile = decay_profile(solutions[-1], schedule.center)
@@ -205,7 +203,6 @@ def run_exhaustion(
     strict = all(b < a for a, b in zip(gaps, gaps[1:]))
     return GlobalSolutionEstimate(
         schedule=schedule,
-        domains=domains,
         solutions=solutions,
         traces=traces,
         inter_domain_gaps=gaps,

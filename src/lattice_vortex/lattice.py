@@ -59,7 +59,6 @@ class LatticeDomain:
         interior: Iterable[LatticePoint] | np.ndarray,
         *,
         kind: str = "points",
-        center: LatticePoint | None = None,
     ):
         dimension = json_dimension(dimension)
         points = _point_array(interior, dimension)
@@ -68,7 +67,6 @@ class LatticeDomain:
 
         self.dimension = dimension
         self.kind = kind
-        self.center = None if center is None else json_center(center, dimension, 0)
 
         two_n = 2 * dimension
         # The 2n unit steps +e_1, -e_1, +e_2, ..., the neighbor order.
@@ -102,9 +100,6 @@ class LatticeDomain:
             f"LatticeDomain(dim={self.dimension}, kind={self.kind!r}, "
             f"interior={self.n_interior}, boundary={self.n_closure - self.n_interior})"
         )
-
-    def __contains__(self, point: LatticePoint) -> bool:
-        return bool(self.locate(point) >= 0)
 
     def is_interior(self, point: LatticePoint) -> bool:
         return bool(0 <= self.locate(point) < self.n_interior)
@@ -146,7 +141,7 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
     c = json_center(center, dimension, half_width)
     axes = [np.arange(ci - half_width, ci + half_width + 1) for ci in c]
     interior = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
-    return LatticeDomain(dimension, interior, kind="box", center=c)
+    return LatticeDomain(dimension, interior, kind="box")
 
 
 def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -> LatticeDomain:
@@ -167,7 +162,7 @@ def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -
         last = np.arange(counts.sum()) - start
         offsets = np.column_stack([np.repeat(offsets, counts, axis=0), last])
     interior = offsets + np.array(c, dtype=np.int64)
-    return LatticeDomain(dimension, interior, kind="ball", center=c)
+    return LatticeDomain(dimension, interior, kind="ball")
 
 
 def nested_index(inner: LatticeDomain, outer: LatticeDomain) -> np.ndarray:

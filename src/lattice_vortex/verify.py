@@ -63,7 +63,7 @@ def random_max_principle_instance(rng, domain, band):
     return LatticeField(domain, f_vals), LatticeField(domain, g_vals), slack
 
 
-def max_principle_suite(rng, sizes, instances=100) -> SuiteResult:
+def max_principle_suite(rng, sizes) -> SuiteResult:
     """Solve hypothesis-satisfying instances and assert non-positivity.
 
     Also injects hypothesis violations (a positive bump exceeding the
@@ -71,6 +71,7 @@ def max_principle_suite(rng, sizes, instances=100) -> SuiteResult:
     """
     domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
     bands = [damped_band(domain) for domain in domains]
+    instances, probes = 100, 5
     failures = []
     for i in range(instances):
         j = i % len(domains)
@@ -78,7 +79,6 @@ def max_principle_suite(rng, sizes, instances=100) -> SuiteResult:
         if not max_principle_check(f, g):
             failures.append(f"instance {i}: positive value escaped")
     detected = 0
-    probes = 5
     for i in range(probes):
         j = i % len(domains)
         f, g, slack = random_max_principle_instance(rng, domains[j], bands[j])
@@ -188,10 +188,11 @@ def gns_ratio_suite(rng, fields=1000) -> SuiteResult:
     return SuiteResult("gns_ratio", not failures, "; ".join(failures) or detail)
 
 
-def oracle_equivalence_suite(rng, instances=3) -> SuiteResult:
-    """Monotone scheme vs `chern_simons.newton_solve` on small random instances."""
+def oracle_equivalence_suite(rng) -> SuiteResult:
+    """Monotone scheme vs `chern_simons.newton_solve` on three small random instances."""
     failures = []
     worst = 0.0
+    instances = 3
     for i in range(instances):
         n = 2 if i % 2 == 0 else 3
         hw = 3 if n == 2 else 1

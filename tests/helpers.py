@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from lattice_vortex import exhaustion
 from lattice_vortex.calculus import LatticeField, from_interior
 from lattice_vortex.chern_simons import jacobian, nonlinearity, residual, source_h
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
@@ -32,6 +33,14 @@ def interior_points(domain):
 
 def boundary_points(domain):
     return closure_points(domain)[domain.n_interior :]
+
+
+def value_at(u, point):
+    """The value of field u at a closure point; KeyError for a point outside the closure."""
+    idx = u.domain.locate(point)
+    if idx < 0:
+        raise KeyError(tuple(point))
+    return float(u.values[idx])
 
 
 def from_function(domain, fn):
@@ -145,6 +154,21 @@ def nested_domain_pairs():
             LatticeDomain(2, scattered + [(2, 0), (5, 6), (10**12, 1), (-8, 3), (-3, -3)]),
         ),
     ]
+
+
+def break_chain_ordering(monkeypatch):
+    """Patch the chain's solver so every radius after the first returns the zero field.
+
+    Zero lies above the previous radius's solution wherever a vortex pulls
+    it below zero, so the chain's ordering check must trip.
+    """
+    real = exhaustion.solve_domain
+
+    def solve(domain, vortices, params, *, backend, u_init=None):
+        u, trace = real(domain, vortices, params, backend=backend)
+        return (u if u_init is None else zeros(domain)), trace
+
+    monkeypatch.setattr(exhaustion, "solve_domain", solve)
 
 
 def jacobian_fd_check(domain, vortices, params, u, *, step=1e-6):

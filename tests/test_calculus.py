@@ -25,7 +25,7 @@ from brute import (
     naive_laplacian,
     naive_seminorm_q,
 )
-from helpers import dirichlet_energy, from_function, interior_points, read_field_csv, zeros
+from helpers import dirichlet_energy, from_function, interior_points, read_field_csv, value_at, zeros
 
 RNG = np.random.default_rng(20240811)
 
@@ -173,7 +173,7 @@ def test_green_identity_matches_pointwise_reference(dom):
     # implementations are compared on a value far above the noise.
     vector = green_identity_defect(u, v, laplacian_fn=lambda w: laplacian_interior(w) + 0.5 * w.interior)
     pointwise = naive_green_identity_defect(
-        u, v, laplacian_fn=lambda w, x: naive_laplacian(w, x) + 0.5 * w.value_at(x)
+        u, v, laplacian_fn=lambda w, x: naive_laplacian(w, x) + 0.5 * value_at(w, x)
     )
     assert vector > 1e3 * 1e-13 * scale
     assert vector == pytest.approx(pointwise, rel=1e-12)

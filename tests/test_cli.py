@@ -16,6 +16,8 @@ from lattice_vortex.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, ConfigError, ma
 from lattice_vortex.exhaustion import ExhaustionSchedule
 from lattice_vortex.linsolve import LinearSolveFailure, LinearSolveInfo
 
+from helpers import break_chain_ordering
+
 SUITE_NAMES = ("maximum_principle", "green_identity", "gns_ratio", "oracle_equivalence")
 
 
@@ -175,6 +177,17 @@ def test_solve_linear_failure_keeps_its_trace(tmp_path, monkeypatch):
     assert [row.split(",")[0] for row in rows] == ["k", "1", "2"]
 
 
+def test_exhaust_chain_violation_is_reported(tmp_path, monkeypatch):
+    break_chain_ordering(monkeypatch)
+    cfg = write_exhaust_config(tmp_path / "chain.json")
+    out = tmp_path / "out"
+    assert main(["exhaust", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    report = json.loads((out / "report.json").read_text())
+    assert report["success"] is False
+    assert report["failure"]["kind"] == "chain_violation"
+    assert re.search(r"on radius 8 rises .* above radius 4", report["failure"]["message"])
+
+
 def test_solve_dump_matrix(tmp_path):
     cfg = write_config(tmp_path / "run.json")
     out = tmp_path / "out"
@@ -310,6 +323,8 @@ MALFORMED = {
         {"vortices": [{"point": [0, 0], "multiplicity": 1e308}]},
         "config error: vortices: multiplicity at (0, 0) must have a finite charge",
     ),
+    # kappa(p) takes sqrt(20 p^2), which overflowed into a traceback.
+    "p-kappa-overflow": ({"p": 10**200}, "config error: p is too large: kappa(p) overflows a float"),
     "multiplicity-beyond-float": (
         {"vortices": [{"point": [0, 0], "multiplicity": 10**400}]},
         "config error: vortices: multiplicity at (0, 0) must have a finite charge",
@@ -451,30 +466,6 @@ def test_config_error_begins_with_the_config_key(owner, field, bad, key):
     with pytest.raises(ConfigError) as err, cli._at(""):
         owner(**{**VALID_FIELDS[owner], field: bad})
     assert str(err.value).startswith(f"{key} ")
-
-
-def test_thread_cap_applies_before_numpy_loads():
-    # Record OPENBLAS_NUM_THREADS at the moment numpy is first imported.
-    probe = (
-        "import os, sys\n"
-        "seen = []\n"
-        "class Probe:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' and not seen:\n"
-        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-        "sys.meta_path.insert(0, Probe())\n"
-        "import lattice_vortex\n"
-        "print(seen[0], os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
-    )
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["LATTICE_VORTEX_THREADS"] = "1"
-    env["OMP_NUM_THREADS"] = "2"  # set already: left as it is
-    env["PYTHONPATH"] = str(Path(lattice_vortex.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "1", "2"]
 
 
 def test_cg_box_commands_never_load_scipy(tmp_path):

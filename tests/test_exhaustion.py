@@ -10,6 +10,7 @@ from lattice_vortex.chern_simons import (
     ModelParams, VortexConfig, residual, solve_domain, source_h,
 )
 from lattice_vortex.exhaustion import (
+    ExhaustionFailure,
     ExhaustionSchedule,
     decay_profile,
     report_dict,
@@ -20,9 +21,11 @@ from lattice_vortex.lattice import make_ball, make_box, nested_index
 
 from brute import naive_null_extend, naive_restrict_field
 from helpers import (
+    break_chain_ordering,
     interior_points,
     nested_domain_pairs,
     tail_is_monotone,
+    value_at,
     verify_global_negativity,
     zeros,
 )
@@ -48,6 +51,30 @@ def test_vortex_centroid():
     assert vortex_centroid(VortexConfig(()), 2) == (0, 0)
     cfg = VortexConfig((((0, 0), 1), ((4, 2), 1), ((2, 2), 1)))
     assert vortex_centroid(cfg, 2) == (2, 2)
+    # An even count rounds the half-integer median to even.
+    halves = [([(0, 0), (1, 0)], (0, 0)), ([(1, 0), (2, 0)], (2, 0)), ([(-1, 0), (0, 0)], (0, 0))]
+    for points, center in halves:
+        assert vortex_centroid(VortexConfig(tuple((p, 1) for p in points)), 2) == center
+
+
+def test_vortex_centroid_is_exact_beyond_float_precision():
+    # Through float64 this centroid was 2**62, two steps outside radius 2
+    # of the vortex, and the schedule was rejected.
+    far = VortexConfig((((2**62 + 500, 0), 1),))
+    assert vortex_centroid(far, 2) == (2**62 + 500, 0)
+    sched = ExhaustionSchedule(dimension=2, shape="box", radii=(2, 4), vortices=far)
+    assert sched.center == (2**62 + 500, 0)
+
+
+def test_vortex_centroid_matches_float_median():
+    # Below 2**53 the float median is exact, so both round the same value.
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        bound = int(rng.choice([3, 2**40]))
+        points = np.unique(rng.integers(-bound + 1, bound, size=(rng.integers(1, 8), 3)), axis=0)
+        cfg = VortexConfig(tuple((tuple(p), 1) for p in points.tolist()))
+        want = tuple(int(round(v)) for v in np.median(points.astype(float), axis=0))
+        assert vortex_centroid(cfg, 3) == want
 
 
 def test_schedule_validation():
@@ -116,7 +143,7 @@ def test_null_extend_preserves_values_and_norms():
     u = from_interior(small, RNG.uniform(-1, 0, small.n_interior))
     ext = null_extend(u, big)
     for p in interior_points(small):
-        assert ext.value_at(p) == u.value_at(p)
+        assert value_at(ext, p) == value_at(u, p)
     for q in (1.0, 2.0, 4.0):
         assert lq_norm(ext, q) == pytest.approx(lq_norm(u, q), rel=1e-14)
     z = null_extend(zeros(small), big)
@@ -180,7 +207,7 @@ def test_decay_profile_single_vortex_peaks_at_center():
     u, _ = solve_domain(dom, single_vortex(), params)
     profile = decay_profile(u, (0, 0))
     assert profile[0][0] == 0
-    assert profile[0][1] == pytest.approx(abs(u.value_at((0, 0))))
+    assert profile[0][1] == pytest.approx(abs(value_at(u, (0, 0))))
     assert profile[0][1] == max(s for _, s in profile)
     assert all(s >= 0.0 for _, s in profile)
 
@@ -252,8 +279,8 @@ def test_run_exhaustion_single_vortex_small():
     assert est.gaps_strictly_decreasing
     assert all(verify_global_negativity(u) for u in est.solutions)
     # consecutive zero extensions sit below their predecessors
-    for small_dom, small_u, big_u in zip(est.domains, est.solutions, est.solutions[1:]):
-        onto = restrict_field(big_u, small_dom)
+    for small_u, big_u in zip(est.solutions, est.solutions[1:]):
+        onto = restrict_field(big_u, small_u.domain)
         assert np.all(onto.values <= small_u.values + 1e-9)
     assert tail_is_monotone(est.decay)
 
@@ -263,9 +290,17 @@ def test_run_exhaustion_ball_shape():
         dimension=2, shape="ball", radii=(3, 6, 12), vortices=single_vortex()
     )
     est = run_exhaustion(sched, ModelParams(lam=1.0, p=0), backend="direct")
-    assert est.domains[0].kind == "ball"
+    assert est.solutions[0].domain.kind == "ball"
     assert est.gaps_strictly_decreasing
     assert est.final_gap < 0.1
+
+
+def test_chain_violation_names_both_radii(monkeypatch):
+    break_chain_ordering(monkeypatch)
+    sched = ExhaustionSchedule(dimension=2, shape="box", radii=(3, 6, 12), vortices=single_vortex())
+    with pytest.raises(ExhaustionFailure, match=r"on radius 6 rises .* above radius 3") as err:
+        run_exhaustion(sched, ModelParams(lam=1.0))
+    assert err.value.kind == "chain_violation"
 
 
 # Chains run by the warm-start tests: dimension, shape, radii, p, backend.
@@ -294,12 +329,12 @@ def test_chain_matches_independent_solves(dimension, shape, radii, p, backend):
     # at least as many steps.
     est = chain_run(dimension, shape, radii, p, backend)
     params = ModelParams(lam=1.0, p=p)
-    for i, (dom, u, trace) in enumerate(zip(est.domains, est.solutions, est.traces)):
-        cold, cold_trace = solve_domain(dom, single_vortex(dimension), params, backend=backend)
+    for i, (u, trace) in enumerate(zip(est.solutions, est.traces)):
+        cold, cold_trace = solve_domain(u.domain, single_vortex(dimension), params, backend=backend)
         assert np.abs(u.values - cold.values).max() < 1e-8
         if i > 0:
             assert trace.iterations <= cold_trace.iterations
-        assert trace.all_monotone()
+        assert all(r.monotone_ok for r in trace.records)
 
 
 @pytest.mark.parametrize("dimension, shape, radii, p, backend", CHAINS, ids=CHAIN_IDS)
@@ -308,9 +343,9 @@ def test_zero_extension_is_a_supersolution(dimension, shape, radii, p, backend):
     # a supersolution on the next domain: its defect is non-positive there.
     est = chain_run(dimension, shape, radii, p, backend)
     params = ModelParams(lam=1.0, p=p)
-    for u, larger in zip(est.solutions, est.domains[1:]):
-        h = source_h(larger, single_vortex(dimension))
-        v = LatticeField(larger, naive_null_extend(u, larger))
+    for u, later in zip(est.solutions, est.solutions[1:]):
+        h = source_h(later.domain, single_vortex(dimension))
+        v = LatticeField(later.domain, naive_null_extend(u, later.domain))
         assert residual(v, h, params).interior.max() <= 1e-11
 
 

@@ -99,7 +99,7 @@ def test_make_box_boundary_derived():
 
 def test_make_box_off_center():
     dom = make_box(2, 1, center=(3, -2))
-    assert (3, -2) in dom
+    assert dom.locate((3, -2)) >= 0
     assert dom.is_interior((4, -1))
     assert not dom.is_interior((5, -2))
 
@@ -388,15 +388,15 @@ def _assert_matches_naive(dom, points):
     sites = set(map(tuple, closure.tolist()))
     outside = {y for x in sites for y in neighbors(x)} - sites
     assert outside and set(dom.locate(sorted(outside)).tolist()) == {-1}
-    assert tuple(closure[-1]) in dom and min(outside) not in dom
+    assert dom.locate(tuple(closure[-1])) >= 0 and dom.locate(min(outside)) == -1
     for wrong in ((0,) * (dom.dimension - 1), (0,) * (dom.dimension + 1)):
         assert dom.locate([wrong]).tolist() == [-1]
-        assert wrong not in dom
+        assert dom.locate(wrong) == -1
     # coordinates no site can have: a fraction, NaN, and integers past int64
     first = closure[0].tolist()
     for c in (0.5, float("nan"), 2**63, -(2**63) - 1, 10**20):
         assert dom.locate([first[:-1] + [c], first]).tolist() == [-1, 0]
-        assert first[:-1] + [c] not in dom
+        assert dom.locate(first[:-1] + [c]) == -1
 
 
 @pytest.mark.parametrize(
@@ -473,7 +473,6 @@ def test_integer_array_interior_matches_point_list():
         lambda: LatticeDomain(2, [(0.5, 0), (1.7, 0)]),
         lambda: LatticeDomain(2, [(0, 0), (True, 0)]),
         lambda: LatticeDomain(2, np.array([[0.5, 0.0]])),
-        lambda: LatticeDomain(2, [(0, 0)], center=(0.5, 0)),
         lambda: make_box(2, 2, center=(0.6, 0)),
         lambda: make_box(2, 2, center=(False, 0)),
         lambda: make_box(2, 2.5),
@@ -491,7 +490,6 @@ def test_integer_array_interior_matches_point_list():
         "points-fraction",
         "points-bool",
         "array-fraction",
-        "domain-center",
         "box-center-fraction",
         "box-center-bool",
         "box-half-width",
@@ -515,7 +513,8 @@ def test_library_builders_accept_integral_floats():
     assert interior_points(LatticeDomain(2, [(0.0, 1.0), (np.int64(2), 0)])) == [(0, 1), (2, 0)]
     box = make_box(2, 2.0, center=(1.0, -2.0))
     np.testing.assert_array_equal(box.coords, make_box(2, 2, center=(1, -2)).coords)
-    assert make_ball(2, 2, center=(np.float64(3.0), 0)).center == (3, 0)
+    ball = make_ball(2, 2, center=(np.float64(3.0), 0))
+    np.testing.assert_array_equal(ball.coords, make_ball(2, 2, center=(3, 0)).coords)
     points = LatticeDomain(np.float64(2.0), [(0, 1), (2, 0)])
     assert type(points.dimension) is int
     np.testing.assert_array_equal(points.coords, LatticeDomain(2, [(0, 1), (2, 0)]).coords)
