@@ -133,12 +133,23 @@ def _ipow(x, k: int):
     """x ** k for an integer k >= 0, by repeated multiplication.
 
     numpy sends `**` on float arrays through the general pow, which on
-    negative bases costs tens of times more than k - 1 multiplies.
+    negative bases costs tens of times more than k - 1 multiplies. Above
+    _IPOW_MAX_Q the powers come by repeated squaring, so k costs about
+    2 log2(k) multiplies, not k - 1; they agree with pow to rounding.
     """
     if k == 0:
         return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     if k == 1:
         return x
+    if k > _IPOW_MAX_Q:
+        out = None
+        while True:
+            if k & 1:
+                out = x if out is None else out * x
+            k >>= 1
+            if not k:
+                return out
+            x = x * x
     out = x * x
     for _ in range(k - 2):
         out *= x

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -293,6 +294,28 @@ def nonlinearity_derivative(u, params: ModelParams):
     return params.lam * eu * _ipow(em1, 2 * params.p) * ((2 * params.p + 2) * eu - 1.0)
 
 
+# The smallest positive normal float.
+_NORMAL_MIN = sys.float_info.min
+
+
+def _even_norm(w: np.ndarray, m: int) -> float:
+    """The l^m norm of w for an even m (so w ** m is |w| ** m).
+
+    Where the plain sum of w ** m leaves the normal floats (past 1.8e308
+    once |w| > 1.43 at p = 1000, or below 2.2e-308), it is taken as
+    M |w / M|_m with M = max |w|, whose terms are at most 1.
+    """
+    with np.errstate(over="ignore"):
+        total = np.sum(_ipow(w, m))
+    if _NORMAL_MIN <= total < math.inf:
+        return float(total ** (1.0 / m))
+    big = float(np.abs(w).max())
+    if not 0.0 < big < math.inf:
+        # A zero or non-finite field, which scaling cannot help.
+        return float(total ** (1.0 / m))
+    return big * float(np.sum(_ipow(w / big, m)) ** (1.0 / m))
+
+
 def _start_interior(u: LatticeField, domain: LatticeDomain, name: str) -> np.ndarray:
     """A copy of the interior of a start field: on `domain`, zero boundary, non-positive."""
     if u.domain is not domain:
@@ -375,8 +398,7 @@ def solve_domain(
         j_val = 0.5 * energy + float(np.sum((params.lam / m) * pot + h_int * w))
         res = lap - n_w - h_int
         residual_inf = float(np.abs(res).max())
-        # m is even, so w ** m is |w| ** m.
-        l2p2 = float(np.sum(_ipow(w, m)) ** (1.0 / m))
+        l2p2 = _even_norm(w, m)
         # With a zero boundary no edge leaves the closure with a non-zero
         # difference, so the squared seminorm is exactly twice the energy.
         sem_sq = 2.0 * energy

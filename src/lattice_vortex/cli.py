@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -37,7 +38,11 @@ class ConfigError(ValueError):
 
 
 def render_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    JSON has no token for NaN or an infinity, so a non-finite float
+    raises ValueError instead of writing a file that no parser reads.
+    """
 
     def render(x, pad):
         if isinstance(x, dict):
@@ -59,6 +64,8 @@ def render_json(obj) -> str:
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         if isinstance(x, (float, np.floating)):
+            if not math.isfinite(x):
+                raise ValueError(f"cannot render the non-finite float {float(x)!r} as JSON")
             return format(float(x), ".17g")
         if isinstance(x, str):
             return json.dumps(x)
@@ -68,8 +75,9 @@ def render_json(obj) -> str:
 
 
 def _write_json(obj, path):
+    text = render_json(obj)
     with open(path, "w") as fh:
-        fh.write(render_json(obj))
+        fh.write(text)
 
 
 def _build_inputs(path, build):

@@ -12,16 +12,18 @@ diagonal and the product is scipy's CSR. `scipy.sparse` is imported only
 where a CSR matrix is built, so no solve on a box loads it; the direct
 backend loads `scipy.linalg` for LAPACK.
 
-The direct backend stays a local elimination on purpose. Its solutions
-resolve the e^(-mR) decay of u toward the domain's boundary, which
-acceptance criterion 7 checks on a 2D chain of boxes (radii 4 to 32)
-against twice a frozen outer-shell value of 6.1e-20. With the box
-inverse as the direct solve, that outer shell read 7.1e-18: the dense
-sine transforms smear the tail, as any transform along an axis would.
-That bound lies far below the solver's accuracy, though, so it tracks
-the iteration's path rather than the solution: on that chain (lambda 1,
-p 0) the outer shell reads 5.9e-20 with both backends, a zero-start solve
-of the last domain reads 6.1e-20, and the two solutions differ by 2.3e-10.
+The direct backend is an elimination over every axis but the first. On a
+box, the sine transform along the first axis splits A into one slab per
+mode, and LAPACK factors the slabs as one band as wide as the second-axis
+stride (18 rows of 4,913 on the 17^3 interior, against 290 for A itself);
+each step is a transform, one `dpbtrs` and a transform back. Off a box it
+factors A's own band (`damped_band`). Acceptance criterion 7 checks the
+e^(-mR) tail of the direct solutions on a 2D chain of boxes (radii 4 to
+32) against twice a frozen outer-shell value of 6.1e-20; with the slab
+factor it reads 5.890e-20, as it does on CG and did with the full band.
+That bound lies far below the solver's accuracy, so it tracks the
+iteration's path rather than the solution: a zero-start solve of the last
+domain reads 6.1e-20, and the two solutions differ by 2.3e-10.
 
 Every solve is certified against one product A x, which `solve_interior`
 returns in `LinearSolveInfo.product`. A caller that solves again from
@@ -119,8 +121,17 @@ def damped_band(domain: LatticeDomain) -> np.ndarray:
     in Fortran order, LAPACK's own layout, and holds
     (bw + 1) * n_interior * 8 bytes.
     """
-    n_int = domain.n_interior
-    nbr = domain.interior_neighbors
+    return _edge_band(domain.interior_neighbors)
+
+
+def _edge_band(nbr: np.ndarray) -> np.ndarray:
+    """The `damped_band` storage of the interior edges that the neighbor columns `nbr` list.
+
+    `nbr` holds one row per interior site, as `interior_neighbors` does,
+    and any subset of its columns; an edge enters at -1, the diagonal row
+    is left zero.
+    """
+    n_int = len(nbr)
     sites = np.broadcast_to(np.arange(n_int)[:, None], nbr.shape)
     upper = (nbr < n_int) & (nbr > sites)
     cols = nbr[upper]
@@ -134,13 +145,14 @@ def damped_band(domain: LatticeDomain) -> np.ndarray:
 class ShiftedLaplacianSystem:
     """shift*I - Laplacian on interior sites (SPD for shift > 0): product, preconditioner, factor.
 
-    Whether the exact box inverse exists (`_box_shape`) picks both the CG
-    preconditioner and the product: on a box, the exact inverse and a numpy
-    product on the grid; elsewhere, the Jacobi diagonal and the CSR
-    `matrix`. `matrix` is built on first use, by the COO dump or a
-    product off a box. The direct backend's factor (`cholesky`) comes from
-    `damped_band`, not from the CSR matrix. A shift that is not positive
-    and finite raises ValueError.
+    Whether the interior is a full box (`_box_shape`) picks the CG
+    preconditioner, the product and the direct factor: on a box, the exact
+    inverse, a numpy product on the grid and the first-axis slab band;
+    elsewhere, the Jacobi diagonal, the CSR `matrix` and A's own band.
+    `matrix` is built on first use, by the COO dump or a product off a box.
+    The direct backend's factor (`cholesky`) comes from the neighbor table
+    (`_cholesky_band`), not from the CSR matrix. A shift that is not
+    positive and finite raises ValueError.
     """
 
     def __init__(self, domain: LatticeDomain, shift: float):
@@ -169,17 +181,16 @@ class ShiftedLaplacianSystem:
         return _box_product(self._layout, self.shift + 2 * self.domain.dimension, x)
 
     def cholesky(self) -> np.ndarray:
-        """The upper Cholesky factor of A in `damped_band` storage, by LAPACK `dpbtrf` on first use.
+        """The upper Cholesky factor of `_cholesky_band`, by LAPACK `dpbtrf` on first use.
 
-        Raises LinearSolveFailure when LAPACK finds A not positive definite.
+        Raises LinearSolveFailure when LAPACK finds the band not positive
+        definite.
         """
         if self._cholesky is None:
             from scipy.linalg import lapack
 
-            band = damped_band(self.domain)
-            band[-1] = self.shift + 2 * self.domain.dimension
             # The band is already in Fortran order, so LAPACK factors it in place.
-            factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+            factor, info = lapack.dpbtrf(_cholesky_band(self), overwrite_ab=1)
             if info != 0:
                 raise LinearSolveFailure(
                     f"banded Cholesky factorization failed (info {info})", math.nan
@@ -201,6 +212,30 @@ class ShiftedLaplacianSystem:
     @property
     def size(self) -> int:
         return self.domain.n_interior
+
+
+def _cholesky_band(system: ShiftedLaplacianSystem) -> np.ndarray:
+    """The matrix the direct backend factors, in `damped_band` storage with its diagonal set.
+
+    Off a box it is A itself. On a box it is S A S, where S is the
+    orthonormal sine transform along the first axis (`_axis_sines`). That
+    transform splits A into one slab per first-axis mode k, the operator
+    (shift + mu_k) I - Laplacian' over the remaining axes, and the slabs
+    are the diagonal blocks of one band built from the neighbor table
+    without its first-axis columns. Its width is the second-axis stride,
+    not the first-axis one: 17 instead of 289 on a 17^3 interior, 1 in 2D.
+    """
+    domain = system.domain
+    if system._box is None:
+        band = damped_band(domain)
+        band[-1] = system.shift + 2 * domain.dimension
+        return band
+    # Neighbor columns 0 and 1 are the steps +e_1 and -e_1.
+    band = _edge_band(domain.interior_neighbors[:, 2:])
+    _, mu = _axis_sines(system._box[0])
+    slab_diagonal = system.shift + mu + 2 * (domain.dimension - 1)
+    band[-1] = np.repeat(slab_diagonal, domain.n_interior // len(mu))
+    return band
 
 
 def _box_shape(domain: LatticeDomain) -> list[int] | None:
@@ -263,19 +298,34 @@ def _box_product(layout, diagonal: float, x: np.ndarray) -> np.ndarray:
     return np.subtract(0.0, acc.reshape(padded)[grid]).reshape(-1)
 
 
+@functools.lru_cache(maxsize=8)
+def _axis_sines(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sine matrix S and the eigenvalues mu of the 1D Dirichlet Laplacian on m sites.
+
+    S[j, k] = sqrt(2 / (m + 1)) sin(pi j k / (m + 1)) is orthonormal and
+    symmetric, and S T S = diag(mu) with mu_k = 2 - 2 cos(pi k / (m + 1)),
+    T = tridiag(-1, 2, -1). Both arrays are cached, so they are read-only.
+    """
+    k = np.arange(1, m + 1)
+    sines = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    mu = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+    sines.flags.writeable = mu.flags.writeable = False
+    return sines, mu
+
+
 def _box_inverse(shape: list[int], shift: float):
     """The exact inverse of shift*I - Laplacian on a full-box interior of the given shape.
 
     The orthonormal, symmetric sine matrix of each axis diagonalizes the 1D
-    Dirichlet Laplacian, so the operator's inverse is S (1/Lambda) S with
-    S the tensor product of the axis sine matrices.
+    Dirichlet Laplacian (`_axis_sines`), so the operator's inverse is
+    S (1/Lambda) S with S the tensor product of the axis sine matrices.
     """
     sines = []
     eig = np.float64(shift)
     for m in shape:
-        k = np.arange(1, m + 1)
-        sines.append(math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1)))
-        eig = np.add.outer(eig, 2.0 - 2.0 * np.cos(np.pi * k / (m + 1)))
+        s, mu = _axis_sines(m)
+        sines.append(s)
+        eig = np.add.outer(eig, mu)
     eig_inv = 1.0 / eig.ravel()
 
     def transform(x):
@@ -355,7 +405,15 @@ def solve_interior(
     if backend == "direct":
         from scipy.linalg import lapack
 
-        x, info = lapack.dpbtrs(system.cholesky(), b)
+        factor = system.cholesky()
+        if system._box is None:
+            x, info = lapack.dpbtrs(factor, b)
+        else:
+            # The factor is of S A S (`_cholesky_band`), and S is its own inverse.
+            sines, _ = _axis_sines(system._box[0])
+            slabs = (len(sines), -1)
+            x, info = lapack.dpbtrs(factor, (sines @ b.reshape(slabs)).reshape(-1))
+            x = (sines @ x.reshape(slabs)).reshape(-1)
         if info != 0:
             raise LinearSolveFailure(f"banded Cholesky solve failed (info {info})", math.nan)
         iterations = 1

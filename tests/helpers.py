@@ -13,7 +13,7 @@ from lattice_vortex import exhaustion
 from lattice_vortex.calculus import LatticeField, from_interior
 from lattice_vortex.chern_simons import jacobian, nonlinearity, residual, source_h
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
-from lattice_vortex.linsolve import solve_interior
+from lattice_vortex.linsolve import damped_band, solve_interior
 
 from brute import neighbors
 
@@ -102,6 +102,21 @@ def scheme_step(u, h, params, system, backend="cg"):
     rhs = nonlinearity(u.interior, params) + h.interior - params.shift * u.interior
     w, _ = solve_interior(system, rhs, backend=backend)
     return from_interior(u.domain, w)
+
+
+def band_elimination_solve(domain, shift, f):
+    """(Laplacian - shift) w = f by LAPACK `dpbsv` on the full `damped_band` of the domain.
+
+    An elimination over every axis, with no transform: the reference the
+    direct and CG backends are checked against.
+    """
+    from scipy.linalg import lapack
+
+    band = damped_band(domain)
+    band[-1] = shift + 2 * domain.dimension
+    _, w, info = lapack.dpbsv(band, -np.asarray(f, dtype=np.float64))
+    assert info == 0, f"dpbsv failed (info {info})"
+    return w
 
 
 def tail_is_monotone(profile, *, fraction=0.5, slack=1e-9):

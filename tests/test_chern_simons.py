@@ -5,7 +5,7 @@ import pytest
 
 from lattice_vortex import chern_simons
 
-from lattice_vortex.calculus import _ipow, LatticeField, from_interior, lq_norm, seminorm_1q
+from lattice_vortex.calculus import _IPOW_MAX_Q, _ipow, LatticeField, from_interior, lq_norm, seminorm_1q
 from lattice_vortex.chern_simons import (
     ENERGY_SLACK,
     ConvergenceFailure,
@@ -229,6 +229,32 @@ def test_ipow_matches_pow(k):
     for x in (-2.5, -0.3, 0.0, 0.7, 1.9):
         want = x**k
         assert abs(_ipow(x, k) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("k", range(2, _IPOW_MAX_Q + 1))
+def test_ipow_multiplies_in_sequence_up_to_the_threshold(k):
+    # The solver's powers (k = 2p + 1 and 2p + 2 up to p = 5) keep their bits.
+    x = np.random.default_rng(k).uniform(-3.0, 3.0, 500)
+    want = x * x
+    for _ in range(k - 2):
+        want = want * x
+    assert _ipow(x, k).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [_IPOW_MAX_Q + 1, 16, 17, 255, 2002, 10**6 + 1, 2 * 10**6 + 2])
+def test_ipow_squares_above_the_threshold(k):
+    # Each of at most 2 log2(k) roundings is raised to a power, and the
+    # powers sum to at most k - 1, so the relative error stays under
+    # (k - 1) * 2^-53 plus pow's own ulp.
+    rng = np.random.default_rng(k)
+    spread = min(0.5, 50.0 / k)  # keeps |x| ** k within about e^(+-60)
+    mags = rng.uniform(1.0 - spread, 1.0 + spread, 600)
+    x = np.concatenate([mags[:300], -mags[300:]])
+    got, want = _ipow(x, k), np.power(x, k)
+    bound = (k + 1) * np.finfo(np.float64).eps * np.abs(want)
+    assert np.all(np.abs(got - want) <= bound)
+    assert _ipow(-1.0, k) == (-1.0) ** k
+    assert _ipow(0.5, k) == 0.5**k
 
 
 def test_nonlinearity_derivative_formula():

@@ -56,6 +56,27 @@ def test_render_json_fixed_format():
     assert "true" in text and "null" in text
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.float64("inf")])
+def test_render_json_refuses_non_finite_floats(value):
+    # JSON has no such token; Python would write `inf`, which json.load rejects.
+    with pytest.raises(ValueError, match="non-finite"):
+        render_json({"ok": 1.0, "nested": [{"bad": value}]})
+
+
+@pytest.mark.parametrize("p", [1000, 10**6])
+def test_large_p_solve_writes_parseable_finite_summary(tmp_path, p):
+    # A 5x5 box at p = 1000: w ** 2002 passes 1.8e308 and the unscaled
+    # l2p2_norm read inf. At p = 10**6 each power took 2 * 10**6 multiplies.
+    cfg = write_config(tmp_path / "run.json", p=p, domain={"kind": "box", "size": 2, "center": [0, 0]})
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    # The l^m norm of m = 2p + 2 lies between the sup norm and 25^(1/m) times it.
+    sup = -summary["min_value"]
+    assert sup <= summary["l2p2_norm"] <= sup * 25.0 ** (1.0 / (2 * p + 2))
+
+
 def test_solve_writes_artifacts(tmp_path):
     cfg = write_config(tmp_path / "run.json")
     out = tmp_path / "out"
@@ -510,6 +531,29 @@ def test_direct_commands_never_call_splu(tmp_path, monkeypatch):
     ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
     chain = write_exhaust_config(tmp_path / "chain.json")
     for cfg in (box, ball):
+        assert main(["solve", str(cfg), "--out", str(tmp_path / cfg.stem), "--backend", "direct"]) == EXIT_OK
+    assert main(["exhaust", str(chain), "--out", str(tmp_path / "chain"), "--backend", "direct"]) == EXIT_OK
+
+
+def test_direct_box_commands_never_build_the_full_band(tmp_path, monkeypatch):
+    # On a box the direct backend factors the band of the first-axis sine
+    # slabs; the full band, as wide as the first-axis stride, is left to
+    # other interiors and to verify.
+    from lattice_vortex import linsolve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("damped_band called")
+
+    monkeypatch.setattr(linsolve, "damped_band", refuse)
+    box = write_config(tmp_path / "box.json", p=1)
+    box3d = write_config(
+        tmp_path / "box3d.json",
+        dimension=3,
+        domain={"kind": "box", "size": 4, "center": [1, -2, 0]},
+        vortices=[{"point": [1, -2, 0], "multiplicity": 1}],
+    )
+    chain = write_exhaust_config(tmp_path / "chain.json")
+    for cfg in (box, box3d):
         assert main(["solve", str(cfg), "--out", str(tmp_path / cfg.stem), "--backend", "direct"]) == EXIT_OK
     assert main(["exhaust", str(chain), "--out", str(tmp_path / "chain"), "--backend", "direct"]) == EXIT_OK
 

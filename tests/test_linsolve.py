@@ -20,7 +20,7 @@ from lattice_vortex.linsolve import (
 )
 
 from brute import naive_laplacian
-from helpers import interior_points
+from helpers import band_elimination_solve, interior_points
 
 RNG = np.random.default_rng(7)
 
@@ -150,9 +150,9 @@ def test_backends_agree():
 
 
 def test_backends_agree_3d():
-    # 4,913 unknowns, where the direct backend's banded Cholesky factors a
-    # band of half-width 289 in the natural order; the bound is the
-    # cross-backend criterion of the acceptance gate.
+    # 4,913 unknowns, where the direct backend factors the first-axis sine
+    # slabs as one band of half-width 17; the bound is the cross-backend
+    # criterion of the acceptance gate.
     dom = make_box(3, 8)
     system = ShiftedLaplacianSystem(dom, 4.0)
     f = np.random.default_rng(8).uniform(-2, 2, dom.n_interior)
@@ -378,3 +378,57 @@ def test_failed_cholesky_raises_linear_solve_failure():
         solve_interior(system, np.ones(system.size), backend="direct")
     assert math.isnan(err.value.residual)
     assert system._cholesky is None
+
+
+SLAB_DOMAINS = [
+    make_box(2, 7),
+    make_box(2, 5, center=(3, -2)),
+    LatticeDomain(2, itertools.product(range(9), range(-3, 1))),
+    make_box(3, 4),
+    make_box(3, 3, center=(2, -1, 5)),
+    LatticeDomain(3, itertools.product(range(3), range(5), range(7))),
+    make_box(4, 2),
+]
+SLAB_IDS = ["box-2d", "box-2d-off-center", "rectangle-9x4", "box-3d", "box-3d-off-center", "box-3x5x7", "box-4d"]
+
+
+def _sine_matrix(m):
+    k = np.arange(1, m + 1)
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+
+
+@pytest.mark.parametrize("dom", SLAB_DOMAINS, ids=SLAB_IDS)
+def test_box_direct_matches_full_band_elimination(dom):
+    # The box factor eliminates over all axes but the first, which a sine
+    # transform diagonalizes; the test's reference eliminates over all axes.
+    for shift in (0.2, 1.3, 7.0):
+        system = ShiftedLaplacianSystem(dom, shift)
+        f = np.random.default_rng(dom.n_interior).uniform(-2, 2, dom.n_interior)
+        wd, _ = solve_interior(system, f, backend="direct")
+        ref = band_elimination_solve(dom, shift, f)
+        assert np.abs(wd - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dom", SLAB_DOMAINS, ids=SLAB_IDS)
+def test_slab_band_stores_the_first_axis_transform(dom):
+    system = ShiftedLaplacianSystem(dom, 1.3)
+    band = linsolve._cholesky_band(system)
+    assert band.flags.f_contiguous
+    bw = band.shape[0] - 1
+    # The band reaches the second-axis stride only: the first-axis edges left it.
+    shape = linsolve._box_shape(dom)
+    assert bw == math.prod(shape[2:])
+    upper = sum(np.diag(band[bw - k, k:], k) for k in range(bw + 1))
+    m0 = shape[0]
+    s = np.kron(_sine_matrix(m0), np.eye(dom.n_interior // m0))
+    # S A S entry for entry, to rounding: its entries are at most 4n + 1.3.
+    np.testing.assert_allclose(upper + np.triu(upper, 1).T, s @ system.matrix.toarray() @ s, rtol=0, atol=1e-13)
+
+
+def test_box_factor_is_the_slab_band_and_a_ball_keeps_the_full_band(monkeypatch):
+    box = ShiftedLaplacianSystem(make_box(3, 8), 4.0)
+    ball = ShiftedLaplacianSystem(make_ball(3, 4), 4.0)
+    assert ball.cholesky().shape == damped_band(ball.domain).shape
+    monkeypatch.setattr(linsolve, "damped_band", lambda domain: pytest.fail("damped_band called on a box"))
+    # 18 * 4,913 * 8 bytes = 0.7 MB, against 290 rows and 11.4 MB for the full band.
+    assert box.cholesky().shape == (18, 4913)
