@@ -2,15 +2,17 @@
 
 The operator A = shift*I - Laplacian acts on interior sites; the boundary
 is eliminated by the index ordering, and A is symmetric positive definite.
-Two backends share one contract: a cached banded Cholesky factorization,
-the reference, and preconditioned conjugate gradients, the default. When
-the interior fills an axis-aligned box, the CG preconditioner is the exact
-inverse by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964), so a solve takes one iteration, and numpy forms the product A x
-on the box grid. On any other interior the preconditioner is the Jacobi
-diagonal and the product is scipy's CSR. `scipy.sparse` is imported only
-where a CSR matrix is built, so no solve on a box loads it; the direct
-backend loads `scipy.linalg` for LAPACK.
+It is stored two ways, both read from the domain's neighbor table: as the
+table itself, for the product A x, and as a LAPACK band, for the direct
+factor and for the Newton Jacobian (`damped_band`). Two backends share one
+contract: a cached banded Cholesky factorization, the reference, and
+preconditioned conjugate gradients, the default. When the interior fills
+an axis-aligned box, the CG preconditioner is the exact inverse by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so a solve
+takes one iteration, and numpy forms A x from shifted slices of the box
+grid. On any other interior the preconditioner is the Jacobi diagonal and
+A x gathers each site's neighbors through the table. CG needs no scipy
+module; the direct backend loads `scipy.linalg` for LAPACK.
 
 The direct backend is an elimination over every axis but the first. On a
 box, the sine transform along the first axis splits A into one slab per
@@ -40,20 +42,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .lattice import LatticeDomain
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = [
     "LinearSolveFailure",
     "LinearSolveInfo",
     "ShiftedLaplacianSystem",
-    "interior_laplacian",
     "damped_band",
     "solve_interior",
     "matrix_to_coo_text",
@@ -61,11 +58,13 @@ __all__ = [
 
 DEFAULT_TOL_LINEAR = 1e-12
 
-# The exact box preconditioner costs O(n * sum of sides) per apply and one
-# dense side x side matrix per axis; a Jacobi-CG iteration costs O(n). In
-# p=0 solves (BLAS at one thread) the box inverse was faster on every box
-# with longest side up to 385 for squares and 257 for 5-wide strips, and
-# slower on 385x5, 513x5 and 1025x5 strips; longer boxes keep Jacobi.
+# The sine transforms of a box, behind the exact CG preconditioner and the
+# direct slab factor, hold one dense side x side matrix per axis and cost
+# O(n * sum of sides) per apply; a Jacobi-CG iteration costs O(n). In p=0
+# solves (BLAS at one thread) the box inverse was faster on every box with
+# longest side up to 385 for squares and 257 for 5-wide strips, and slower
+# on 385x5, 513x5 and 1025x5 strips; boxes with a longer side keep Jacobi
+# and A's own band. The product A x takes the box grid on any full box.
 _BOX_MAX_SIDE = 320
 
 
@@ -89,25 +88,6 @@ class LinearSolveInfo:
     residual_inf: float
     # A @ x, the product the residual was certified against.
     product: np.ndarray = field(repr=False)
-
-
-def interior_laplacian(domain: LatticeDomain) -> sp.csr_matrix:
-    """Matrix of the graph Laplacian on interior sites with zero boundary data.
-
-    Row for site x: diagonal -2n, +1 for every interior neighbor; boundary
-    neighbors contribute nothing because their values are pinned to zero.
-    """
-    import scipy.sparse as sp
-
-    n_int = domain.n_interior
-    nbr = domain.interior_neighbors
-    keep = nbr < n_int
-    sites = np.arange(n_int)
-    rows = np.concatenate([sites, np.repeat(sites, keep.sum(axis=1))])
-    cols = np.concatenate([sites, nbr[keep]])
-    vals = np.concatenate([np.full(n_int, -2.0 * domain.dimension), np.ones(len(rows) - n_int)])
-    # One COO to CSR conversion, which sorts each row's columns.
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int))
 
 
 def damped_band(domain: LatticeDomain) -> np.ndarray:
@@ -145,14 +125,14 @@ def _edge_band(nbr: np.ndarray) -> np.ndarray:
 class ShiftedLaplacianSystem:
     """shift*I - Laplacian on interior sites (SPD for shift > 0): product, preconditioner, factor.
 
-    Whether the interior is a full box (`_box_shape`) picks the CG
-    preconditioner, the product and the direct factor: on a box, the exact
-    inverse, a numpy product on the grid and the first-axis slab band;
-    elsewhere, the Jacobi diagonal, the CSR `matrix` and A's own band.
-    `matrix` is built on first use, by the COO dump or a product off a box.
-    The direct backend's factor (`cholesky`) comes from the neighbor table
-    (`_cholesky_band`), not from the CSR matrix. A shift that is not
-    positive and finite raises ValueError.
+    Whether the interior is a full box (`_box_shape`) picks the product:
+    shifted slices of the box grid (`_box_product`) on a box, a gather
+    through the neighbor table (`_gather_product`) elsewhere. A box whose
+    sides are all up to _BOX_MAX_SIDE (`_box`) also takes the exact CG
+    preconditioner and the first-axis slab band; any other interior takes
+    the Jacobi diagonal and A's own band. The direct backend's factor
+    (`cholesky`) comes from the neighbor table too (`_cholesky_band`). A
+    shift that is not positive and finite raises ValueError.
     """
 
     def __init__(self, domain: LatticeDomain, shift: float):
@@ -162,23 +142,20 @@ class ShiftedLaplacianSystem:
         self.shift = float(shift)
         self._cholesky = None
         self._preconditioner = None
-        self._box = _box_shape(domain)
-        self._layout = None if self._box is None else _padded_layout(self._box)
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The CSR matrix, built on first use."""
-        import scipy.sparse as sp
-
-        n_int = self.domain.n_interior
-        matrix = sp.diags(np.full(n_int, self.shift), format="csr") - interior_laplacian(self.domain)
-        return matrix.tocsr()
+        grid = _box_shape(domain)
+        if grid is None:
+            self._product = functools.partial(_gather_product, _gather_index(domain))
+        else:
+            self._product = functools.partial(_box_product, _padded_layout(grid))
+        self._box = grid if grid is not None and max(grid) <= _BOX_MAX_SIDE else None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x, bit for bit what `matrix @ x` gives."""
-        if self._box is None:
-            return self.matrix @ x
-        return _box_product(self._layout, self.shift + 2 * self.domain.dimension, x)
+        """A @ x, each row summed in ascending column order (`_gather_index`).
+
+        Both products add a row's terms in the order a sorted-column CSR
+        product does, so they give its bits, the sign of zero included.
+        """
+        return self._product(self.shift + 2 * self.domain.dimension, x)
 
     def cholesky(self) -> np.ndarray:
         """The upper Cholesky factor of `_cholesky_band`, by LAPACK `dpbtrf` on first use.
@@ -239,7 +216,7 @@ def _cholesky_band(system: ShiftedLaplacianSystem) -> np.ndarray:
 
 
 def _box_shape(domain: LatticeDomain) -> list[int] | None:
-    """The grid shape of a full-box interior with every side up to _BOX_MAX_SIDE, else None.
+    """The grid shape of a full-box interior, else None.
 
     The interior is a full axis-aligned box exactly when its size equals the
     product of its coordinate extents. Interior sites are sorted
@@ -247,7 +224,7 @@ def _box_shape(domain: LatticeDomain) -> list[int] | None:
     """
     coords = domain.coords[: domain.n_interior]
     shape = [int(m) for m in coords.max(axis=0) - coords.min(axis=0) + 1]
-    if math.prod(shape) != domain.n_interior or max(shape) > _BOX_MAX_SIDE:
+    if math.prod(shape) != domain.n_interior:
         return None
     return shape
 
@@ -268,16 +245,51 @@ def _padded_layout(shape: list[int]):
     return tuple(shape), padded, grid, strides
 
 
+def _gather_index(domain: LatticeDomain) -> np.ndarray:
+    """The interior neighbors as a (2n, n_interior) array, rows -e1, ..., -en, +en, ..., +e1.
+
+    That is ascending index order: interior sites are sorted
+    lexicographically, so x - e1 < ... < x - en < x < x + en < ... < x + e1,
+    and A's diagonal entry goes between the two halves. The table's
+    columns are +e1, -e1, +e2, ..., so -ek is column 2k - 1 and +ek column
+    2k - 2. A boundary neighbor becomes n_interior, the slot past the
+    interior values that `_gather_product` fills with zero.
+    """
+    minus = [2 * k + 1 for k in range(domain.dimension)]
+    columns = domain.interior_neighbors[:, minus + [c - 1 for c in reversed(minus)]]
+    return np.ascontiguousarray(np.minimum(columns, domain.n_interior).T)
+
+
+def _gather_product(index: np.ndarray, diagonal: float, x: np.ndarray) -> np.ndarray:
+    """A @ x on any interior; `index` is its `_gather_index`, `diagonal` shift + 2n.
+
+    The terms of a row are summed in ascending column order, as in
+    `_box_product`: x at the neighbors before the site, minus diagonal *
+    x, then x at the neighbors after it, each boundary neighbor reading
+    the zero slot. The sum is formed negated and subtracted from +0.0.
+    """
+    padded = np.append(x, 0.0)
+    half = len(index) // 2
+    acc = padded[index[0]]
+    for rows in index[1:half]:
+        acc += padded[rows]
+    acc -= diagonal * x
+    for rows in index[half:]:
+        acc += padded[rows]
+    return np.subtract(0.0, acc)
+
+
 def _box_product(layout, diagonal: float, x: np.ndarray) -> np.ndarray:
     """A @ x on a full-box interior; `layout` is `_padded_layout` of its grid, `diagonal` shift + 2n.
 
-    CSR sums a row in column order, which on the lexicographic grid is
-    -x at the -e1, ..., -en neighbors, diagonal * x, then -x at the +en,
-    ..., +e1 neighbors, skipping boundary neighbors. Here each term is a
-    shifted slice of x in the zero-padded layout, so a boundary neighbor
-    adds zero and whole arrays are summed in that order. The sum is formed
-    negated, which gives the same bits since rounding is symmetric, and
-    subtracting it from +0.0 gives CSR's +0.0 where a row sums to zero.
+    A CSR product with sorted columns sums a row in ascending column
+    order, which on the lexicographic grid is -x at the -e1, ..., -en
+    neighbors, diagonal * x, then -x at the +en, ..., +e1 neighbors,
+    skipping boundary neighbors. Here each term is a shifted slice of x in
+    the zero-padded layout, so a boundary neighbor adds zero and whole
+    arrays are summed in that order. The sum is formed negated, which
+    gives the same bits since rounding is symmetric, and subtracting it
+    from +0.0 gives CSR's +0.0 where a row sums to zero.
     """
     shape, padded, grid, strides = layout
     band = strides[0]
@@ -447,9 +459,21 @@ def solve_interior(
 
 
 def matrix_to_coo_text(system: ShiftedLaplacianSystem) -> str:
-    """Coordinate dump, one '<row> <col> <value>' line per entry, zero-based."""
-    coo = system.matrix.tocoo()
+    """Coordinate dump of A, one '<row> <col> <value>' line per entry, zero-based.
+
+    Rows ascend, and so do the columns within a row. An edge enters as -1
+    and the diagonal as shift + 2n, written to 17 significant digits.
+    """
+    domain = system.domain
+    n_int = domain.n_interior
+    index = _gather_index(domain)
+    half = domain.dimension
+    table = np.concatenate([index[:half], np.arange(n_int)[None], index[half:]]).T
+    diagonal = format(system.shift + 2 * domain.dimension, ".17g")
     lines = [
-        f"{i} {j} {format(v, '.17g')}" for i, j, v in zip(coo.row, coo.col, coo.data)
+        f"{i} {j} {diagonal if i == j else -1}"
+        for i, row in enumerate(table.tolist())
+        for j in row
+        if j < n_int
     ]
     return "\n".join(lines) + "\n"

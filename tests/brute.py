@@ -71,6 +71,32 @@ def naive_laplacian(u, x):
     return sum(u.values[index_of[y]] - ux for y in neighbors(tuple(x)))
 
 
+def naive_interior_matrix(domain, shift):
+    """shift*I - Laplacian on the interior sites as a CSR matrix, built point by point.
+
+    A row has shift + 2n on its diagonal and -1 at each interior neighbor;
+    boundary neighbors are pinned to zero and drop out. Each row's columns
+    are sorted, so a product sums a row in ascending column order.
+    """
+    import scipy.sparse as sp
+
+    n_int = domain.n_interior
+    index_of = closure_index(domain)
+    rows, cols, vals = [], [], []
+    for x, i in list(index_of.items())[:n_int]:
+        rows.append(i)
+        cols.append(i)
+        vals.append(shift + 2 * domain.dimension)
+        for y in neighbors(x):
+            if index_of[y] < n_int:
+                rows.append(i)
+                cols.append(index_of[y])
+                vals.append(-1.0)
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int))
+    matrix.sort_indices()
+    return matrix
+
+
 def naive_domain_arrays(interior_points):
     """Every derived structure of LatticeDomain, built site by site from the definitions."""
     points = {tuple(int(c) for c in p) for p in interior_points}

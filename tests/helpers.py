@@ -194,7 +194,7 @@ def jacobian_fd_check(domain, vortices, params, u, *, step=1e-6):
     """
     h = source_h(domain, vortices)
     n = domain.n_interior
-    analytic = jacobian(u, params).toarray()
+    analytic = banded_to_dense(jacobian(u, params))
     fd = np.empty((n, n))
     for j in range(n):
         bumped = []
@@ -204,3 +204,13 @@ def jacobian_fd_check(domain, vortices, params, u, *, step=1e-6):
             bumped.append(residual(LatticeField(domain, vals), h, params).interior)
         fd[:, j] = (bumped[0] - bumped[1]) / (2.0 * step)
     return float((np.abs(analytic - fd) / (1.0 + np.abs(analytic))).max())
+
+
+def banded_to_dense(ab):
+    """The square matrix in `scipy.linalg.solve_banded` storage `ab` with as many bands below as above.
+
+    Entry (i, j) sits at ab[bw + i - j, j], so row bw - k holds diagonal k.
+    """
+    bw = len(ab) // 2
+    n = ab.shape[1]
+    return sum(np.diag(ab[bw - k, max(k, 0) : n + min(k, 0)], k) for k in range(-bw, bw + 1))

@@ -490,49 +490,46 @@ def test_config_error_begins_with_the_config_key(owner, field, bad, key):
 
 
 def test_cg_box_commands_never_load_scipy(tmp_path):
-    # A fresh interpreter runs a CG solve and a CG chain on boxes with no
-    # scipy module loaded; a direct box solve then loads LAPACK but not
-    # scipy.sparse, and a ball, which needs a CSR matrix, loads it in the
-    # same process and still succeeds.
+    # A fresh interpreter runs a CG solve and a CG chain on boxes and a CG
+    # ball solve with its COO dump with no scipy module loaded; a direct
+    # box solve then loads LAPACK but not scipy.sparse. Nor does anything
+    # after it: a direct ball solve and dump, a direct ball chain, verify
+    # and newton_solve.
     solve = write_config(tmp_path / "box.json", p=1)
     chain = write_exhaust_config(tmp_path / "chain.json")
     ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
+    ball_chain = write_exhaust_config(
+        tmp_path / "ball_chain.json", shape="ball", radii=[4, 8, 12], **{"lambda": 2.0}
+    )
     probe = (
         "import sys\n"
+        "from lattice_vortex.chern_simons import ModelParams, VortexConfig, newton_solve\n"
         "from lattice_vortex.cli import main\n"
+        "from lattice_vortex.lattice import make_box\n"
         "def run(*argv):\n"
         "    code = main(list(argv))\n"
         "    assert code == 0, (argv, code)\n"
         f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'box')!r})\n"
         f"run('exhaust', {str(chain)!r}, '--out', {str(tmp_path / 'chain')!r}, '--backend', 'cg')\n"
+        f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball_cg')!r}, '--dump-matrix')\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
         f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'direct')!r}, '--backend', 'direct')\n"
         "assert 'scipy.sparse' not in sys.modules, 'direct box solve loaded scipy.sparse'\n"
-        f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball')!r})\n"
+        f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball_direct')!r}, '--dump-matrix',\n"
+        "    '--backend', 'direct')\n"
+        f"run('exhaust', {str(ball_chain)!r}, '--out', {str(tmp_path / 'ball_chain')!r},\n"
+        "    '--backend', 'direct')\n"
+        "run('verify', '--sizes', '1')\n"
+        "newton_solve(make_box(2, 3), VortexConfig((((0, 0), 1),)), ModelParams(lam=1.0))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy.sparse' or m.startswith('scipy.sparse.'))\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lattice_vortex.__file__).parent.parent))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-
-
-def test_direct_commands_never_call_splu(tmp_path, monkeypatch):
-    # The direct backend factors with banded Cholesky; SuperLU is left
-    # only to newton_solve.
-    import scipy.sparse.linalg as spla
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("splu called")
-
-    monkeypatch.setattr(spla, "splu", refuse)
-    box = write_config(tmp_path / "box.json", p=1)
-    ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
-    chain = write_exhaust_config(tmp_path / "chain.json")
-    for cfg in (box, ball):
-        assert main(["solve", str(cfg), "--out", str(tmp_path / cfg.stem), "--backend", "direct"]) == EXIT_OK
-    assert main(["exhaust", str(chain), "--out", str(tmp_path / "chain"), "--backend", "direct"]) == EXIT_OK
 
 
 def test_direct_box_commands_never_build_the_full_band(tmp_path, monkeypatch):

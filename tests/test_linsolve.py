@@ -14,22 +14,26 @@ from lattice_vortex.linsolve import (
     LinearSolveFailure,
     ShiftedLaplacianSystem,
     damped_band,
-    interior_laplacian,
     matrix_to_coo_text,
     solve_interior,
 )
 
-from brute import naive_laplacian
+from brute import naive_interior_matrix, naive_laplacian
 from helpers import band_elimination_solve, interior_points
 
 RNG = np.random.default_rng(7)
 
 
+def _dense(system):
+    """The matrix of `system.matvec`, column by column."""
+    return np.column_stack([system.matvec(e) for e in np.eye(system.size)])
+
+
 def test_system_single_point():
     dom = make_ball(2, 0)
     system = ShiftedLaplacianSystem(dom, 1.5)
-    assert system.matrix.shape == (1, 1)
-    np.testing.assert_allclose(system.matrix.toarray(), [[4.0 + 1.5]])
+    np.testing.assert_array_equal(_dense(system), [[4.0 + 1.5]])
+    assert matrix_to_coo_text(system) == "0 0 5.5\n"
 
 
 def test_system_rejects_nonpositive_shift():
@@ -43,7 +47,7 @@ def test_system_3x3_structure():
     dom = make_box(2, 1)
     shift = 2.0
     system = ShiftedLaplacianSystem(dom, shift)
-    dense = system.matrix.toarray()
+    dense = _dense(system)
     assert dense.shape == (9, 9)
     center = int(dom.locate((0, 0)))
     row = dense[center]
@@ -52,55 +56,102 @@ def test_system_3x3_structure():
     assert sorted(off.tolist()) == [-1.0, -1.0, -1.0, -1.0] + [0.0] * 4
     # a fully interior site: operator applied to the all-ones vector gives the shift
     ones = np.ones(dom.n_interior)
-    assert (system.matrix @ ones)[center] == pytest.approx(shift)
+    assert system.matvec(ones)[center] == pytest.approx(shift)
 
 
 def test_matrix_symmetric_and_positive_definite():
     dom = make_ball(2, 3)
     system = ShiftedLaplacianSystem(dom, 0.7)
-    diff = system.matrix - system.matrix.T
-    assert diff.nnz == 0
+    dense = _dense(system)
+    np.testing.assert_array_equal(dense, dense.T)
     for _ in range(100):
         v = RNG.standard_normal(dom.n_interior)
-        assert v @ (system.matrix @ v) > 0.0
+        assert v @ system.matvec(v) > 0.0
+
+
+def _product_inputs(n, seed):
+    """Zero of either sign, then uniform and one-signed draws at three scales."""
+    rng = np.random.default_rng(seed)
+    zero = np.zeros(n)
+    xs = [zero, -zero]
+    for scale in (1e-8, 1.0, 1e3):
+        xs += [rng.uniform(-scale, scale, n), -scale * rng.random(n)]
+    return xs
+
+
+def _box_minus_one_site():
+    box = make_box(2, 4)
+    return LatticeDomain(2, [p for p in interior_points(box) if p != (1, 2)])
+
+
+def _strip_longer_than_box_cap():
+    return LatticeDomain(2, itertools.product(range(_BOX_MAX_SIDE + 1), range(2)))
 
 
 @pytest.mark.parametrize(
     "dom",
-    [make_box(2, 4), make_box(2, 6, center=(3, -7)), make_box(3, 3), make_box(3, 2, center=(1, 2, -1))],
-    ids=["2d", "2d-off-center", "3d", "3d-off-center"],
+    [
+        make_box(2, 4),
+        make_box(2, 6, center=(3, -7)),
+        make_box(3, 3),
+        make_box(3, 2, center=(1, 2, -1)),
+        _strip_longer_than_box_cap(),
+    ],
+    ids=["2d", "2d-off-center", "3d", "3d-off-center", "long-strip"],
 )
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_box_product_equals_csr_bitwise(dom, p):
     # The numpy product adds each row's terms in CSR's column order, so it
     # must reproduce the CSR product bit for bit, the sign of zero included.
+    # A box with a side over the cap keeps the box product.
     system = ShiftedLaplacianSystem(dom, 1.1 * (kappa(p) * 1.0))
-    assert system._box is not None
-    rng = np.random.default_rng(p)
-    zero = np.zeros(dom.n_interior)
-    xs = [zero, -zero]
-    for scale in (1e-8, 1.0, 1e3):
-        xs += [rng.uniform(-scale, scale, dom.n_interior), -scale * rng.random(dom.n_interior)]
-    for x in xs:
-        assert system.matvec(x).tobytes() == (system.matrix @ x).tobytes()
+    assert system._product.func is linsolve._box_product
+    reference = naive_interior_matrix(dom, system.shift)
+    for x in _product_inputs(dom.n_interior, p):
+        assert system.matvec(x).tobytes() == (reference @ x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [make_ball(2, 6), make_ball(3, 3), _box_minus_one_site(), LatticeDomain(2, [(4, -1)])],
+    ids=["ball-2d", "ball-3d", "box-with-hole", "single-site"],
+)
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_gather_product_equals_csr_bitwise(dom, p):
+    # The gather through the neighbor table sums each row in the same
+    # column order, so it too gives the CSR product's bits. It is the
+    # product of every interior but a full box; a single site is a 1x1 box.
+    system = ShiftedLaplacianSystem(dom, 1.1 * (kappa(p) * 1.0))
+    assert (system._product.func is linsolve._gather_product) == (dom.n_interior > 1)
+    index = linsolve._gather_index(dom)
+    reference = naive_interior_matrix(dom, system.shift)
+    for x in _product_inputs(dom.n_interior, p):
+        want = (reference @ x).tobytes()
+        assert linsolve._gather_product(index, system.shift + 2 * dom.dimension, x).tobytes() == want
+        assert system.matvec(x).tobytes() == want
 
 
 def test_jacobi_diagonal_is_shift_plus_2n():
-    for dom in (make_ball(2, 6), make_ball(3, 3), _box_minus_one_site()):
+    for dom in (make_ball(2, 6), make_ball(3, 3), _box_minus_one_site(), _strip_longer_than_box_cap()):
         system = ShiftedLaplacianSystem(dom, 1.1 * kappa(1))
         assert system._box is None
-        diagonal = system.matrix.diagonal()
+        diagonal = naive_interior_matrix(dom, system.shift).diagonal()
         assert np.array_equal(diagonal, np.full(dom.n_interior, system.shift + 2 * dom.dimension))
         r = RNG.uniform(-1, 1, dom.n_interior)
         assert np.array_equal(system.precondition(r), (1.0 / diagonal) * r)
 
 
-def test_interior_laplacian_matches_pointwise_operator():
-    dom = make_box(2, 2)
+@pytest.mark.parametrize("dom", [make_box(2, 2), make_ball(3, 2)], ids=["box", "ball"])
+def test_matvec_matches_pointwise_operator(dom):
+    # A u = shift u - Laplacian u for a zero-boundary u, in the package's
+    # product and in the test reference alike.
+    shift = 0.6
     u = from_interior(dom, RNG.uniform(-1, 1, dom.n_interior))
-    lap = interior_laplacian(dom) @ u.interior
+    lap = shift * u.interior - ShiftedLaplacianSystem(dom, shift).matvec(u.interior)
+    lap_reference = shift * u.interior - naive_interior_matrix(dom, shift) @ u.interior
     for i, x in enumerate(interior_points(dom)):
         assert lap[i] == pytest.approx(naive_laplacian(u, x), abs=1e-13)
+        assert lap_reference[i] == pytest.approx(naive_laplacian(u, x), abs=1e-13)
 
 
 def test_solve_zero_rhs():
@@ -180,15 +231,6 @@ def test_solve_rejects_bad_inputs():
         solve_interior(system, np.zeros(dom.n_interior), backend="qr")
 
 
-def _box_minus_one_site():
-    box = make_box(2, 4)
-    return LatticeDomain(2, [p for p in interior_points(box) if p != (1, 2)])
-
-
-def _strip_longer_than_box_cap():
-    return LatticeDomain(2, itertools.product(range(_BOX_MAX_SIDE + 1), range(2)))
-
-
 @pytest.mark.parametrize(
     "dom",
     [
@@ -203,7 +245,7 @@ def test_cg_exact_on_boxes(dom):
     # in one iteration whatever the center or the domain kind.
     system = ShiftedLaplacianSystem(dom, 1.3)
     v = RNG.uniform(-1, 1, dom.n_interior)
-    assert np.abs(system.precondition(system.matrix @ v) - v).max() < 1e-13
+    assert np.abs(system.precondition(naive_interior_matrix(dom, 1.3) @ v) - v).max() < 1e-13
     f = RNG.uniform(-2, 2, dom.n_interior)
     wd, _ = solve_interior(system, f, backend="direct")
     wc, info = solve_interior(system, f, backend="cg")
@@ -267,15 +309,20 @@ def test_cg_budget_is_ten_times_interior_size(monkeypatch, dom):
     assert sum(spent) <= 10 * dom.n_interior
 
 
-def test_coo_dump_round_trip():
-    dom = make_box(2, 1)
-    system = ShiftedLaplacianSystem(dom, 2.25)
-    text = matrix_to_coo_text(system)
-    dense = np.zeros((9, 9))
-    for line in text.strip().splitlines():
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    np.testing.assert_array_equal(dense, system.matrix.toarray())
+@pytest.mark.parametrize(
+    "dom",
+    [make_box(2, 1), make_ball(2, 4, center=(1, -3)), make_ball(3, 2), _box_minus_one_site()],
+    ids=["box", "ball-2d", "ball-3d", "box-with-hole"],
+)
+def test_coo_dump_matches_reference_line_for_line(dom):
+    # Rows ascending and columns sorted within a row, as the CSR reference
+    # lists its entries; a shift with 17 significant digits.
+    shift = 2.25 + 1e-15
+    reference = naive_interior_matrix(dom, shift).tocoo()
+    want = [f"{i} {j} {format(v, '.17g')}" for i, j, v in zip(reference.row, reference.col, reference.data)]
+    text = matrix_to_coo_text(ShiftedLaplacianSystem(dom, shift))
+    assert text.endswith("\n")
+    assert text.splitlines() == want
 
 
 @pytest.mark.parametrize(
@@ -290,12 +337,13 @@ def test_seeded_product_gives_identical_solve(dom, backend):
     f1 = RNG.uniform(-2, 2, dom.n_interior)
     f2 = f1 + RNG.uniform(-0.1, 0.1, dom.n_interior)
     x1, info1 = solve_interior(system, f1, backend=backend)
-    assert np.array_equal(info1.product, system.matrix @ x1)
+    reference = naive_interior_matrix(dom, 1.3)
+    assert np.array_equal(info1.product, reference @ x1)
     plain_x, plain = solve_interior(system, f2, backend=backend, x0=x1)
     seeded_x, seeded = solve_interior(system, f2, backend=backend, x0=x1, ax0=info1.product)
     assert np.array_equal(seeded_x, plain_x)
     assert (seeded.iterations, seeded.residual_inf) == (plain.iterations, plain.residual_inf)
-    assert np.array_equal(seeded.product, system.matrix @ seeded_x)
+    assert np.array_equal(seeded.product, reference @ seeded_x)
     if dom.kind == "ball":
         assert plain.iterations > 1
 
@@ -352,7 +400,7 @@ def test_damped_band_stores_the_matrix(dom):
     band[-1] = system.shift + 2 * dom.dimension
     # the symmetric matrix the band stores, entry for entry
     upper = sum(np.diag(band[bw - k, k:], k) for k in range(bw + 1))
-    np.testing.assert_array_equal(upper + np.triu(upper, 1).T, system.matrix.toarray())
+    np.testing.assert_array_equal(upper + np.triu(upper, 1).T, naive_interior_matrix(dom, 1.3).toarray())
 
 
 @pytest.mark.parametrize("dom", BAND_DOMAINS, ids=BAND_IDS)
@@ -361,7 +409,7 @@ def test_direct_solve_certified_and_agrees_with_cg(dom):
     f = np.random.default_rng(dom.n_interior).uniform(-2, 2, dom.n_interior)
     wd, info = solve_interior(system, f, backend="direct")
     assert info.residual_inf <= DEFAULT_TOL_LINEAR * (1.0 + np.abs(f).max())
-    assert np.array_equal(info.product, system.matrix @ wd)
+    assert np.array_equal(info.product, naive_interior_matrix(dom, 1.3) @ wd)
     wc, _ = solve_interior(system, f, backend="cg")
     # A is diagonally dominant with row sums at least the shift, so
     # |A^-1|_inf <= 1/1.3 and the two certified solves differ by under 1e-11.
@@ -422,7 +470,8 @@ def test_slab_band_stores_the_first_axis_transform(dom):
     m0 = shape[0]
     s = np.kron(_sine_matrix(m0), np.eye(dom.n_interior // m0))
     # S A S entry for entry, to rounding: its entries are at most 4n + 1.3.
-    np.testing.assert_allclose(upper + np.triu(upper, 1).T, s @ system.matrix.toarray() @ s, rtol=0, atol=1e-13)
+    want = s @ naive_interior_matrix(dom, 1.3).toarray() @ s
+    np.testing.assert_allclose(upper + np.triu(upper, 1).T, want, rtol=0, atol=1e-13)
 
 
 def test_box_factor_is_the_slab_band_and_a_ball_keeps_the_full_band(monkeypatch):

@@ -5,12 +5,14 @@ import pytest
 
 from lattice_vortex.calculus import from_interior, lq_norm
 from lattice_vortex.chern_simons import (
-    ModelParams, VortexConfig, newton_solve, residual, solve_domain, source_h
+    ModelParams, VortexConfig, jacobian, newton_solve, nonlinearity_derivative, residual, solve_domain,
+    source_h,
 )
-from lattice_vortex.lattice import make_box
-from lattice_vortex.linsolve import ShiftedLaplacianSystem, interior_laplacian
+from lattice_vortex.lattice import make_ball, make_box
+from lattice_vortex.linsolve import ShiftedLaplacianSystem
 
-from helpers import jacobian_fd_check, scheme_step, zeros
+from brute import naive_interior_matrix
+from helpers import banded_to_dense, jacobian_fd_check, scheme_step, zeros
 
 RNG = np.random.default_rng(41)
 
@@ -70,12 +72,32 @@ def test_jacobian_at_zero_matches_linear_part():
     for p in (0, 1, 2):
         params = ModelParams(lam=1.3, p=p)
         assert jacobian_fd_check(dom, vort, params, u0) < 1e-8
-    lap = interior_laplacian(dom).toarray()
-    from lattice_vortex.chern_simons import nonlinearity_derivative
+    lap = -naive_interior_matrix(dom, 0.0).toarray()
 
     assert nonlinearity_derivative(0.0, ModelParams(lam=1.3, p=0)) == pytest.approx(1.3)
     assert nonlinearity_derivative(0.0, ModelParams(lam=1.3, p=1)) == 0.0
     assert lap[0, 0] == -4.0
+
+
+@pytest.mark.parametrize("dom", [make_box(3, 1), make_ball(2, 3)], ids=["box-3d", "ball-2d"])
+def test_jacobian_band_holds_laplacian_minus_derivative(dom):
+    params = ModelParams(lam=0.9, p=1)
+    u = from_interior(dom, -RNG.uniform(0.0, 2.0, dom.n_interior))
+    jac = jacobian(u, params)
+    want = -naive_interior_matrix(dom, 0.0).toarray() - np.diag(nonlinearity_derivative(u.interior, params))
+    np.testing.assert_array_equal(banded_to_dense(jac), want)
+
+
+def test_newton_converges_where_minus_jacobian_is_indefinite():
+    # At lam = 30 and multiplicity 4, -J is indefinite at one Newton
+    # iterate, so a Cholesky factor of -J would fail there; LU carries on.
+    dom = make_box(2, 3)
+    vortices = VortexConfig((((0, 0), 4),))
+    params = ModelParams(lam=30.0, p=0, tol_nonlinear=1e-12, tol_residual=1e-10)
+    u_newton = newton_solve(dom, vortices, params)
+    u_scheme, trace = solve_domain(dom, vortices, params)
+    assert trace.converged
+    assert np.abs(u_scheme.values - u_newton.values).max() < 1e-7
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
