@@ -226,11 +226,16 @@ def write_field_csv(u: LatticeField, path):
     """One row per closure point: the coordinates followed by the value.
 
     The bytes are those of csv.writer (CRLF rows) with values at 17
-    significant digits; one format string per row writes them directly.
+    significant digits. The coordinates and values, interleaved into one
+    flat list, fill the row format repeated once per point, so the whole
+    file is rendered by a single `%` and written at once.
     """
     dim = u.domain.dimension
+    flat = [None] * (u.domain.n_closure * (dim + 1))
+    for d in range(dim):
+        flat[d :: dim + 1] = u.domain.coords[:, d].tolist()
+    flat[dim :: dim + 1] = u.values.tolist()
     row = "%d," * dim + "%.17g\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"x{i}" for i in range(dim)] + ["value"]) + "\r\n")
-        # A generator, not a list, so the rendered rows never all sit in memory.
-        fh.writelines(row % (*p, v) for p, v in zip(u.domain.coords.tolist(), u.values.tolist()))
+        fh.write((row * u.domain.n_closure) % tuple(flat))

@@ -66,9 +66,11 @@ FOUR_PI = 4.0 * math.pi
 MONOTONE_SLACK = 1e-9
 ENERGY_SLACK = 1e-9
 # Interior sites. Each Newton step LU-factors the Jacobian band, as wide as
-# the first-axis stride: on the 21^3 cube (9,261 sites, 441 bands on either
-# side) a step peaks at 262 MB, the 65 MB band plus `solve_banded`'s 98 MB
-# LU array and LAPACK's Fortran-order copy of it.
+# the first-axis stride, in place: on the 21^3 cube (9,261 sites, 441 bands
+# on either side) a step peaks at 131 MB, the 98 MB (3 bw + 1)-row array
+# that `jacobian` fills and `dgbsv` factors plus the 33 MB upper band it is
+# filled from. The bound is on sites, not on bw: a 2 x 5,000 strip would
+# need 1.6 GB.
 _NEWTON_MAX_SIZE = 10_000
 _NEWTON_TOL = 1e-12  # sup-norm residual at which newton_solve returns
 _NEWTON_MAX_ITERATIONS = 50
@@ -462,13 +464,16 @@ def jacobian(u: LatticeField, params: ModelParams) -> np.ndarray:
     J is returned in `scipy.linalg.solve_banded` storage of shape
     (2 bw + 1, n_interior), bw being `damped_band`'s width: entry (i, j)
     sits at [bw + i - j, j]. J is symmetric, so each lower row is an upper
-    row shifted left by its distance from the diagonal.
+    row shifted left by its distance from the diagonal. The array is the
+    view of rows bw: of its base, a zeroed Fortran-order (3 bw + 1,
+    n_interior) array: LAPACK's banded LU (`dgbsv`) takes that base as it
+    is and fills its top bw rows, so `newton_solve` factors J in place.
     """
     domain = u.domain
     upper = damped_band(domain)
     bw = len(upper) - 1
-    jac = np.zeros((2 * bw + 1, domain.n_interior))
-    jac[:bw] = -upper[:bw]
+    jac = np.zeros((3 * bw + 1, domain.n_interior), order="F")[bw:]
+    np.negative(upper[:bw], out=jac[:bw])
     for k in range(1, bw + 1):
         jac[bw + k, :-k] = jac[bw - k, k:]
     jac[bw] = -2.0 * domain.dimension - nonlinearity_derivative(u.interior, params)
@@ -479,17 +484,17 @@ def newton_solve(domain: LatticeDomain, vortices: VortexConfig, params: ModelPar
     """Solve the zero-boundary vortex equation by damped Newton iteration from zero.
 
     Each step solves the banded `jacobian` system for the `residual` by
-    LAPACK's banded LU (`solve_banded`), then halves the step, at most 30
-    times, until the Euclidean residual falls: plain Newton can overshoot
-    into positive u, where the nonlinearity grows violently. -J is not
-    positive definite at every iterate (on `make_box(2, 3)` at p = 0,
-    lam = 30 with one vortex of multiplicity 4 it is indefinite at one
-    step), so the factor is LU, not Cholesky. Returns once the sup-norm
-    residual is below `_NEWTON_TOL` (1e-12). Raises NewtonFailure after
-    `_NEWTON_MAX_ITERATIONS` (50) steps, on a singular Jacobian, or when
-    the line search runs out.
+    LAPACK's banded LU (`dgbsv`, in place on the Jacobian's base array),
+    then halves the step, at most 30 times, until the Euclidean residual
+    falls: plain Newton can overshoot into positive u, where the
+    nonlinearity grows violently. -J is not positive definite at every
+    iterate (on `make_box(2, 3)` at p = 0, lam = 30 with one vortex of
+    multiplicity 4 it is indefinite at one step), so the factor is LU, not
+    Cholesky. Returns once the sup-norm residual is below `_NEWTON_TOL`
+    (1e-12). Raises NewtonFailure after `_NEWTON_MAX_ITERATIONS` (50)
+    steps, on a singular Jacobian, or when the line search runs out.
     """
-    from scipy.linalg import LinAlgError, solve_banded
+    from scipy.linalg.lapack import dgbsv
 
     if domain.n_interior > _NEWTON_MAX_SIZE:
         raise ValueError(f"newton_solve is limited to {_NEWTON_MAX_SIZE} interior points")
@@ -506,10 +511,15 @@ def newton_solve(domain: LatticeDomain, vortices: VortexConfig, params: ModelPar
             )
         jac = jacobian(u, params)
         bw = len(jac) // 2
-        try:
-            step = solve_banded((bw, bw), jac, -f_val, overwrite_ab=True)
-        except LinAlgError as exc:
-            raise NewtonFailure(f"singular Jacobian: {exc}")
+        # The LU overwrites jac's base; dropping jac frees it before the next
+        # step. dgbsv is what solve_banded called for bw > 1, with the same
+        # bits; at bw = 1 (a point set whose interior edges all join
+        # consecutive sites, never a box) it took the tridiagonal gtsv,
+        # which rounds differently in the last digits.
+        step, info = dgbsv(bw, bw, jac.base, -f_val, overwrite_ab=True, overwrite_b=True)[2:]
+        del jac
+        if info:
+            raise NewtonFailure(f"singular Jacobian: zero pivot in column {info}")
         norm_old = float(np.linalg.norm(f_val))
         for t in 2.0 ** -np.arange(31):
             trial = from_interior(domain, u.interior + t * step)

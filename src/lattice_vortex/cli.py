@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -300,6 +301,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# Built once per process, since `main` may run many commands in one.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-vortex",

@@ -65,9 +65,6 @@ class LatticeDomain:
         if not len(points):
             raise ValueError("interior must be non-empty")
 
-        self.dimension = dimension
-        self.kind = kind
-
         two_n = 2 * dimension
         # The 2n unit steps +e_1, -e_1, +e_2, ..., the neighbor order.
         sign = np.tile([1, -1], dimension)[:, None]
@@ -83,17 +80,26 @@ class LatticeDomain:
         inner_adjacent[off] = n + rank
         outer = steps[off][first]
 
-        self.n_interior = n
-        self.coords = np.concatenate([inner, outer])
-        self.n_closure = len(self.coords)
-        # The one neighbor table, columns in the order of `unit`: a
-        # boundary site's neighbor may lie outside the closure (-1), an
-        # interior site's never, so the interior rows are the (n_interior,
-        # 2n) view `interior_neighbors`.
-        self.adjacency = np.concatenate(
-            [inner_adjacent.reshape(n, two_n), self.locate(outer[:, None, :] + unit)]
-        )
-        self.interior_neighbors = self.adjacency[:n]
+        coords = np.concatenate([inner, outer])
+        outer_adjacent = _closure_rows(coords, n, outer[:, None, :] + unit).reshape(-1, two_n)
+        adjacency = np.concatenate([inner_adjacent.reshape(n, two_n), outer_adjacent])
+        self._set_tables(dimension, kind, coords, n, adjacency)
+
+    def _set_tables(self, dimension, kind, coords, n_interior, adjacency):
+        """Set the tables; every constructor, `make_box`'s included, ends here.
+
+        The one neighbor table `adjacency` has its columns in the order
+        +e_1, -e_1, +e_2, ...: a boundary site's neighbor may lie outside
+        the closure (-1), an interior site's never, so the interior rows
+        are the (n_interior, 2n) view `interior_neighbors`.
+        """
+        self.dimension = dimension
+        self.kind = kind
+        self.n_interior = n_interior
+        self.coords = coords
+        self.n_closure = len(coords)
+        self.adjacency = adjacency
+        self.interior_neighbors = adjacency[:n_interior]
 
     def __repr__(self) -> str:
         return (
@@ -117,8 +123,7 @@ class LatticeDomain:
         big = rows.dtype == object  # Python ints beyond int64, which no site has
         with np.errstate(invalid="ignore"):
             keys = (np.clip(rows, -(2**63), 2**63 - 1) if big else rows).astype(np.int64)
-        inner, outer = (_find_rows(b, keys) for b in np.split(self.coords, [self.n_interior]))
-        found = np.where(outer < 0, inner, self.n_interior + outer).reshape(rows.shape[:-1])
+        found = _closure_rows(self.coords, self.n_interior, keys).reshape(rows.shape[:-1])
         return np.where(np.all(keys == rows, axis=-1), found, -1)
 
     @functools.cached_property
@@ -133,15 +138,44 @@ class LatticeDomain:
 
 
 def make_box(dimension: int, half_width: int, center: LatticePoint | None = None) -> LatticeDomain:
-    """Axis-aligned box: all points within `half_width` of the center in every coordinate."""
+    """Axis-aligned box: all points within `half_width` of the center in every coordinate.
+
+    The tables are those `LatticeDomain(dimension, interior)` builds, entry
+    for entry, but come by index arithmetic rather than by sorting and
+    binary search. The box and its boundary layer fill a grid of side
+    2 half_width + 3: the interior is the sites with no coordinate on the
+    layer, the boundary those with exactly one. C order on the grid is
+    lexicographic order, so ranking the two blocks over the grid gives
+    every closure index, and a neighbor is the rank one stride away.
+    """
     dimension = json_dimension(dimension)
     half_width = json_integer(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be positive")
     c = json_center(center, dimension, half_width)
-    axes = [np.arange(ci - half_width, ci + half_width + 1) for ci in c]
-    interior = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
-    return LatticeDomain(dimension, interior, kind="box")
+    side = 2 * half_width + 3
+    shape = (side,) * dimension
+    layer = np.zeros(side, dtype=np.int8)
+    layer[[0, -1]] = 1
+    on_layer = np.zeros(shape, dtype=np.int8)  # coordinates on the layer, per grid site
+    for axis in range(dimension):
+        on_layer += layer.reshape((side,) + (1,) * (dimension - 1 - axis))
+    on_layer = on_layer.ravel()
+    closure = np.concatenate([np.flatnonzero(on_layer == 0), np.flatnonzero(on_layer == 1)])
+    rank = np.full(len(on_layer), -1, dtype=np.int64)
+    rank[closure] = np.arange(len(closure))
+    grid = np.column_stack(np.unravel_index(closure, shape)).astype(np.int64, copy=False)
+    # Within +-(2**63 - 1): json_center keeps the center half_width + 1 inside.
+    coords = grid + np.array([ci - half_width - 1 for ci in c], dtype=np.int64)
+    adjacency = np.empty((len(closure), 2 * dimension), dtype=np.int64)
+    # A step off the grid is masked to -1; `clip` only keeps its index in range.
+    for axis in range(dimension):
+        stride, at = side ** (dimension - 1 - axis), grid[:, axis]
+        adjacency[:, 2 * axis] = np.where(at < side - 1, rank.take(closure + stride, mode="clip"), -1)
+        adjacency[:, 2 * axis + 1] = np.where(at > 0, rank.take(closure - stride, mode="clip"), -1)
+    box = LatticeDomain.__new__(LatticeDomain)
+    box._set_tables(dimension, "box", coords, (side - 2) ** dimension, adjacency)
+    return box
 
 
 def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -> LatticeDomain:
@@ -286,6 +320,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     """
     flipped = (rows ^ np.int64(np.iinfo(np.int64).min)).astype(">i8")
     return flipped.view(f"V{8 * rows.shape[-1]}").ravel()
+
+
+def _closure_rows(coords: np.ndarray, n_interior: int, rows: np.ndarray) -> np.ndarray:
+    """Closure index of each int64 row (last axis) in the site table `coords`, or -1; flat."""
+    inner, outer = (_find_rows(b, rows) for b in np.split(coords, [n_interior]))
+    return np.where(outer < 0, inner, n_interior + outer)
 
 
 def _find_rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:

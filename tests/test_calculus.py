@@ -385,17 +385,25 @@ def test_field_csv_round_trip(tmp_path):
 
 
 def test_field_csv_bytes_match_csv_writer(tmp_path):
-    dom = make_box(3, 2, center=(-1, 0, 4))
-    vals = np.random.default_rng(3).uniform(-1.0, 1.0, dom.n_closure)
-    vals[:8] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -3.5e17, 2.0**60, math.pi]
-    u = LatticeField(dom, vals)
-    path = tmp_path / "field.csv"
-    write_field_csv(u, path)
-    # The rendering csv.writer gave the file.
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dom.dimension)] + ["value"])
-        for point, value in zip(dom.coords.tolist(), u.values):
-            writer.writerow(point + [format(value, ".17g")])
-    assert path.read_bytes() == ref.read_bytes()
+    # A 3D box, a 2D ball, a 4D box and coordinates near +-2**62, each
+    # against the rendering csv.writer gave the file.
+    far = [(2**62 + 3 * i, -(2**62) + i) for i in range(5)] + [(-(2**62), 2**62)]
+    domains = [
+        make_box(3, 2, center=(-1, 0, 4)),
+        make_ball(2, 5, center=(3, -2)),
+        make_box(4, 1, center=(0, -7, 2, 1)),
+        LatticeDomain(2, far),
+    ]
+    for k, dom in enumerate(domains):
+        vals = np.random.default_rng(3).uniform(-1.0, 1.0, dom.n_closure)
+        vals[:8] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -3.5e17, 2.0**60, math.pi]
+        u = LatticeField(dom, vals)
+        path = tmp_path / f"field{k}.csv"
+        write_field_csv(u, path)
+        ref = tmp_path / f"ref{k}.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{i}" for i in range(dom.dimension)] + ["value"])
+            for point, value in zip(dom.coords.tolist(), u.values):
+                writer.writerow(point + [format(value, ".17g")])
+        assert path.read_bytes() == ref.read_bytes(), repr(dom)

@@ -555,6 +555,39 @@ def test_direct_box_commands_never_build_the_full_band(tmp_path, monkeypatch):
     assert main(["exhaust", str(chain), "--out", str(tmp_path / "chain"), "--backend", "direct"]) == EXIT_OK
 
 
+def test_box_builds_never_search_rows(tmp_path, monkeypatch):
+    # make_box lays its tables out by index arithmetic on the grid of the
+    # box; the sorted-row search of the general constructor is left to
+    # balls and point sets. A box solve searches only to locate its vortex
+    # points, one point (a 1-D row) per call.
+    from lattice_vortex import lattice
+
+    search = lattice._find_rows
+
+    def refuse(block, rows):
+        raise AssertionError("_find_rows called")
+
+    def one_point(block, rows):
+        assert rows.ndim == 1, f"_find_rows called on {rows.shape[0]} rows"
+        return search(block, rows)
+
+    monkeypatch.setattr(lattice, "_find_rows", refuse)
+    for dimension, half_width in ((2, 6), (3, 3), (4, 2)):
+        box = lattice.make_box(dimension, half_width, tuple(range(1, dimension + 1)))
+        assert box.n_interior == (2 * half_width + 1) ** dimension
+    monkeypatch.setattr(lattice, "_find_rows", one_point)
+    box3d = write_config(
+        tmp_path / "box3d.json",
+        dimension=3,
+        domain={"kind": "box", "size": 4, "center": [1, -2, 0]},
+        vortices=[{"point": [1, -2, 0], "multiplicity": 1}],
+    )
+    for cfg, backend in ((write_config(tmp_path / "box.json", p=1), "cg"), (box3d, "direct")):
+        out = tmp_path / cfg.stem
+        assert main(["solve", str(cfg), "--out", str(out), "--backend", backend]) == EXIT_OK
+        assert (out / "solution.csv").exists()
+
+
 def test_exhaust_success(tmp_path):
     cfg = write_exhaust_config(tmp_path / "chain.json")
     out = tmp_path / "out"

@@ -158,6 +158,41 @@ def test_box_and_ball_check_their_reach_before_building(maker):
 
 
 @pytest.mark.parametrize(
+    "dimension, half_width, center",
+    [
+        (2, 1, None),
+        (2, 5, (7, -3)),
+        (3, 1, None),
+        (3, 4, (1, -2, 0)),
+        (4, 2, None),
+        (4, 1, (3, -1, 0, 2)),
+        (2, 3, (LIMIT - 3, -(LIMIT - 3))),
+        (3, 1, (-(LIMIT - 1), 0, LIMIT - 1)),
+    ],
+    ids=["2d-hw1", "2d-off-centre", "3d-hw1", "3d-off-centre", "4d", "4d-off-centre", "2d-limit", "3d-limit"],
+)
+def test_make_box_tables_equal_the_general_constructor(dimension, half_width, center):
+    # make_box builds by index arithmetic what the general constructor
+    # builds by sorting; the tables must agree entry for entry, dtype and
+    # layout included, up to the int64 limit json_center allows.
+    box = make_box(dimension, half_width, center)
+    c = center or (0,) * dimension
+    axes = [np.arange(ci - half_width, ci + half_width + 1, dtype=np.int64) for ci in c]
+    interior = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
+    general = LatticeDomain(dimension, interior, kind="box")
+    assert vars(box).keys() == vars(general).keys()
+    for name, value in vars(general).items():
+        mine = getattr(box, name)
+        assert type(mine) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert mine.dtype == value.dtype and mine.flags.c_contiguous == value.flags.c_contiguous, name
+            np.testing.assert_array_equal(mine, value, err_msg=name)
+        else:
+            assert mine == value, name
+    assert np.shares_memory(box.interior_neighbors, box.adjacency)
+
+
+@pytest.mark.parametrize(
     "dom",
     [make_box(2, 2), make_ball(2, 3), make_box(3, 1), make_ball(3, 2)],
     ids=["box2", "ball2", "box3", "ball3"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ def test_newton_converges_where_minus_jacobian_is_indefinite():
     u_scheme, trace = solve_domain(dom, vortices, params)
     assert trace.converged
     assert np.abs(u_scheme.values - u_newton.values).max() < 1e-7
+
+
+def test_newton_step_holds_one_lu_sized_array():
+    # dgbsv factors in place the (3 bw + 1)-row array that `jacobian`
+    # fills, so a step holds one LU-sized array and the upper band it was
+    # filled from (1.4 LU sizes). solve_banded built a C-order LU array
+    # beside the Jacobian and f2py made a Fortran-order copy of it (2.7).
+    dom = make_box(3, 5)
+    bw = (2 * 5 + 1) ** 2
+    lu_bytes = (3 * bw + 1) * dom.n_interior * 8
+    params = ModelParams(lam=1.0, p=1)
+    newton_solve(dom, single_vortex(3), params)  # imports LAPACK before tracing
+    tracemalloc.start()
+    try:
+        newton_solve(dom, single_vortex(3), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lu_bytes < peak < 2 * lu_bytes
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
