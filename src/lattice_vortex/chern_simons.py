@@ -305,17 +305,17 @@ def _even_norm(w: np.ndarray, m: int) -> float:
 
     Where the plain sum of w ** m leaves the normal floats (past 1.8e308
     once |w| > 1.43 at p = 1000, or below 2.2e-308), it is taken as
-    M |w / M|_m with M = max |w|, whose terms are at most 1.
+    M |w / M|_m with M = max |w|, whose terms are at most 1. The caller
+    silences the overflow warning of the plain sum.
     """
-    with np.errstate(over="ignore"):
-        total = np.sum(_ipow(w, m))
+    total = _ipow(w, m).sum()
     if _NORMAL_MIN <= total < math.inf:
         return float(total ** (1.0 / m))
     big = float(np.abs(w).max())
     if not 0.0 < big < math.inf:
         # A zero or non-finite field, which scaling cannot help.
         return float(total ** (1.0 / m))
-    return big * float(np.sum(_ipow(w / big, m)) ** (1.0 / m))
+    return big * float(_ipow(w / big, m).sum() ** (1.0 / m))
 
 
 def _start_interior(u: LatticeField, domain: LatticeDomain, name: str) -> np.ndarray:
@@ -346,9 +346,8 @@ def solve_domain(
     Each step costs one linear solve and one nonlinearity evaluation. The
     solve's certifying product A w (A = shift*I - Laplacian) also gives the
     step's residual, its Dirichlet energy (by summation by parts, since w
-    vanishes on the boundary) and the next solve's CG start, so a CG step on
-    a box takes one preconditioner apply and two products with A, and a
-    direct step one.
+    vanishes on the boundary) and the next solve's start, so a step on a box
+    takes one apply of the box inverse and one product with A.
 
     `u_init` replaces the zero start; it must be non-positive with zero
     boundary, and a supersolution for the iterates to decrease from it
@@ -370,77 +369,82 @@ def solve_domain(
     au = None
     j_prev = math.inf
     trace = IterationTrace()
-    for k in range(1, params.max_outer_iterations + 1):
-        rhs = n_u + h_int - system.shift * u
-        # The linear noise floor bounds the reachable equation defect; keep it a
-        # decade under tol_residual or the residual stop can become unreachable.
-        scale = 1.0 + float(np.abs(rhs).max())
-        tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
-        try:
-            w, info = solve_interior(system, rhs, backend=backend, tol=tol, x0=u, ax0=au)
-        except LinearSolveFailure as exc:
-            if math.isfinite(exc.residual):
-                exc.trace = trace
-                raise
-            # The step met NaN or inf: record it as all-NaN, so the
-            # breakdown below reports it with the trace.
-            w = np.full(n_int, math.nan)
-            info = LinearSolveInfo(0, exc.residual, w)
-        diff = w - u
-        rise = float(diff.max())
-        sup_change = float(np.abs(diff).max())
-        l2_change = float(np.sqrt(np.sum(diff * diff)))
-        # Laplacian of the zero-boundary iterate from the certifying product;
-        # summing w * Laplacian(w) by parts gives minus the Dirichlet energy.
-        aw = info.product
-        lap = system.shift * w - aw
-        energy = -float(w @ lap)
-        # N(w) is both this step's residual term and the next step's rhs.
-        n_w, pot = _nonlinearity_parts(w, params)
-        j_val = 0.5 * energy + float(np.sum((params.lam / m) * pot + h_int * w))
-        res = lap - n_w - h_int
-        residual_inf = float(np.abs(res).max())
-        l2p2 = _even_norm(w, m)
-        # With a zero boundary no edge leaves the closure with a non-zero
-        # difference, so the squared seminorm is exactly twice the energy.
-        sem_sq = 2.0 * energy
-        norm_chain_ok = sem_sq <= 2.0 * energy + 1e-12 * (1.0 + 2.0 * energy)
-        record = TraceRecord(
-            k=k,
-            j_value=j_val,
-            sup_change=sup_change,
-            residual_inf=residual_inf,
-            l2p2_norm=l2p2,
-            l2_change=l2_change,
-            monotone_ok=rise <= MONOTONE_SLACK,
-            j_decrease_ok=(k == 1) or (j_val <= j_prev + ENERGY_SLACK),
-            norm_chain_ok=norm_chain_ok,
-            linear_iterations=info.iterations,
-        )
-        trace.records.append(record)
-        if not record.monotone_ok:
-            if not (math.isfinite(rise) and math.isfinite(sup_change)):
-                raise NonFiniteBreakdown(
-                    f"step {k} produced non-finite values (step change {sup_change:.3e})", trace
+    # Only the l^(2p+2) sum in `_even_norm` can overflow, and it rescales
+    # when it does; the warning is silenced once for the whole loop.
+    with np.errstate(over="ignore"):
+        for k in range(1, params.max_outer_iterations + 1):
+            rhs = n_u + h_int - system.shift * u
+            # The linear noise floor bounds the reachable equation defect; keep it a
+            # decade under tol_residual or the residual stop can become unreachable.
+            scale = 1.0 + float(np.abs(rhs).max())
+            tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
+            try:
+                w, info = solve_interior(system, rhs, backend=backend, tol=tol, x0=u, ax0=au)
+            except LinearSolveFailure as exc:
+                if math.isfinite(exc.residual):
+                    exc.trace = trace
+                    raise
+                # The step met NaN or inf: record it as all-NaN, so the
+                # breakdown below reports it with the trace.
+                w = np.full(n_int, math.nan)
+                info = LinearSolveInfo(0, exc.residual, w)
+            diff = w - u
+            rise = float(diff.max())
+            # w - u is +0.0 where they are equal; with rise first, an all-zero
+            # change reads +0.0 as max |diff| did.
+            sup_change = max(rise, -float(diff.min()))
+            l2_change = math.sqrt(float(diff @ diff))
+            # Laplacian of the zero-boundary iterate from the certifying product;
+            # summing w * Laplacian(w) by parts gives minus the Dirichlet energy.
+            aw = info.product
+            lap = system.shift * w - aw
+            energy = -float(w @ lap)
+            # N(w) is both this step's residual term and the next step's rhs.
+            n_w, pot = _nonlinearity_parts(w, params)
+            j_val = 0.5 * energy + float(((params.lam / m) * pot + h_int * w).sum())
+            res = lap - n_w - h_int
+            residual_inf = max(float(res.max()), -float(res.min()))
+            l2p2 = _even_norm(w, m)
+            # With a zero boundary no edge leaves the closure with a non-zero
+            # difference, so the squared seminorm is exactly twice the energy.
+            sem_sq = 2.0 * energy
+            norm_chain_ok = sem_sq <= 2.0 * energy + 1e-12 * (1.0 + 2.0 * energy)
+            record = TraceRecord(
+                k=k,
+                j_value=j_val,
+                sup_change=sup_change,
+                residual_inf=residual_inf,
+                l2p2_norm=l2p2,
+                l2_change=l2_change,
+                monotone_ok=rise <= MONOTONE_SLACK,
+                j_decrease_ok=(k == 1) or (j_val <= j_prev + ENERGY_SLACK),
+                norm_chain_ok=norm_chain_ok,
+                linear_iterations=info.iterations,
+            )
+            trace.records.append(record)
+            if not record.monotone_ok:
+                if not (math.isfinite(rise) and math.isfinite(sup_change)):
+                    raise NonFiniteBreakdown(
+                        f"step {k} produced non-finite values (step change {sup_change:.3e})", trace
+                    )
+                raise MonotonicityBreakdown(
+                    f"step {k} rose by {rise:.3e} above its predecessor", trace
                 )
-            raise MonotonicityBreakdown(
-                f"step {k} rose by {rise:.3e} above its predecessor", trace
-            )
-        u = w
-        n_u = n_w
-        au = aw
-        j_prev = j_val
-        if sup_change < params.tol_nonlinear and residual_inf < params.tol_residual:
-            trace.converged = True
-            return from_interior(domain, u), trace
-        if sup_change == 0.0:
-            # The numerical map is exactly stationary here; repeating the
-            # deterministic step cannot improve the residual.
-            raise StagnationFailure(
-                f"stagnated at step {k} with residual {residual_inf:.3e} "
-                f"above tol_residual {params.tol_residual:.3e}",
-                trace,
-            )
+            u = w
+            n_u = n_w
+            au = aw
+            j_prev = j_val
+            if sup_change < params.tol_nonlinear and residual_inf < params.tol_residual:
+                trace.converged = True
+                return from_interior(domain, u), trace
+            if sup_change == 0.0:
+                # The numerical map is exactly stationary here; repeating the
+                # deterministic step cannot improve the residual.
+                raise StagnationFailure(
+                    f"stagnated at step {k} with residual {residual_inf:.3e} "
+                    f"above tol_residual {params.tol_residual:.3e}",
+                    trace,
+                )
     raise ConvergenceFailure(
         f"no convergence within {params.max_outer_iterations} iterations "
         f"(last step change {trace.final.sup_change:.3e})",

@@ -3,34 +3,31 @@
 The operator A = shift*I - Laplacian acts on interior sites; the boundary
 is eliminated by the index ordering, and A is symmetric positive definite.
 It is stored two ways, both read from the domain's neighbor table: as the
-table itself, for the product A x, and as a LAPACK band, for the direct
-factor and for the Newton Jacobian (`damped_band`). Two backends share one
-contract: a cached banded Cholesky factorization, the reference, and
-preconditioned conjugate gradients, the default. When the interior fills
-an axis-aligned box, the CG preconditioner is the exact inverse by fast
-diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so a solve
-takes one iteration, and numpy forms A x from shifted slices of the box
-grid. On any other interior the preconditioner is the Jacobi diagonal and
-A x gathers each site's neighbors through the table. CG needs no scipy
-module; the direct backend loads `scipy.linalg` for LAPACK.
+table itself, for the product A x, and as a LAPACK band, for the
+Cholesky factor and for the Newton Jacobian (`damped_band`). On a full
+axis-aligned box numpy forms A x from shifted slices of the box grid;
+elsewhere it gathers each site's neighbors through the table.
 
-The direct backend is an elimination over every axis but the first. On a
-box, the sine transform along the first axis splits A into one slab per
-mode, and LAPACK factors the slabs as one band as wide as the second-axis
-stride (18 rows of 4,913 on the 17^3 interior, against 290 for A itself);
-each step is a transform, one `dpbtrs` and a transform back. Off a box it
-factors A's own band (`damped_band`). Acceptance criterion 7 checks the
-e^(-mR) tail of the direct solutions on a 2D chain of boxes (radii 4 to
-32) against twice a frozen outer-shell value of 6.1e-20; with the slab
-factor it reads 5.890e-20, as it does on CG and did with the full band.
-That bound lies far below the solver's accuracy, so it tracks the
-iteration's path rather than the solution: a zero-start solve of the last
-domain reads 6.1e-20, and the two solutions differ by 2.3e-10.
+On a box with no side over _BOX_MAX_SIDE the package holds A's exact
+inverse P, by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+1964), and a solve takes one path whatever the backend: x = x0 +
+P(b - A x0), or P(b) with no start, certified by one product A x. A miss
+repeats the correction from the true residual, three passes in all.
+Elsewhere the backends differ: `cg`, the default, runs conjugate
+gradients preconditioned by the Jacobi diagonal, and `direct` factors A's
+own band once by banded Cholesky, loading `scipy.linalg` for LAPACK. No
+box solve loads scipy. Acceptance criterion 7 checks the e^(-mR) tail of
+the solutions on a 2D chain of boxes (radii 4 to 32) against twice a
+frozen outer-shell value of 6.1e-20; with the box inverse it reads
+5.890e-20, as it did with CG and with either Cholesky factor. That bound
+lies far below the solver's accuracy, so it tracks the iteration's path
+rather than the solution: a zero-start solve of the last domain reads
+6.1e-20, and the two solutions differ by 2.3e-10.
 
 Every solve is certified against one product A x, which `solve_interior`
 returns in `LinearSolveInfo.product`. A caller that solves again from
-that x passes the product back as `ax0`, so CG starts from b - A x0
-without forming A x0 a second time.
+that x passes the product back as `ax0`, so the solve starts from
+b - A x0 without forming A x0 a second time.
 
 Note that solutions do not restrict across nested domains: each domain
 re-pins its own boundary to zero, so the same right-hand side solved on a
@@ -58,13 +55,13 @@ __all__ = [
 
 DEFAULT_TOL_LINEAR = 1e-12
 
-# The sine transforms of a box, behind the exact CG preconditioner and the
-# direct slab factor, hold one dense side x side matrix per axis and cost
-# O(n * sum of sides) per apply; a Jacobi-CG iteration costs O(n). In p=0
-# solves (BLAS at one thread) the box inverse was faster on every box with
-# longest side up to 385 for squares and 257 for 5-wide strips, and slower
-# on 385x5, 513x5 and 1025x5 strips; boxes with a longer side keep Jacobi
-# and A's own band. The product A x takes the box grid on any full box.
+# The sine transforms of the box inverse hold one dense side x side matrix
+# per axis and cost O(n * sum of sides) per apply; a Jacobi-CG iteration
+# costs O(n). In p=0 solves (BLAS at one thread) the box inverse was faster
+# on every box with longest side up to 385 for squares and 257 for 5-wide
+# strips, and slower on 385x5, 513x5 and 1025x5 strips; boxes with a longer
+# side keep the backends' own solves. The product A x takes the box grid on
+# any full box.
 _BOX_MAX_SIDE = 320
 
 
@@ -101,16 +98,7 @@ def damped_band(domain: LatticeDomain) -> np.ndarray:
     in Fortran order, LAPACK's own layout, and holds
     (bw + 1) * n_interior * 8 bytes.
     """
-    return _edge_band(domain.interior_neighbors)
-
-
-def _edge_band(nbr: np.ndarray) -> np.ndarray:
-    """The `damped_band` storage of the interior edges that the neighbor columns `nbr` list.
-
-    `nbr` holds one row per interior site, as `interior_neighbors` does,
-    and any subset of its columns; an edge enters at -1, the diagonal row
-    is left zero.
-    """
+    nbr = domain.interior_neighbors
     n_int = len(nbr)
     sites = np.broadcast_to(np.arange(n_int)[:, None], nbr.shape)
     upper = (nbr < n_int) & (nbr > sites)
@@ -128,11 +116,11 @@ class ShiftedLaplacianSystem:
     Whether the interior is a full box (`_box_shape`) picks the product:
     shifted slices of the box grid (`_box_product`) on a box, a gather
     through the neighbor table (`_gather_product`) elsewhere. A box whose
-    sides are all up to _BOX_MAX_SIDE (`_box`) also takes the exact CG
-    preconditioner and the first-axis slab band; any other interior takes
-    the Jacobi diagonal and A's own band. The direct backend's factor
-    (`cholesky`) comes from the neighbor table too (`_cholesky_band`). A
-    shift that is not positive and finite raises ValueError.
+    sides are all up to _BOX_MAX_SIDE (`_box`) also takes the exact
+    inverse as its preconditioner; any other interior takes the Jacobi
+    diagonal, and the direct backend factors A's own band there
+    (`cholesky`). A shift that is not positive and finite raises
+    ValueError.
     """
 
     def __init__(self, domain: LatticeDomain, shift: float):
@@ -158,7 +146,7 @@ class ShiftedLaplacianSystem:
         return self._product(self.shift + 2 * self.domain.dimension, x)
 
     def cholesky(self) -> np.ndarray:
-        """The upper Cholesky factor of `_cholesky_band`, by LAPACK `dpbtrf` on first use.
+        """The upper Cholesky factor of A's `damped_band`, by LAPACK `dpbtrf` on first use.
 
         Raises LinearSolveFailure when LAPACK finds the band not positive
         definite.
@@ -166,8 +154,10 @@ class ShiftedLaplacianSystem:
         if self._cholesky is None:
             from scipy.linalg import lapack
 
+            band = damped_band(self.domain)
+            band[-1] = self.shift + 2 * self.domain.dimension
             # The band is already in Fortran order, so LAPACK factors it in place.
-            factor, info = lapack.dpbtrf(_cholesky_band(self), overwrite_ab=1)
+            factor, info = lapack.dpbtrf(band, overwrite_ab=1)
             if info != 0:
                 raise LinearSolveFailure(
                     f"banded Cholesky factorization failed (info {info})", math.nan
@@ -176,7 +166,7 @@ class ShiftedLaplacianSystem:
         return self._cholesky
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The CG preconditioner applied to r: exact on a full box, Jacobi otherwise."""
+        """The preconditioner applied to r: A's exact inverse on a `_box`, Jacobi otherwise."""
         if self._preconditioner is None:
             if self._box is None:
                 # Every diagonal entry of A is shift + 2n.
@@ -189,30 +179,6 @@ class ShiftedLaplacianSystem:
     @property
     def size(self) -> int:
         return self.domain.n_interior
-
-
-def _cholesky_band(system: ShiftedLaplacianSystem) -> np.ndarray:
-    """The matrix the direct backend factors, in `damped_band` storage with its diagonal set.
-
-    Off a box it is A itself. On a box it is S A S, where S is the
-    orthonormal sine transform along the first axis (`_axis_sines`). That
-    transform splits A into one slab per first-axis mode k, the operator
-    (shift + mu_k) I - Laplacian' over the remaining axes, and the slabs
-    are the diagonal blocks of one band built from the neighbor table
-    without its first-axis columns. Its width is the second-axis stride,
-    not the first-axis one: 17 instead of 289 on a 17^3 interior, 1 in 2D.
-    """
-    domain = system.domain
-    if system._box is None:
-        band = damped_band(domain)
-        band[-1] = system.shift + 2 * domain.dimension
-        return band
-    # Neighbor columns 0 and 1 are the steps +e_1 and -e_1.
-    band = _edge_band(domain.interior_neighbors[:, 2:])
-    _, mu = _axis_sines(system._box[0])
-    slab_diagonal = system.shift + mu + 2 * (domain.dimension - 1)
-    band[-1] = np.repeat(slab_diagonal, domain.n_interior // len(mu))
-    return band
 
 
 def _box_shape(domain: LatticeDomain) -> list[int] | None:
@@ -395,14 +361,19 @@ def solve_interior(
     """Solve (Laplacian - shift) w = f over interior values.
 
     Returns the interior solution array and solve statistics. The residual
-    is certified in the infinity norm against tol * (1 + |f|_inf) for
-    either backend, CG taking at most 10 * n_interior iterations. A miss
-    raises LinearSolveFailure, as does a right-hand side or an attained
-    residual that is not finite; its `residual` is then not finite either.
+    is certified in the infinity norm against tol * (1 + |f|_inf) on every
+    path: the box inverse takes at most three passes, CG at most
+    10 * n_interior iterations. A miss raises LinearSolveFailure, as does
+    a right-hand side or an attained residual that is not finite; its
+    `residual` is then not finite either. `info.iterations` counts box
+    passes or CG iterations, and is 1 for a Cholesky solve.
     `info.product` is the certifying product A w, A = shift*I - Laplacian.
     `ax0`, when given, must be A @ x0, typically the product of the solve
-    that returned x0; CG then starts without multiplying by A.
+    that returned x0; the solve then starts without multiplying by A.
+    `x0` and `ax0` are never modified.
     """
+    if backend not in ("cg", "direct"):
+        raise ValueError(f"unknown backend {backend!r}")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (system.size,):
         raise ValueError(f"rhs length {f.shape} does not match system size {system.size}")
@@ -414,24 +385,32 @@ def solve_interior(
     if not math.isfinite(b_max):
         raise LinearSolveFailure(f"non-finite right-hand side (|f|_inf = {b_max})", math.nan)
     tol_abs = tol * (1.0 + b_max)
-    if backend == "direct":
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+    if system._box is not None:
+        # P is exact up to rounding, so each pass corrects x by P applied to
+        # its true residual and one product certifies the result.
+        x = x0
+        r = b if x0 is None else b - (system.matvec(x0) if ax0 is None else ax0)
+        for iterations in range(1, 4):
+            step = system.precondition(r)
+            x = step if x is None else x + step
+            ax = system.matvec(x)
+            r = b - ax
+            attained = float(np.abs(r).max())
+            # Written so that a NaN residual stops too.
+            if not attained > tol_abs:
+                break
+    elif backend == "direct":
         from scipy.linalg import lapack
 
-        factor = system.cholesky()
-        if system._box is None:
-            x, info = lapack.dpbtrs(factor, b)
-        else:
-            # The factor is of S A S (`_cholesky_band`), and S is its own inverse.
-            sines, _ = _axis_sines(system._box[0])
-            slabs = (len(sines), -1)
-            x, info = lapack.dpbtrs(factor, (sines @ b.reshape(slabs)).reshape(-1))
-            x = (sines @ x.reshape(slabs)).reshape(-1)
+        x, info = lapack.dpbtrs(system.cholesky(), b)
         if info != 0:
             raise LinearSolveFailure(f"banded Cholesky solve failed (info {info})", math.nan)
         iterations = 1
         ax = system.matvec(x)
         attained = float(np.abs(b - ax).max())
-    elif backend == "cg":
+    else:
         limit = 10 * system.size
         # Target a quarter of the budget internally: the recurrence residual
         # drifts from the true one near convergence. Restart from the true
@@ -440,7 +419,7 @@ def solve_interior(
             x = np.zeros_like(b)
             r = b.copy()
         else:
-            x = np.array(x0, dtype=np.float64)
+            x = x0.copy()
             r = b - (system.matvec(x) if ax0 is None else ax0)
         iterations = 0
         for _ in range(3):
@@ -450,8 +429,6 @@ def solve_interior(
             attained = float(np.abs(r).max())
             if attained <= tol_abs or iterations >= limit:
                 break
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     # Written so that a NaN residual fails too.
     if not attained <= tol_abs:
         raise LinearSolveFailure(f"{backend} backend missed tolerance {tol_abs:.3e}", attained)

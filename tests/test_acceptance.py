@@ -24,7 +24,9 @@ from lattice_vortex.lattice import make_box, nested_index
 from lattice_vortex.linsolve import ShiftedLaplacianSystem, damped_band, solve_interior
 from lattice_vortex.verify import random_max_principle_instance
 
-from helpers import dirichlet_energy, jacobian_fd_check, scheme_step, tail_is_monotone, value_at, zeros
+from helpers import (
+    band_elimination_solve, dirichlet_energy, jacobian_fd_check, scheme_step, tail_is_monotone, value_at, zeros
+)
 
 SEED = 20240811
 
@@ -273,17 +275,23 @@ def test_criterion_09_jacobian_correctness():
 
 
 def test_criterion_10_cross_backend_agreement():
-    """Direct and CG backends agree below 1e-8 on ten random systems."""
+    """Direct and CG backends agree below 1e-8 on ten random systems.
+
+    On a box both take the box inverse, so each is compared with the
+    test-owned elimination over every axis (`band_elimination_solve`).
+    """
     rng = np.random.default_rng(SEED + 10)
     worst = 0.0
     for i in range(10):
         hw = int(rng.integers(4, 17))  # up to 33x33 interior
         domain = make_box(2, hw)
-        system = ShiftedLaplacianSystem(domain, float(rng.uniform(0.5, 8.0)))
+        shift = float(rng.uniform(0.5, 8.0))
+        system = ShiftedLaplacianSystem(domain, shift)
         f = rng.uniform(-5, 5, domain.n_interior)
+        ref = band_elimination_solve(domain, shift, f)
         wd, _ = solve_interior(system, f, backend="direct")
         wc, _ = solve_interior(system, f, backend="cg")
-        diff = float(np.abs(wd - wc).max())
+        diff = max(float(np.abs(wd - ref).max()), float(np.abs(wc - ref).max()))
         worst = max(worst, diff)
         assert diff < 1e-8
     print(f"\n[criterion 10] cross-backend agreement: PASS (10 systems, worst {worst:.3e})")

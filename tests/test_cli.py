@@ -489,12 +489,12 @@ def test_config_error_begins_with_the_config_key(owner, field, bad, key):
     assert str(err.value).startswith(f"{key} ")
 
 
-def test_cg_box_commands_never_load_scipy(tmp_path):
-    # A fresh interpreter runs a CG solve and a CG chain on boxes and a CG
-    # ball solve with its COO dump with no scipy module loaded; a direct
-    # box solve then loads LAPACK but not scipy.sparse. Nor does anything
-    # after it: a direct ball solve and dump, a direct ball chain, verify
-    # and newton_solve.
+def test_box_commands_never_load_scipy(tmp_path):
+    # A fresh interpreter runs a solve and a chain on boxes with either
+    # backend and a CG ball solve with its COO dump with no scipy module
+    # loaded: a box solve takes the box inverse whatever the backend. A
+    # direct ball solve then loads LAPACK but not scipy.sparse. Nor does
+    # anything after it: a direct ball chain, verify and newton_solve.
     solve = write_config(tmp_path / "box.json", p=1)
     chain = write_exhaust_config(tmp_path / "chain.json")
     ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
@@ -509,15 +509,15 @@ def test_cg_box_commands_never_load_scipy(tmp_path):
         "def run(*argv):\n"
         "    code = main(list(argv))\n"
         "    assert code == 0, (argv, code)\n"
-        f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'box')!r})\n"
-        f"run('exhaust', {str(chain)!r}, '--out', {str(tmp_path / 'chain')!r}, '--backend', 'cg')\n"
+        "for backend in ('cg', 'direct'):\n"
+        f"    run('solve', {str(solve)!r}, '--out', {str(tmp_path)!r} + '/box_' + backend, '--backend', backend)\n"
+        f"    run('exhaust', {str(chain)!r}, '--out', {str(tmp_path)!r} + '/chain_' + backend, '--backend', backend)\n"
         f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball_cg')!r}, '--dump-matrix')\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
-        f"run('solve', {str(solve)!r}, '--out', {str(tmp_path / 'direct')!r}, '--backend', 'direct')\n"
-        "assert 'scipy.sparse' not in sys.modules, 'direct box solve loaded scipy.sparse'\n"
         f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball_direct')!r}, '--dump-matrix',\n"
         "    '--backend', 'direct')\n"
+        "assert 'scipy.linalg' in sys.modules, 'direct ball solve loaded no LAPACK'\n"
         f"run('exhaust', {str(ball_chain)!r}, '--out', {str(tmp_path / 'ball_chain')!r},\n"
         "    '--backend', 'direct')\n"
         "run('verify', '--sizes', '1')\n"
@@ -532,16 +532,16 @@ def test_cg_box_commands_never_load_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_direct_box_commands_never_build_the_full_band(tmp_path, monkeypatch):
-    # On a box the direct backend factors the band of the first-axis sine
-    # slabs; the full band, as wide as the first-axis stride, is left to
-    # other interiors and to verify.
+def test_box_commands_never_factor(tmp_path, monkeypatch):
+    # On a box either backend solves with the box inverse; the Cholesky
+    # factor and the band it factors are left to other interiors.
     from lattice_vortex import linsolve
 
     def refuse(*args, **kwargs):
-        raise AssertionError("damped_band called")
+        raise AssertionError("a box command factored")
 
     monkeypatch.setattr(linsolve, "damped_band", refuse)
+    monkeypatch.setattr(linsolve.ShiftedLaplacianSystem, "cholesky", refuse)
     box = write_config(tmp_path / "box.json", p=1)
     box3d = write_config(
         tmp_path / "box3d.json",
@@ -550,9 +550,12 @@ def test_direct_box_commands_never_build_the_full_band(tmp_path, monkeypatch):
         vortices=[{"point": [1, -2, 0], "multiplicity": 1}],
     )
     chain = write_exhaust_config(tmp_path / "chain.json")
-    for cfg in (box, box3d):
-        assert main(["solve", str(cfg), "--out", str(tmp_path / cfg.stem), "--backend", "direct"]) == EXIT_OK
-    assert main(["exhaust", str(chain), "--out", str(tmp_path / "chain"), "--backend", "direct"]) == EXIT_OK
+    for backend in ("cg", "direct"):
+        for cfg in (box, box3d):
+            out = tmp_path / f"{cfg.stem}_{backend}"
+            assert main(["solve", str(cfg), "--out", str(out), "--backend", backend]) == EXIT_OK
+        out = tmp_path / f"chain_{backend}"
+        assert main(["exhaust", str(chain), "--out", str(out), "--backend", backend]) == EXIT_OK
 
 
 def test_box_builds_never_search_rows(tmp_path, monkeypatch):

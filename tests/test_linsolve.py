@@ -191,25 +191,30 @@ def test_solve_residual_pointwise(backend):
 
 
 def test_backends_agree():
+    # On a box both backends take the box inverse, so each is checked
+    # against the test-owned elimination over every axis.
     dom = make_box(2, 7)  # 15x15 interior
     system = ShiftedLaplacianSystem(dom, 1.3)
     f = RNG.uniform(-2, 2, dom.n_interior)
+    ref = band_elimination_solve(dom, 1.3, f)
     wd, _ = solve_interior(system, f, backend="direct")
     wc, info = solve_interior(system, f, backend="cg")
-    assert np.abs(wd - wc).max() < 1e-8
+    assert np.abs(wd - ref).max() < 1e-8
+    assert np.abs(wc - ref).max() < 1e-8
     assert info.iterations >= 1
 
 
 def test_backends_agree_3d():
-    # 4,913 unknowns, where the direct backend factors the first-axis sine
-    # slabs as one band of half-width 17; the bound is the cross-backend
-    # criterion of the acceptance gate.
+    # 4,913 unknowns; the bound is the cross-backend criterion of the
+    # acceptance gate, against the full-band elimination of 290 rows.
     dom = make_box(3, 8)
     system = ShiftedLaplacianSystem(dom, 4.0)
     f = np.random.default_rng(8).uniform(-2, 2, dom.n_interior)
+    ref = band_elimination_solve(dom, 4.0, f)
     wd, _ = solve_interior(system, f, backend="direct")
     wc, _ = solve_interior(system, f, backend="cg")
-    assert np.abs(wd - wc).max() < 1e-8
+    assert np.abs(wd - ref).max() < 1e-8
+    assert np.abs(wc - ref).max() < 1e-8
 
 
 def test_nonnegative_rhs_gives_nonpositive_solution():
@@ -241,15 +246,15 @@ def test_solve_rejects_bad_inputs():
     ids=["box-2d", "box-3d", "rectangle-points"],
 )
 def test_cg_exact_on_boxes(dom):
-    # On a full box the preconditioner is the exact inverse, so CG converges
-    # in one iteration whatever the center or the domain kind.
+    # On a full box the preconditioner is the exact inverse, so a solve takes
+    # one pass whatever the center, the domain kind or the backend.
     system = ShiftedLaplacianSystem(dom, 1.3)
     v = RNG.uniform(-1, 1, dom.n_interior)
     assert np.abs(system.precondition(naive_interior_matrix(dom, 1.3) @ v) - v).max() < 1e-13
     f = RNG.uniform(-2, 2, dom.n_interior)
-    wd, _ = solve_interior(system, f, backend="direct")
+    wd, direct = solve_interior(system, f, backend="direct")
     wc, info = solve_interior(system, f, backend="cg")
-    assert info.iterations == 1
+    assert info.iterations == direct.iterations == 1
     assert np.abs(wd - wc).max() < 1e-12
 
 
@@ -348,28 +353,38 @@ def test_seeded_product_gives_identical_solve(dom, backend):
         assert plain.iterations > 1
 
 
+def _counting(monkeypatch, system):
+    """Count the preconditioner applies and the products of `system`, in call order."""
+    calls = []
+    for name in ("precondition", "matvec"):
+        method = getattr(system, name)
+        monkeypatch.setattr(system, name, lambda x, name=name, method=method: calls.append(name) or method(x))
+    return calls
+
+
 @pytest.mark.parametrize("backend", ["direct", "cg"])
 @pytest.mark.parametrize("bad", ["all_nan", "one_inf", "one_minus_inf"])
-def test_non_finite_rhs_rejected_before_solving(monkeypatch, backend, bad):
-    system = ShiftedLaplacianSystem(make_box(2, 2), 4.0)
+@pytest.mark.parametrize("dom", [make_box(2, 2), make_ball(2, 3)], ids=["box", "ball"])
+def test_non_finite_rhs_rejected_before_solving(monkeypatch, dom, backend, bad):
+    system = ShiftedLaplacianSystem(dom, 4.0)
     rhs = np.ones(system.size)
     if bad == "all_nan":
         rhs[:] = math.nan
     else:
         rhs[3] = math.inf if bad == "one_inf" else -math.inf
-    calls = []
-    pcg = linsolve._pcg
-    monkeypatch.setattr(linsolve, "_pcg", lambda *args: calls.append(1) or pcg(*args))
+    calls = _counting(monkeypatch, system)
     with pytest.raises(LinearSolveFailure) as err:
-        solve_interior(system, rhs, backend=backend)
+        solve_interior(system, rhs, backend=backend, x0=np.zeros(system.size))
     assert math.isnan(err.value.residual)
-    # no CG iteration, no preconditioner and no factorization was spent on it
+    # no box pass, no CG iteration, no product of the start and no
+    # factorization was spent on it
     assert calls == []
-    assert system._preconditioner is None and system._cholesky is None
+    assert system._cholesky is None
 
 
 def test_non_finite_attained_residual_rejected(monkeypatch):
-    system = ShiftedLaplacianSystem(make_box(2, 2), 4.0)
+    # A ball: a box solve never reads the Cholesky factor.
+    system = ShiftedLaplacianSystem(make_ball(2, 3), 4.0)
 
     nan_factor = np.full((2, system.size), math.nan, order="F")
     monkeypatch.setattr(system, "cholesky", lambda: nan_factor)
@@ -420,7 +435,8 @@ def test_failed_cholesky_raises_linear_solve_failure():
     # The constructor rejects a non-positive shift; set afterwards, before
     # `cholesky` first reads it, A is indefinite and LAPACK reports it
     # instead of returning a NaN factor.
-    system = ShiftedLaplacianSystem(make_box(2, 2), 1.0)
+    # A ball: a box solve never factors.
+    system = ShiftedLaplacianSystem(make_ball(2, 3), 1.0)
     system.shift = -10.0
     with pytest.raises(LinearSolveFailure) as err:
         solve_interior(system, np.ones(system.size), backend="direct")
@@ -428,7 +444,7 @@ def test_failed_cholesky_raises_linear_solve_failure():
     assert system._cholesky is None
 
 
-SLAB_DOMAINS = [
+BOX_DOMAINS = [
     make_box(2, 7),
     make_box(2, 5, center=(3, -2)),
     LatticeDomain(2, itertools.product(range(9), range(-3, 1))),
@@ -437,18 +453,14 @@ SLAB_DOMAINS = [
     LatticeDomain(3, itertools.product(range(3), range(5), range(7))),
     make_box(4, 2),
 ]
-SLAB_IDS = ["box-2d", "box-2d-off-center", "rectangle-9x4", "box-3d", "box-3d-off-center", "box-3x5x7", "box-4d"]
+BOX_IDS = ["box-2d", "box-2d-off-center", "rectangle-9x4", "box-3d", "box-3d-off-center", "box-3x5x7", "box-4d"]
 
 
-def _sine_matrix(m):
-    k = np.arange(1, m + 1)
-    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-
-
-@pytest.mark.parametrize("dom", SLAB_DOMAINS, ids=SLAB_IDS)
+@pytest.mark.parametrize("dom", BOX_DOMAINS, ids=BOX_IDS)
 def test_box_direct_matches_full_band_elimination(dom):
-    # The box factor eliminates over all axes but the first, which a sine
-    # transform diagonalizes; the test's reference eliminates over all axes.
+    # On a box the direct backend refines with the box inverse, sine
+    # transforms along every axis; the test's reference eliminates over all
+    # axes with no transform.
     for shift in (0.2, 1.3, 7.0):
         system = ShiftedLaplacianSystem(dom, shift)
         f = np.random.default_rng(dom.n_interior).uniform(-2, 2, dom.n_interior)
@@ -457,27 +469,30 @@ def test_box_direct_matches_full_band_elimination(dom):
         assert np.abs(wd - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("dom", SLAB_DOMAINS, ids=SLAB_IDS)
-def test_slab_band_stores_the_first_axis_transform(dom):
+@pytest.mark.parametrize("backend", ["cg", "direct"])
+def test_box_solve_stops_after_three_passes(monkeypatch, backend):
+    # No iterate meets 1e-300: each pass corrects from the true residual and
+    # certifies with one product, and the third miss raises with that residual.
+    system = ShiftedLaplacianSystem(make_box(2, 6), 1.3)
+    calls = _counting(monkeypatch, system)
+    with pytest.raises(LinearSolveFailure) as err:
+        solve_interior(system, RNG.uniform(-2, 2, system.size), backend=backend, tol=1e-300)
+    assert 0.0 < err.value.residual < 1e-12
+    assert calls == ["precondition", "matvec"] * 3
+    assert system._cholesky is None
+
+
+@pytest.mark.parametrize("backend", ["cg", "direct"])
+@pytest.mark.parametrize("dom", [make_box(2, 6), make_ball(2, 6)], ids=["box", "ball"])
+def test_solve_leaves_its_start_unchanged(dom, backend):
     system = ShiftedLaplacianSystem(dom, 1.3)
-    band = linsolve._cholesky_band(system)
-    assert band.flags.f_contiguous
-    bw = band.shape[0] - 1
-    # The band reaches the second-axis stride only: the first-axis edges left it.
-    shape = linsolve._box_shape(dom)
-    assert bw == math.prod(shape[2:])
-    upper = sum(np.diag(band[bw - k, k:], k) for k in range(bw + 1))
-    m0 = shape[0]
-    s = np.kron(_sine_matrix(m0), np.eye(dom.n_interior // m0))
-    # S A S entry for entry, to rounding: its entries are at most 4n + 1.3.
-    want = s @ naive_interior_matrix(dom, 1.3).toarray() @ s
-    np.testing.assert_allclose(upper + np.triu(upper, 1).T, want, rtol=0, atol=1e-13)
-
-
-def test_box_factor_is_the_slab_band_and_a_ball_keeps_the_full_band(monkeypatch):
-    box = ShiftedLaplacianSystem(make_box(3, 8), 4.0)
-    ball = ShiftedLaplacianSystem(make_ball(3, 4), 4.0)
-    assert ball.cholesky().shape == damped_band(ball.domain).shape
-    monkeypatch.setattr(linsolve, "damped_band", lambda domain: pytest.fail("damped_band called on a box"))
-    # 18 * 4,913 * 8 bytes = 0.7 MB, against 290 rows and 11.4 MB for the full band.
-    assert box.cholesky().shape == (18, 4913)
+    x0 = RNG.uniform(-1, 1, system.size)
+    ax0 = system.matvec(x0)
+    x0_kept, ax0_kept = x0.copy(), ax0.copy()
+    x, info = solve_interior(system, RNG.uniform(-2, 2, system.size), backend=backend, x0=x0, ax0=ax0)
+    np.testing.assert_array_equal(x0, x0_kept)
+    np.testing.assert_array_equal(ax0, ax0_kept)
+    assert x is not x0 and info.product is not ax0
+    if dom.kind == "box":
+        # One apply of the box inverse and one certifying product.
+        assert info.iterations == 1

@@ -32,7 +32,7 @@ RECORDED_SEED_11 = {
         "1000 fields per combo; max ratios n=2,p=0: 0.2497, n=2,p=1: 0.5214, "
         "n=2,p=2: 0.6555, n=3,p=0: 0.1980, n=3,p=1: 0.4612, n=3,p=2: 0.6024"
     ),
-    "oracle_equivalence": "3 instances, worst disagreement 5.284e-12",
+    "oracle_equivalence": "3 instances, worst disagreement 2.171e-12",
 }
 
 
