@@ -1,14 +1,14 @@
 """Fields on lattice domains and the discrete calculus over them.
 
 The summation-by-parts check uses only edges whose endpoints both lie in
-the closure; the seminorm and the interpolation ratio treat the field as
-zero outside the closure. All accumulations go through numpy's pairwise
+the closure. The interpolation ratio requires a zero boundary and treats
+the field as zero outside the interior, so it reads interior values and
+interior edges only. All accumulations go through numpy's pairwise
 summation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,8 +21,6 @@ __all__ = [
     "from_interior",
     "laplacian_interior",
     "green_identity_defect",
-    "lq_norm",
-    "seminorm_1q",
     "gns_ratio",
     "write_field_csv",
 ]
@@ -73,7 +71,7 @@ def _require_same_domain(u: LatticeField, v: LatticeField):
 
 def _require_zero_boundary(u: LatticeField, name: str):
     """ValueError unless u is zero at every boundary site; `name` names u in the message."""
-    if np.any(u.boundary_values != 0.0):
+    if u.boundary_values.any():
         raise ValueError(f"{name} must vanish on the boundary")
 
 
@@ -102,10 +100,10 @@ def green_identity_defect(
     the neighbor table `adjacency` that lies in the closure (`>= 0`), row by
     row, so each point meets its closure neighbors; the right side comes
     from `interior_neighbors`. Neither uses `edges`, so the check stays
-    independent of the edge-array path of `seminorm_1q`. `laplacian_fn`
-    maps a field to its interior
-    Laplacian array (shape u.interior.shape); it exists so verification
-    harnesses can inject a corrupted operator and confirm the check trips.
+    independent of the edge-array path of `gns_ratio`'s seminorm.
+    `laplacian_fn` maps a field to its interior Laplacian array (shape
+    u.interior.shape); it exists so verification harnesses can inject a
+    corrupted operator and confirm the check trips.
 
     Stacks of k pairs (u and v of shape (k, n_closure)) give an array of
     k defects, each bitwise the defect of that pair alone: every sum runs
@@ -132,8 +130,10 @@ def green_identity_defect(
 def _ipow(x, k: int):
     """x ** k for an integer k >= 0, by repeated multiplication.
 
-    numpy sends `**` on float arrays through the general pow, which on
-    negative bases costs tens of times more than k - 1 multiplies. Above
+    k = 1 returns x itself, not a copy, so a caller never writes into the
+    result. numpy sends `**` on float arrays through the general pow,
+    which on negative bases costs tens of times more than k - 1
+    multiplies. Above
     _IPOW_MAX_Q the powers come by repeated squaring, so k costs about
     2 log2(k) multiplies, not k - 1; they agree with pow to rounding.
     """
@@ -158,8 +158,8 @@ def _ipow(x, k: int):
 
 # On non-negative bases numpy's pow costs about as much as 10 multiplies
 # whatever the exponent (2-core Xeon, 25 x 150 stacks: q=4 8.7 vs 22 us,
-# q=10 and 12 a tie, q=16 34 vs 22 us, q=1000 3.5 vs 0.3 ms), so `lq_norm`
-# multiplies only up to the largest order `gns_ratio` takes (4p+4, p <= 2).
+# q=10 and 12 a tie, q=16 34 vs 22 us, q=1000 3.5 vs 0.3 ms), so `_ipow`
+# multiplies up to order 12 and squares repeatedly above it.
 _IPOW_MAX_Q = 12
 
 
@@ -168,58 +168,41 @@ def _reduced(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def lq_norm(u: LatticeField, q: float):
-    """The l^q norm of the field over the full closure."""
-    vals = u.values
-    if q == math.inf:
-        return _reduced(np.abs(vals).max(axis=-1, initial=0.0))
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    mags = np.abs(vals)
-    powers = _ipow(mags, int(q)) if q <= _IPOW_MAX_Q and float(q).is_integer() else mags**q
-    return _reduced(np.sum(powers, axis=-1) ** (1.0 / q))
-
-
-def seminorm_1q(u: LatticeField, q: float):
-    """Difference seminorm of the zero-extended field over the whole lattice.
-
-    Ordered neighbor pairs are counted on both sides of each edge; edges
-    leaving the closure compare the field value against zero.
-    """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    dom = u.domain
-    # take keeps a stack row-major; fancy indexing would return it
-    # column-major, which is slower and sums each row in another order.
-    ends = u.values.take(dom.edges[:, 0], axis=-1), u.values.take(dom.edges[:, 1], axis=-1)
-    d = np.abs(ends[0] - ends[1])
-    inner = 2.0 * np.sum(d**q, axis=-1)
-    # Each site's neighbors outside the closure: 2n less its closure edges.
-    # A bincount of the edge ends costs a third of a count over the table.
-    outside_degree = 2 * dom.dimension - np.bincount(dom.edges.ravel(), minlength=dom.n_closure)
-    outer = 2.0 * np.sum(outside_degree * np.abs(u.values) ** q, axis=-1)
-    return _reduced((inner + outer) ** (1.0 / q))
-
-
 def gns_ratio(u: LatticeField, p: int):
     """Measured constant in the interpolation bound for a zero-extended field.
 
     Ratio of the l^{4p+4} norm to |u|_{1,2}^{1/(2p+2)} times the l^{4p+2}
     norm to the power (2p+1)/(2p+2); scale-invariant by construction.
-    For a stack of fields (values of shape (k, n_closure)) every norm
+    With m = 2p+2 it is (S_{2m} / (S_{2m-2} |u|_{1,2}^2))^{1/(2m)}, S_q
+    the sum of x^q over the interior values x, since u vanishes elsewhere;
+    S_{2m} reuses the powers of S_{2m-2}. Over ordered neighbor pairs of
+    the whole lattice, |u|_{1,2}^2 is twice the sum of (x_i - x_j)^2 over
+    interior edges plus twice the sum of x_i^2 times the number of
+    neighbors of site i off the interior.
+    For a stack of fields (values of shape (k, n_closure)) every sum
     reduces over the last axis and the k ratios come back as an array,
     each equal to the ratio of that field alone.
     """
     if p < 0 or int(p) != p:
         raise ValueError("p must be a non-negative integer")
     _require_zero_boundary(u, "field")
-    if not np.all(np.any(u.values, axis=-1)):
+    x = u.interior
+    if not x.any(axis=-1).all():
         raise ValueError("ratio undefined for the zero field")
+    dom = u.domain
     m = 2 * p + 2
-    num = lq_norm(u, 2 * m)
-    grad = seminorm_1q(u, 2.0)
-    low = lq_norm(u, 2 * m - 2)
-    return num / (grad ** (1.0 / m) * low ** ((m - 1) / m))
+    sq = x * x
+    # At p = 0 `low` is `sq` itself, so neither is written into.
+    low = _ipow(sq, m - 1)
+    s_high = (low * sq).sum(axis=-1)
+    s_low = low.sum(axis=-1)
+    # take keeps a stack row-major; fancy indexing would return it
+    # column-major, which is slower and sums each row in another order.
+    ends = x.take(dom.edges[dom.edges[:, 1] < dom.n_interior].T, axis=-1)
+    d = ends[..., 0, :] - ends[..., 1, :]
+    off_interior = 2 * dom.dimension - (dom.interior_neighbors < dom.n_interior).sum(axis=1)
+    grad_sq = 2.0 * ((d * d).sum(axis=-1) + (off_interior * sq).sum(axis=-1))
+    return _reduced((s_high / (s_low * grad_sq)) ** (1.0 / (2 * m)))
 
 
 def write_field_csv(u: LatticeField, path):

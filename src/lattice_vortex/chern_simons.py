@@ -30,8 +30,8 @@ from .calculus import (
 )
 from .lattice import LatticeDomain, LatticePoint, json_integer, json_point, json_real
 from .linsolve import (
-    DEFAULT_TOL_LINEAR, LinearSolveFailure, LinearSolveInfo, ShiftedLaplacianSystem, damped_band,
-    solve_interior,
+    DEFAULT_TOL_LINEAR, LinearSolveFailure, LinearSolveInfo, ShiftedLaplacianSystem, _upper_edges,
+    damped_band, solve_interior,
 )
 
 __all__ = [
@@ -65,13 +65,13 @@ FOUR_PI = 4.0 * math.pi
 # these slacks absorb rounding only. Larger violations abort the run.
 MONOTONE_SLACK = 1e-9
 ENERGY_SLACK = 1e-9
-# Interior sites. Each Newton step LU-factors the Jacobian band, as wide as
-# the first-axis stride, in place: on the 21^3 cube (9,261 sites, 441 bands
-# on either side) a step peaks at 131 MB, the 98 MB (3 bw + 1)-row array
-# that `jacobian` fills and `dgbsv` factors plus the 33 MB upper band it is
-# filled from. The bound is on sites, not on bw: a 2 x 5,000 strip would
-# need 1.6 GB.
-_NEWTON_MAX_SIZE = 10_000
+# Bytes of the (3 bw + 1)-row array that `jacobian` fills and each Newton
+# step LU-factors in place; the step peaks at 4/3 of it, with the upper
+# band it is filled from. The budget admits every box of up to 10,000
+# sites in up to seven dimensions: the 21^3 cube (bw 441) needs 98 MB and
+# the 4D box of half-width 4 (6,561 sites, bw 729) 115 MB. A 2 x 5,000
+# strip (bw 5,000) would need 1.2 GB, the 8D box of half-width 1 344 MB.
+_NEWTON_MAX_BYTES = 2**27
 _NEWTON_TOL = 1e-12  # sup-norm residual at which newton_solve returns
 _NEWTON_MAX_ITERATIONS = 50
 # max_principle_check's rounding allowance on its hypotheses and its conclusion.
@@ -496,12 +496,15 @@ def newton_solve(domain: LatticeDomain, vortices: VortexConfig, params: ModelPar
     multiplicity 4 it is indefinite at one step), so the factor is LU, not
     Cholesky. Returns once the sup-norm residual is below `_NEWTON_TOL`
     (1e-12). Raises NewtonFailure after `_NEWTON_MAX_ITERATIONS` (50)
-    steps, on a singular Jacobian, or when the line search runs out.
+    steps, on a singular Jacobian, or when the line search runs out, and
+    ValueError, before it allocates or imports anything, when the LU array
+    of the Jacobian would exceed `_NEWTON_MAX_BYTES`.
     """
+    lu_bytes = (3 * int(_upper_edges(domain)[1].max(initial=0)) + 1) * domain.n_interior * 8
+    if lu_bytes > _NEWTON_MAX_BYTES:
+        raise ValueError(f"newton_solve's Jacobian LU needs {lu_bytes} bytes, over {_NEWTON_MAX_BYTES}")
     from scipy.linalg.lapack import dgbsv
 
-    if domain.n_interior > _NEWTON_MAX_SIZE:
-        raise ValueError(f"newton_solve is limited to {_NEWTON_MAX_SIZE} interior points")
     h = source_h(domain, vortices)
     u = from_interior(domain, np.zeros(domain.n_interior))
     f_val = residual(u, h, params).interior

@@ -98,16 +98,23 @@ def damped_band(domain: LatticeDomain) -> np.ndarray:
     in Fortran order, LAPACK's own layout, and holds
     (bw + 1) * n_interior * 8 bytes.
     """
-    nbr = domain.interior_neighbors
-    n_int = len(nbr)
-    sites = np.broadcast_to(np.arange(n_int)[:, None], nbr.shape)
-    upper = (nbr < n_int) & (nbr > sites)
-    cols = nbr[upper]
-    offset = cols - sites[upper]
+    cols, offset = _upper_edges(domain)
     bw = int(offset.max(initial=0))
-    band = np.zeros((bw + 1, n_int), order="F")
+    band = np.zeros((bw + 1, domain.n_interior), order="F")
     band[bw - offset, cols] = -1.0
     return band
+
+
+def _upper_edges(domain: LatticeDomain):
+    """Column j and offset j - i of each interior edge (i, j), i < j, in neighbor-table order.
+
+    The largest offset is the band width bw of `damped_band`.
+    """
+    nbr = domain.interior_neighbors
+    sites = np.broadcast_to(np.arange(len(nbr))[:, None], nbr.shape)
+    upper = (nbr < len(nbr)) & (nbr > sites)
+    cols = nbr[upper]
+    return cols, cols - sites[upper]
 
 
 class ShiftedLaplacianSystem:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from lattice_vortex import exhaustion
-from lattice_vortex.calculus import LatticeField, from_interior
+from lattice_vortex.calculus import _IPOW_MAX_Q, LatticeField, _ipow, _reduced, from_interior
 from lattice_vortex.chern_simons import jacobian, nonlinearity, residual, source_h
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import damped_band, solve_interior
@@ -77,6 +77,36 @@ def is_connected(domain):
                 seen.add(y)
                 queue.append(y)
     return len(seen) == len(interior)
+
+
+def lq_norm(u, q):
+    """The l^q norm of the field over the full closure; a stack gives one norm per field."""
+    vals = u.values
+    if q == math.inf:
+        return _reduced(np.abs(vals).max(axis=-1, initial=0.0))
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    mags = np.abs(vals)
+    powers = _ipow(mags, int(q)) if q <= _IPOW_MAX_Q and float(q).is_integer() else mags**q
+    return _reduced(np.sum(powers, axis=-1) ** (1.0 / q))
+
+
+def seminorm_1q(u, q):
+    """Difference seminorm of the zero-extended field over the whole lattice.
+
+    Ordered neighbor pairs are counted on both sides of each edge; edges
+    leaving the closure compare the field value against zero. It reads the
+    closure edges and a bincount of their ends, not the interior tables
+    `calculus.gns_ratio` reads, so the two are independent references.
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    dom = u.domain
+    ends = u.values.take(dom.edges[:, 0], axis=-1), u.values.take(dom.edges[:, 1], axis=-1)
+    inner = 2.0 * np.sum(np.abs(ends[0] - ends[1]) ** q, axis=-1)
+    outside_degree = 2 * dom.dimension - np.bincount(dom.edges.ravel(), minlength=dom.n_closure)
+    outer = 2.0 * np.sum(outside_degree * np.abs(u.values) ** q, axis=-1)
+    return _reduced((inner + outer) ** (1.0 / q))
 
 
 def dirichlet_energy(u):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_vortex.calculus import LatticeField, from_interior, green_identity_defect, lq_norm, seminorm_1q
+from lattice_vortex.calculus import LatticeField, from_interior, green_identity_defect
 from lattice_vortex.chern_simons import (
     ModelParams,
     VortexConfig,
@@ -25,7 +25,8 @@ from lattice_vortex.linsolve import ShiftedLaplacianSystem, damped_band, solve_i
 from lattice_vortex.verify import random_max_principle_instance
 
 from helpers import (
-    band_elimination_solve, dirichlet_energy, jacobian_fd_check, scheme_step, tail_is_monotone, value_at, zeros
+    band_elimination_solve, dirichlet_energy, jacobian_fd_check, lq_norm, scheme_step, seminorm_1q,
+    tail_is_monotone, value_at, zeros
 )
 
 SEED = 20240811

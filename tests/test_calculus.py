@@ -12,8 +12,6 @@ from lattice_vortex.calculus import (
     gns_ratio,
     green_identity_defect,
     laplacian_interior,
-    lq_norm,
-    seminorm_1q,
     write_field_csv,
 )
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
@@ -25,7 +23,9 @@ from brute import (
     naive_laplacian,
     naive_seminorm_q,
 )
-from helpers import dirichlet_energy, from_function, interior_points, read_field_csv, value_at, zeros
+from helpers import (
+    dirichlet_energy, from_function, interior_points, lq_norm, read_field_csv, seminorm_1q, value_at, zeros
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -242,6 +242,38 @@ def test_gns_ratio_stack_equals_per_field(n, p):
     # Sums match row by row; numpy's array and scalar pow may round the
     # fractional roots differently in the last place, a few ulp in all.
     np.testing.assert_allclose(stacked, singles, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def _closure_gns_ratio(u, p):
+    """gns_ratio's definition, from closure-wide norms and the edge seminorm of the helpers."""
+    m = 2 * p + 2
+    return lq_norm(u, 2 * m) / (seminorm_1q(u, 2.0) ** (1.0 / m) * lq_norm(u, 2 * m - 2) ** ((m - 1) / m))
+
+
+GNS_DOMAINS = {
+    "box-2d": make_box(2, 4),
+    "box-3d": make_box(3, 2),
+    "ball-2d": make_ball(2, 5, center=(1, -2)),
+    "scattered": LatticeDomain(2, [(0, 0), (1, 0), (5, 5), (-7, 3), (3, 3), (3, 4), (4, 4)]),
+}
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("name", GNS_DOMAINS)
+def test_gns_ratio_matches_closure_norms(name, p):
+    # gns_ratio sums over the interior and reads interior edges; the
+    # reference sums over the closure and reads every closure edge. p = 0
+    # is the case where the low power is x^2 itself.
+    dom = GNS_DOMAINS[name]
+    values = np.random.default_rng(p).uniform(-1.0, 1.0, (6, dom.n_interior))
+    for scale in (1e-3, 1.0, 1e3):
+        stack = from_interior(dom, scale * values)
+        before = stack.values.copy()
+        want = _closure_gns_ratio(stack, p)
+        np.testing.assert_allclose(gns_ratio(stack, p), want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(stack.values, before)
+        for row, ratio in zip(scale * values, want):
+            assert gns_ratio(from_interior(dom, row), p) == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 def test_gns_ratio_stack_rejections():

@@ -5,7 +5,7 @@ import pytest
 
 from lattice_vortex import chern_simons
 
-from lattice_vortex.calculus import _IPOW_MAX_Q, _ipow, LatticeField, from_interior, lq_norm, seminorm_1q
+from lattice_vortex.calculus import _IPOW_MAX_Q, _ipow, LatticeField, from_interior
 from lattice_vortex.chern_simons import (
     ENERGY_SLACK,
     ConvergenceFailure,
@@ -25,7 +25,8 @@ from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, nested_in
 from lattice_vortex.linsolve import LinearSolveFailure, ShiftedLaplacianSystem, solve_interior
 
 from helpers import (
-    dirichlet_energy, functional_j, scheme_step, value_at, verify_subsolution_dominance, zeros
+    dirichlet_energy, functional_j, lq_norm, scheme_step, seminorm_1q, value_at, verify_subsolution_dominance,
+    zeros,
 )
 
 RNG = np.random.default_rng(99)

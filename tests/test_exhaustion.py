@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lattice_vortex import exhaustion
-from lattice_vortex.calculus import LatticeField, from_interior, lq_norm
+from lattice_vortex.calculus import LatticeField, from_interior
 from lattice_vortex.chern_simons import (
     ModelParams, VortexConfig, residual, solve_domain, source_h,
 )
@@ -23,6 +23,7 @@ from brute import naive_null_extend, naive_restrict_field
 from helpers import (
     break_chain_ordering,
     interior_points,
+    lq_norm,
     nested_domain_pairs,
     tail_is_monotone,
     value_at,

@@ -4,16 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lattice_vortex.calculus import from_interior, lq_norm
+from lattice_vortex import chern_simons
+from lattice_vortex.calculus import from_interior
 from lattice_vortex.chern_simons import (
     ModelParams, VortexConfig, jacobian, newton_solve, nonlinearity_derivative, residual, solve_domain,
     source_h,
 )
-from lattice_vortex.lattice import make_ball, make_box
+from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 from lattice_vortex.linsolve import ShiftedLaplacianSystem
 
 from brute import naive_interior_matrix
-from helpers import banded_to_dense, jacobian_fd_check, scheme_step, zeros
+from helpers import banded_to_dense, jacobian_fd_check, lq_norm, scheme_step, zeros
 
 RNG = np.random.default_rng(41)
 
@@ -58,10 +59,41 @@ def test_newton_solution_is_fixed_point_of_scheme_step():
 
 
 def test_newton_guards():
+    # A 2 x 5,000 strip ordered along its long side has bw 5,000: its LU
+    # array would take 1.2 GB. The refusal comes before any allocation
+    # near that size.
+    strip = LatticeDomain(2, [(x, y) for x in (0, 1) for y in range(5000)])
+    lu_bytes = (3 * 5000 + 1) * strip.n_interior * 8
     params = ModelParams(lam=1.0, p=0)
-    big = make_box(2, 55)  # 111^2 > 10000 interior sites
-    with pytest.raises(ValueError):
-        newton_solve(big, VortexConfig(()), params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{lu_bytes} bytes"):
+            newton_solve(strip, VortexConfig(()), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+class _ReachedJacobian(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [make_box(2, hw) for hw in range(2, 7)] + [make_box(3, hw) for hw in (1, 2, 5, 10)] + [make_box(4, 4)],
+    ids=lambda dom: f"{dom.dimension}d-{dom.n_interior}",
+)
+def test_newton_admits_every_domain_it_solves(dom, monkeypatch):
+    # The 2D boxes of half-width 2-6 and the 3D boxes of half-width 1, 2
+    # and 5 are those the tests and `verify` solve by Newton; the 21^3 cube
+    # and 4D hw 4 are the largest 3D and 4D boxes of up to 10,000 sites.
+    def reached(u, params):
+        raise _ReachedJacobian
+
+    monkeypatch.setattr(chern_simons, "jacobian", reached)
+    with pytest.raises(_ReachedJacobian):
+        newton_solve(dom, single_vortex(dom.dimension), ModelParams(lam=1.0, p=1))
 
 
 def test_jacobian_at_zero_matches_linear_part():

@@ -43,6 +43,17 @@ def test_run_suites_details_match_recorded_values():
         assert results[name].detail == detail
 
 
+def test_run_suites_seed_0_gns_ratio_row():
+    # The row `verify --seed 0 --sizes 1,3,7` prints, recorded before the
+    # ratio was computed from interior values alone.
+    result = {r.name: r for r in run_suites(0, [1, 3, 7])}["gns_ratio"]
+    assert result.passed
+    assert result.detail == (
+        "1000 fields per combo; max ratios n=2,p=0: 0.2577, n=2,p=1: 0.5244, "
+        "n=2,p=2: 0.6500, n=3,p=0: 0.1970, n=3,p=1: 0.4676, n=3,p=2: 0.6054"
+    )
+
+
 def test_scaled_uniform_rows_reproduce_per_field_draws():
     for n in (9, 125):
         block_rng = np.random.default_rng(n)
