@@ -10,10 +10,12 @@ nonlinearity's slope over u <= 0, repeatedly solving the linear problem
 from u = 0, or from a supersolution, produces iterates that decrease
 pointwise and drive an energy functional downward, converging to the
 maximal zero-boundary solution.
-Every step is recorded so the monotonicity and energy-decrease claims can
-be audited after the fact. `newton_solve`, damped Newton on the one
-`residual` and its one `jacobian`, witnesses on small instances that the
-scheme's fixed point solves the equation.
+The loop enforces the pointwise decrease: a step that rises aborts the run.
+Each step's energy, step change, residual and l^(2p+2) norm are recorded,
+the row `trace.csv` writes, so the energy decrease can be audited after
+the fact. `newton_solve`, damped Newton on the one `residual` and its one
+`jacobian`, witnesses on small instances that the scheme's fixed point
+solves the equation.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from .calculus import (
 )
 from .lattice import LatticeDomain, LatticePoint, json_integer, json_point, json_real
 from .linsolve import (
-    DEFAULT_TOL_LINEAR, LinearSolveFailure, LinearSolveInfo, ShiftedLaplacianSystem, _upper_edges,
-    damped_band, solve_interior,
+    DEFAULT_TOL_LINEAR, LinearSolveFailure, ShiftedLaplacianSystem, _upper_edges, damped_band,
+    solve_interior,
 )
 
 __all__ = [
     "FOUR_PI",
     "MONOTONE_SLACK",
-    "ENERGY_SLACK",
     "kappa",
     "ModelParams",
     "VortexConfig",
@@ -61,10 +62,9 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
-# Pointwise decrease and energy decrease hold exactly in exact arithmetic;
-# these slacks absorb rounding only. Larger violations abort the run.
+# Pointwise decrease holds exactly in exact arithmetic; this slack absorbs
+# rounding only. A larger rise aborts the run.
 MONOTONE_SLACK = 1e-9
-ENERGY_SLACK = 1e-9
 # Bytes of the (3 bw + 1)-row array that `jacobian` fills and each Newton
 # step LU-factors in place; the step peaks at 4/3 of it, with the upper
 # band it is filled from. The budget admits every box of up to 10,000
@@ -220,16 +220,13 @@ class VortexConfig:
 
 @dataclass
 class TraceRecord:
+    """One step of the outer iteration: a row of `trace.csv`."""
+
     k: int
     j_value: float
     sup_change: float
     residual_inf: float
     l2p2_norm: float
-    l2_change: float
-    monotone_ok: bool
-    j_decrease_ok: bool
-    norm_chain_ok: bool
-    linear_iterations: int
 
 
 class IterationTrace:
@@ -237,7 +234,6 @@ class IterationTrace:
 
     def __init__(self):
         self.records: list[TraceRecord] = []
-        self.converged = False
 
     @property
     def iterations(self) -> int:
@@ -319,12 +315,12 @@ def _even_norm(w: np.ndarray, m: int) -> float:
 
 
 def _start_interior(u: LatticeField, domain: LatticeDomain, name: str) -> np.ndarray:
-    """A copy of the interior of a start field: on `domain`, zero boundary, non-positive."""
+    """A copy of the interior of a start field: on `domain`, zero boundary, finite, non-positive."""
     if u.domain is not domain:
         raise ValueError(f"{name} lives on a different domain")
     _require_zero_boundary(u, name)
-    if float(u.values.max()) > MONOTONE_SLACK:
-        raise ValueError(f"{name} must be non-positive")
+    if not np.isfinite(u.values).all() or float(u.values.max()) > MONOTONE_SLACK:
+        raise ValueError(f"{name} must be finite and non-positive")
     return u.interior.copy()
 
 
@@ -349,9 +345,16 @@ def solve_domain(
     vanishes on the boundary) and the next solve's start, so a step on a box
     takes one apply of the box inverse and one product with A.
 
-    `u_init` replaces the zero start; it must be non-positive with zero
-    boundary, and a supersolution for the iterates to decrease from it
-    (`exhaustion.run_exhaustion` starts each domain from one).
+    A step that rises above its predecessor by more than MONOTONE_SLACK
+    raises MonotonicityBreakdown. The energy decrease is recorded only: J
+    of every step goes into the trace, and nothing in the loop acts on a
+    rise. Every rise measured was rounding in the sums that form J (up to
+    1.3e-13 of |J| at lam 1000, multiplicity 50), which an absolute slack
+    cannot tell from a real rise.
+
+    `u_init` replaces the zero start; it must be finite and non-positive
+    with zero boundary, and a supersolution for the iterates to decrease
+    from it (`exhaustion.run_exhaustion` starts each domain from one).
 
     A step whose linear solve meets NaN or inf (a non-finite right-hand
     side or residual) raises NonFiniteBreakdown with that step in the
@@ -367,7 +370,6 @@ def solve_domain(
     u = np.zeros(n_int) if u_init is None else _start_interior(u_init, domain, "u_init")
     n_u = nonlinearity(u, params)
     au = None
-    j_prev = math.inf
     trace = IterationTrace()
     # Only the l^(2p+2) sum in `_even_norm` can overflow, and it rescales
     # when it does; the warning is silenced once for the whole loop.
@@ -380,23 +382,21 @@ def solve_domain(
             tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
             try:
                 w, info = solve_interior(system, rhs, backend=backend, tol=tol, x0=u, ax0=au)
+                aw = info.product
             except LinearSolveFailure as exc:
                 if math.isfinite(exc.residual):
                     exc.trace = trace
                     raise
                 # The step met NaN or inf: record it as all-NaN, so the
                 # breakdown below reports it with the trace.
-                w = np.full(n_int, math.nan)
-                info = LinearSolveInfo(0, exc.residual, w)
+                w = aw = np.full(n_int, math.nan)
             diff = w - u
             rise = float(diff.max())
             # w - u is +0.0 where they are equal; with rise first, an all-zero
             # change reads +0.0 as max |diff| did.
             sup_change = max(rise, -float(diff.min()))
-            l2_change = math.sqrt(float(diff @ diff))
             # Laplacian of the zero-boundary iterate from the certifying product;
             # summing w * Laplacian(w) by parts gives minus the Dirichlet energy.
-            aw = info.product
             lap = system.shift * w - aw
             energy = -float(w @ lap)
             # N(w) is both this step's residual term and the next step's rhs.
@@ -404,25 +404,9 @@ def solve_domain(
             j_val = 0.5 * energy + float(((params.lam / m) * pot + h_int * w).sum())
             res = lap - n_w - h_int
             residual_inf = max(float(res.max()), -float(res.min()))
-            l2p2 = _even_norm(w, m)
-            # With a zero boundary no edge leaves the closure with a non-zero
-            # difference, so the squared seminorm is exactly twice the energy.
-            sem_sq = 2.0 * energy
-            norm_chain_ok = sem_sq <= 2.0 * energy + 1e-12 * (1.0 + 2.0 * energy)
-            record = TraceRecord(
-                k=k,
-                j_value=j_val,
-                sup_change=sup_change,
-                residual_inf=residual_inf,
-                l2p2_norm=l2p2,
-                l2_change=l2_change,
-                monotone_ok=rise <= MONOTONE_SLACK,
-                j_decrease_ok=(k == 1) or (j_val <= j_prev + ENERGY_SLACK),
-                norm_chain_ok=norm_chain_ok,
-                linear_iterations=info.iterations,
-            )
-            trace.records.append(record)
-            if not record.monotone_ok:
+            trace.records.append(TraceRecord(k, j_val, sup_change, residual_inf, _even_norm(w, m)))
+            # Written so that a NaN rise fails the test too.
+            if not rise <= MONOTONE_SLACK:
                 if not (math.isfinite(rise) and math.isfinite(sup_change)):
                     raise NonFiniteBreakdown(
                         f"step {k} produced non-finite values (step change {sup_change:.3e})", trace
@@ -433,9 +417,7 @@ def solve_domain(
             u = w
             n_u = n_w
             au = aw
-            j_prev = j_val
             if sup_change < params.tol_nonlinear and residual_inf < params.tol_residual:
-                trace.converged = True
                 return from_interior(domain, u), trace
             if sup_change == 0.0:
                 # The numerical map is exactly stationary here; repeating the

@@ -214,7 +214,7 @@ def cmd_solve(args) -> int:
                 "failure": {"kind": exc.kind, "message": str(exc)},
             }
         )
-        trace = getattr(exc, "trace", None)
+        trace = exc.trace
         if trace is not None and trace.iterations:
             trace.write_csv(os.path.join(args.out, "trace.csv"))
             summary["iterations"] = trace.iterations

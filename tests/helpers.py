@@ -4,12 +4,14 @@ They build on the library's public operators; the naive references that
 avoid the library's index arrays live in `brute.py`.
 """
 
+import contextlib
 import csv
 import math
 
 import numpy as np
+import pytest
 
-from lattice_vortex import exhaustion
+from lattice_vortex import chern_simons, exhaustion
 from lattice_vortex.calculus import _IPOW_MAX_Q, LatticeField, _ipow, _reduced, from_interior
 from lattice_vortex.chern_simons import jacobian, nonlinearity, residual, source_h
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
@@ -132,6 +134,30 @@ def scheme_step(u, h, params, system, backend="cg"):
     rhs = nonlinearity(u.interior, params) + h.interior - params.shift * u.interior
     w, _ = solve_interior(system, rhs, backend=backend)
     return from_interior(u.domain, w)
+
+
+@contextlib.contextmanager
+def observe_steps(on_iterate=None):
+    """Watch every step of the `solve_domain` runs inside the block.
+
+    Wraps the loop's `chern_simons.solve_interior`, which each step calls
+    once with the previous iterate as `x0`. Yields a list that receives
+    ||w - x0||_2 of each step's new iterate w, and passes w as a field to
+    `on_iterate`, when given, as the step happens.
+    """
+    real = chern_simons.solve_interior
+    changes = []
+
+    def observed(system, rhs, **kwargs):
+        w, info = real(system, rhs, **kwargs)
+        changes.append(float(np.linalg.norm(w - kwargs["x0"])))
+        if on_iterate is not None:
+            on_iterate(from_interior(system.domain, w))
+        return w, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chern_simons, "solve_interior", observed)
+        yield changes
 
 
 def band_elimination_solve(domain, shift, f):

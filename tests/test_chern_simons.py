@@ -7,7 +7,7 @@ from lattice_vortex import chern_simons
 
 from lattice_vortex.calculus import _IPOW_MAX_Q, _ipow, LatticeField, from_interior
 from lattice_vortex.chern_simons import (
-    ENERGY_SLACK,
+    MONOTONE_SLACK,
     ConvergenceFailure,
     ModelParams,
     MonotonicityBreakdown,
@@ -25,9 +25,12 @@ from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, nested_in
 from lattice_vortex.linsolve import LinearSolveFailure, ShiftedLaplacianSystem, solve_interior
 
 from helpers import (
-    dirichlet_energy, functional_j, lq_norm, scheme_step, seminorm_1q, value_at, verify_subsolution_dominance,
-    zeros,
+    dirichlet_energy, functional_j, lq_norm, observe_steps, scheme_step, seminorm_1q, value_at,
+    verify_subsolution_dominance, zeros,
 )
+
+# Consecutive energies may rise by rounding only; J is recorded, not checked, by the solver.
+ENERGY_SLACK = 1e-9
 
 RNG = np.random.default_rng(99)
 
@@ -88,21 +91,21 @@ def test_default_shift_keeps_every_step_certificate(p, lam):
     # squared size with a drop in J (from J(0) = 0 at the first step).
     params = ModelParams(lam=lam, p=p)
     vortices = VortexConfig((((0, 0), 2), ((2, 0), 1)))
-    _, trace = solve_domain(make_box(2, 4), vortices, params)
-    assert trace.converged
-    assert all(r.monotone_ok and r.j_decrease_ok for r in trace.records)
+    with observe_steps() as changes:
+        _, trace = solve_domain(make_box(2, 4), vortices, params)
+    assert len(changes) == trace.iterations
     j_prev = 0.0
-    for r in trace.records:
-        assert r.j_value + 0.5 * params.shift * r.l2_change**2 <= j_prev + 1e-8
+    for r, change in zip(trace.records, changes):
+        assert r.j_value + 0.5 * params.shift * change**2 <= j_prev + 1e-8
         j_prev = r.j_value
+    assert np.diff([r.j_value for r in trace.records]).max() <= ENERGY_SLACK
 
 
 def test_large_lambda_converges_at_default_shift():
     # At the former default shift 2(2p+2)*lam this run spent all 50,000 steps.
     _, trace = solve_domain(make_box(2, 3), single_vortex(), ModelParams(lam=1000.0, p=1))
-    assert trace.converged
     assert trace.iterations < 5000
-    assert all(r.monotone_ok and r.j_decrease_ok for r in trace.records)
+    assert np.diff([r.j_value for r in trace.records]).max() <= ENERGY_SLACK
 
 
 @pytest.mark.parametrize(
@@ -314,15 +317,21 @@ def test_solve_domain_first_two_steps():
     params = ModelParams(lam=1.0, p=0)
     system = ShiftedLaplacianSystem(dom, params.shift)
     h = source_h(dom, single_vortex())
-    _, trace = solve_domain(dom, single_vortex(), params)
+    with observe_steps() as changes:
+        _, trace = solve_domain(dom, single_vortex(), params)
     first, second = trace.records[:2]
     # the first step from zero solves the pure damped-linear problem with rhs h
     direct, _ = solve_interior(system, h.interior, backend="direct")
     assert np.all(direct <= 0.0)
     assert first.sup_change == pytest.approx(np.abs(direct).max(), rel=1e-11)
-    assert first.l2_change == pytest.approx(np.linalg.norm(direct), rel=1e-11)
+    assert changes[0] == pytest.approx(np.linalg.norm(direct), rel=1e-11)
     assert first.j_value == pytest.approx(functional_j(from_interior(dom, direct), h, params), rel=1e-11)
-    assert first.monotone_ok and second.monotone_ok
+    # the second is one scheme step from the first, and lies below it
+    u1 = from_interior(dom, direct)
+    step = scheme_step(u1, h, params, system, backend="direct").values - u1.values
+    assert step.max() <= 0.0
+    assert second.sup_change == pytest.approx(np.abs(step).max(), rel=1e-9)
+    assert changes[1] == pytest.approx(np.linalg.norm(step), rel=1e-9)
 
 
 def test_solve_domain_flags_breakdown_from_incompatible_start():
@@ -333,15 +342,29 @@ def test_solve_domain_flags_breakdown_from_incompatible_start():
     deep = from_interior(dom, np.full(dom.n_interior, -10.0))
     with pytest.raises(MonotonicityBreakdown) as err:
         solve_domain(dom, VortexConfig(()), params, u_init=deep)
-    assert err.value.trace.iterations == 1
-    assert not err.value.trace.final.monotone_ok
+    # The step that rose is recorded: the first, by a finite change.
+    trace = err.value.trace
+    assert trace.iterations == 1 and trace.final.k == 1
+    w = scheme_step(deep, zeros(dom), params, ShiftedLaplacianSystem(dom, params.shift))
+    assert float((w.values - deep.values).max()) > MONOTONE_SLACK
+    assert trace.final.sup_change == pytest.approx(np.abs(w.values - deep.values).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_solve_domain_rejects_non_finite_start(bad):
+    # A NaN start passes a non-positivity test and -inf passes it outright;
+    # either must be refused before the first step, not end in a breakdown.
+    dom = make_box(2, 3)
+    values = np.full(dom.n_interior, -1.0)
+    values[dom.n_interior // 2] = bad
+    with pytest.raises(ValueError, match="u_init"):
+        solve_domain(dom, single_vortex(), ModelParams(lam=1.0), u_init=from_interior(dom, values))
 
 
 def test_solve_domain_no_vortices_is_trivial():
     dom = make_box(2, 2)
     params = ModelParams(lam=1.0, p=0)
     u, trace = solve_domain(dom, VortexConfig(()), params)
-    assert trace.converged
     assert trace.iterations == 1
     assert not u.values.any()
 
@@ -351,11 +374,10 @@ def test_solve_domain_single_vortex(backend):
     dom = make_box(2, 3)
     params = ModelParams(lam=1.0, p=0)
     u, trace = solve_domain(dom, single_vortex(), params, backend=backend)
-    assert trace.converged
     assert trace.final.residual_inf < 1e-8
     assert value_at(u, (0, 0)) < 0.0
     assert np.all(u.values <= 0.0)
-    assert all(r.monotone_ok and r.j_decrease_ok for r in trace.records)
+    assert np.diff([r.j_value for r in trace.records]).max() <= ENERGY_SLACK
     u_newton = newton_solve(dom, single_vortex(), params)
     assert np.abs(u.values - u_newton.values).max() < 1e-7
 
@@ -364,7 +386,6 @@ def test_solve_domain_p1_case():
     dom = make_box(2, 3)
     params = ModelParams(lam=1.0, p=1)
     u, trace = solve_domain(dom, single_vortex(), params)
-    assert trace.converged
     assert trace.final.l2p2_norm > 0.0
     assert trace.final.l2p2_norm == pytest.approx(lq_norm(u, 4.0), rel=1e-12)
     u_newton = newton_solve(dom, single_vortex(), params)
@@ -374,12 +395,21 @@ def test_solve_domain_p1_case():
 def test_solve_domain_trace_energy_inequalities():
     dom = make_box(2, 4)
     params = ModelParams(lam=2.0, p=0)
-    _, trace = solve_domain(dom, single_vortex(), params)
+    chain = []
+
+    def on_iterate(w):
+        chain.append((seminorm_1q(w, 2.0) ** 2, 2.0 * dirichlet_energy(w)))
+
+    with observe_steps(on_iterate) as changes:
+        _, trace = solve_domain(dom, single_vortex(), params)
     records = trace.records
-    for prev, cur in zip(records, records[1:]):
+    for prev, cur, change in zip(records, records[1:], changes[1:]):
         # sharpened decrease: the squared step size is paid for by the drop
-        assert cur.j_value + 0.5 * params.shift * cur.l2_change**2 <= prev.j_value + 1e-8
-    assert all(r.norm_chain_ok for r in records)
+        assert cur.j_value + 0.5 * params.shift * change**2 <= prev.j_value + 1e-8
+    # norm chain: |w|_{1,2}^2 <= 2 E(w) on every iterate (zero boundary)
+    assert len(chain) == trace.iterations
+    for sem_sq, energy2 in chain:
+        assert sem_sq <= energy2 + 1e-12 * (1.0 + energy2)
 
 
 def test_seminorm_closed_form_matches_seminorm():
@@ -406,25 +436,28 @@ def test_solve_domain_outer_iteration_counts(p, iterations):
     dom = make_box(2, 8)
     _, trace = solve_domain(dom, single_vortex(), ModelParams(lam=1.0, p=p))
     assert trace.iterations == iterations
-    assert all(r.norm_chain_ok for r in trace.records)
 
 
 @pytest.mark.parametrize("backend", ["cg", "direct"])
 def test_solve_domain_sparse_products_per_step(monkeypatch, backend):
     products = []
+    passes = []
 
     class CountingSystem(ShiftedLaplacianSystem):
         def matvec(self, x):
             products.append(1)
             return super().matvec(x)
 
+        def precondition(self, r):
+            passes.append(1)
+            return super().precondition(r)
+
     monkeypatch.setattr(chern_simons, "ShiftedLaplacianSystem", CountingSystem)
     params = ModelParams(lam=1.0, p=1)
     _, trace = solve_domain(make_box(2, 6), single_vortex(), params, backend=backend)
-    assert trace.converged
     # One pass of the box inverse and its certifying product per step,
     # whatever the backend; the first step also forms A u0.
-    assert all(r.linear_iterations == 1 for r in trace.records)
+    assert len(passes) == trace.iterations
     assert len(products) == trace.iterations + 1
 
 
@@ -634,6 +667,6 @@ def test_non_finite_failure_mid_run(monkeypatch):
     with pytest.raises(NonFiniteBreakdown) as err:
         solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0), backend="direct")
     trace = err.value.trace
-    assert trace.iterations == 4
-    assert all(r.monotone_ok for r in trace.records[:3])
-    assert not trace.final.monotone_ok
+    assert trace.iterations == 4 and trace.final.k == 4
+    assert all(math.isfinite(r.sup_change) for r in trace.records[:3])
+    assert math.isnan(trace.final.sup_change)

@@ -89,6 +89,8 @@ def test_solve_writes_artifacts(tmp_path):
     assert (out / "trace.csv").exists()
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == "k,J,sup_change,residual,l2p2_norm"
+    # trace.csv is the whole per-step record: one column per TraceRecord field.
+    assert len(header.split(",")) == len(dataclasses.fields(chern_simons.TraceRecord))
 
 
 def test_solve_deterministic_summary(tmp_path):

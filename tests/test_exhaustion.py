@@ -335,7 +335,6 @@ def test_chain_matches_independent_solves(dimension, shape, radii, p, backend):
         assert np.abs(u.values - cold.values).max() < 1e-8
         if i > 0:
             assert trace.iterations <= cold_trace.iterations
-        assert all(r.monotone_ok for r in trace.records)
 
 
 @pytest.mark.parametrize("dimension, shape, radii, p, backend", CHAINS, ids=CHAIN_IDS)

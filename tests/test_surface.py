@@ -134,6 +134,42 @@ def test_every_public_member_has_a_package_reader():
     assert not unread, f"public members no package code reads: {unread}"
 
 
+def class_attributes(cls):
+    """The data attributes of a class: its annotated fields and every `self.<name>` it assigns."""
+    fields = {
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    assigned = {
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+    return fields | assigned
+
+
+def test_every_public_attribute_has_a_package_reader():
+    # A field or attribute that only the tests read is work no output
+    # shows; a reader of any object's attribute of that name counts, as
+    # for methods, and `getattr` with a string does not. Matching by name
+    # lets an unread field through when another class's field of the same
+    # name is read (ROADMAP item 13 lists the known cases).
+    reads = package_attribute_reads()
+    unread = [
+        f"{path.stem}.{cls.name}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for name in sorted(class_attributes(cls))
+        if not name.startswith("_") and name not in reads
+    ]
+    assert not unread, f"public attributes no package code reads: {unread}"
+
+
 def test_domains_hold_each_site_once():
     # `coords` is the one site table and `adjacency` the one neighbor table:
     # no attribute holds a Python object per site, the interior adjacency
