@@ -5,11 +5,13 @@ lam * e^u (e^u - 1)^(2p+1) plus point charges of strength 4*pi*n_j. With the
 damping shift 1.1*kappa(p)*lam, above the supremum kappa(p)*lam of the
 nonlinearity's slope over u <= 0, repeatedly solving the linear problem
 
-    (Laplacian - shift) u_new = nonlinearity(u_old) + h - shift * u_old
+    (Laplacian - C) u_new = nonlinearity(u_old) + h - C * u_old
 
 from u = 0, or from a supersolution, produces iterates that decrease
 pointwise and drive an energy functional downward, converging to the
-maximal zero-boundary solution.
+maximal zero-boundary solution. The diagonal C is the shift, except on a
+zero-shift core: on a box, sites deep in a vortex where the slope is
+negative below the iterate, so no damping is needed (`solve_domain`).
 The loop enforces the pointwise decrease: a step that rises aborts the run.
 Each step's energy, step change, residual and l^(2p+2) norm are recorded,
 the row `trace.csv` writes, so the energy decrease can be audited after
@@ -65,6 +67,10 @@ FOUR_PI = 4.0 * math.pi
 # Pointwise decrease holds exactly in exact arithmetic; this slack absorbs
 # rounding only. A larger rise aborts the run.
 MONOTONE_SLACK = 1e-9
+# A site joins the zero-shift core once it lies this far below -ln(2p+2),
+# a thousand times the rise MONOTONE_SLACK lets a step make, so rounding
+# cannot carry a core site above the level where N' changes sign.
+_CORE_MARGIN = 1e-6
 # Bytes of the (3 bw + 1)-row array that `jacobian` fills and each Newton
 # step LU-factors in place; the step peaks at 4/3 of it, with the upper
 # band it is filled from. The budget admits every box of up to 10,000
@@ -324,6 +330,19 @@ def _start_interior(u: LatticeField, domain: LatticeDomain, name: str) -> np.nda
     return u.interior.copy()
 
 
+def _core_candidates(u: np.ndarray, level: float, system: ShiftedLaplacianSystem):
+    """Sites off the core with u <= level, deepest first, as many as the core has room for.
+
+    Also returns the least u over the sites that stay off the core.
+    """
+    outside = u.copy()
+    outside[system.core] = math.inf
+    new = np.flatnonzero(outside <= level)
+    new = new[np.argsort(u[new], kind="stable")[: system.core_capacity - len(system.core)]]
+    outside[new] = math.inf
+    return new, float(outside.min(initial=math.inf))
+
+
 def solve_domain(
     domain: LatticeDomain,
     vortices: VortexConfig,
@@ -339,11 +358,40 @@ def solve_domain(
     stalled run. Returns the solution field (zero boundary, non-positive
     interior) and the full per-step trace.
 
+    Step k solves (Laplacian - C_k) u_k = N(u_{k-1}) + h - C_k u_{k-1}. Its
+    diagonal C_k is the shift, except on a zero-shift core S where it is 0
+    (`ShiftedLaplacianSystem.grow_core`). On a box, before each step
+    every site off S with u_{k-1} <= -ln(2p+2) - _CORE_MARGIN joins
+    S, deepest first, until S holds the system's `core_capacity`; S never
+    shrinks, and off a box the capacity is 0. The level is where
+    N'(xi) = lam e^xi (e^xi - 1)^(2p) ((2p+2) e^xi - 1) changes sign:
+    N' <= 0 for every xi <= -ln(2p+2). The scheme's two arguments hold for
+    this C_k as for the scalar shift:
+    - Order. Let u* <= 0 be a solution with u* <= u_{k-1}. The step map T_k
+      is order-preserving on [u*, u_{k-1}] when C_k >= N' there: off S by
+      the shift's bound kappa(p) lam, on S because N' <= 0 below
+      u_{k-1} <= -ln(2p+2). So u_k = T_k(u_{k-1}) >= T_k(u*) = u*.
+    - Decrease. By the mean value theorem the residual
+      R(u) = Laplacian(u) - N(u) - h of the new iterate is
+      R(u_k) = -(u_{k-1} - u_k)(C_k - N'(eta)), eta between u_k and u_{k-1},
+      so R(u_k) <= 0 once u_k <= u_{k-1}. Then
+      (Laplacian - C_{k+1})(u_{k+1} - u_k) = -R(u_k) >= 0, and the maximum
+      principle (C_{k+1} >= 0) gives u_{k+1} <= u_k. A site of S stays
+      below the level, since the iterates decrease.
+    So the iterates decrease and stay above every solution below the
+    start; S stops growing after finitely many steps, and the limit is a
+    fixed point of the last step map, hence the maximal solution.
+    The energy J of `functional_j` then drops by at least half the step
+    weighted by C_k: with d = u_k - u_{k-1} and E the Dirichlet energy,
+    J(u_k) - J(u_{k-1}) = -sum C_k d^2 - E(d)/2 + sum N'(eta) d^2 / 2
+    <= -sum_x C_k(x) d(x)^2 / 2, since E(d) >= 0 and N'(eta) <= C_k. With
+    no core that is the scalar bound shift |d|^2 / 2.
+
     Each step costs one linear solve and one nonlinearity evaluation. The
-    solve's certifying product A w (A = shift*I - Laplacian) also gives the
-    step's residual, its Dirichlet energy (by summation by parts, since w
+    solve's certifying product C_k w - Laplacian(w) also gives the step's
+    residual, its Dirichlet energy (by summation by parts, since w
     vanishes on the boundary) and the next solve's start, so a step on a box
-    takes one apply of the box inverse and one product with A.
+    takes one apply of the box inverse and one product.
 
     A step that rises above its predecessor by more than MONOTONE_SLACK
     raises MonotonicityBreakdown. The energy decrease is recorded only: J
@@ -370,12 +418,31 @@ def solve_domain(
     u = np.zeros(n_int) if u_init is None else _start_interior(u_init, domain, "u_init")
     n_u = nonlinearity(u, params)
     au = None
+    # The step's diagonal C: the shift, until a core forms; then shift off
+    # the core and 0 on it. cu is C * u.
+    damping = system.shift
+    cu = damping * u
+    # A site at or below this level has N' <= 0 everywhere below its value.
+    core_level = -math.log(m) - _CORE_MARGIN
+    # A lower bound on u off the core, lowered by each step's largest fall: no
+    # step scans for new core sites while it lies above core_level.
+    floor = float(u.min(initial=0.0))
     trace = IterationTrace()
     # Only the l^(2p+2) sum in `_even_norm` can overflow, and it rescales
     # when it does; the warning is silenced once for the whole loop.
     with np.errstate(over="ignore"):
         for k in range(1, params.max_outer_iterations + 1):
-            rhs = n_u + h_int - system.shift * u
+            if floor <= core_level and len(system.core) < system.core_capacity:
+                new, floor = _core_candidates(u, core_level, system)
+                if len(new):
+                    system.grow_core(new)
+                    damping = np.full(n_int, system.shift)
+                    damping[system.core] = 0.0
+                    cu[new] = 0.0
+                    if au is not None:
+                        # M u for the grown core, from the product of the last step.
+                        au[new] -= system.shift * u[new]
+            rhs = n_u + h_int - cu
             # The linear noise floor bounds the reachable equation defect; keep it a
             # decade under tol_residual or the residual stop can become unreachable.
             scale = 1.0 + float(np.abs(rhs).max())
@@ -392,12 +459,15 @@ def solve_domain(
                 w = aw = np.full(n_int, math.nan)
             diff = w - u
             rise = float(diff.max())
+            fall = float(diff.min())
             # w - u is +0.0 where they are equal; with rise first, an all-zero
             # change reads +0.0 as max |diff| did.
-            sup_change = max(rise, -float(diff.min()))
-            # Laplacian of the zero-boundary iterate from the certifying product;
-            # summing w * Laplacian(w) by parts gives minus the Dirichlet energy.
-            lap = system.shift * w - aw
+            sup_change = max(rise, -fall)
+            # Laplacian of the zero-boundary iterate from the certifying product
+            # C w - Laplacian(w); summing w * Laplacian(w) by parts gives minus
+            # the Dirichlet energy.
+            cw = damping * w
+            lap = cw - aw
             energy = -float(w @ lap)
             # N(w) is both this step's residual term and the next step's rhs.
             n_w, pot = _nonlinearity_parts(w, params)
@@ -417,6 +487,8 @@ def solve_domain(
             u = w
             n_u = n_w
             au = aw
+            cu = cw
+            floor += fall
             if sup_change < params.tol_nonlinear and residual_inf < params.tol_residual:
                 return from_interior(domain, u), trace
             if sup_change == 0.0:

@@ -167,12 +167,16 @@ def run_exhaustion(
     the new solve, and gathers the new solution onto the previous closure.
     v is a valid start for the monotone scheme:
     - every iterate satisfies Laplacian(u) - N(u) - h <= 0, up to the
-      linear-solve error, because the shift is at least N' and the iterates
-      decrease; so the converged u_R is a supersolution on its domain;
+      linear-solve error, because each step's diagonal C is at least N'
+      between consecutive iterates and the iterates decrease
+      (`solve_domain`); so the converged u_R is a supersolution on its
+      domain;
     - outside that domain v, h and N(v) are 0 while Laplacian(v) <= 0;
     - so v is a supersolution on the new domain, above its maximal
       solution, and the scheme decreases from v to that solution. The
-      first step rises by at most max(residual(v)+) / shift.
+      first step rises by at most max(residual(v)+) times the largest row
+      sum of (C - Laplacian)^-1, which is 1 / shift while no site has
+      joined the zero-shift core.
     """
     dom = schedule.build_domain(schedule.radii[0])
     u, trace = solve_domain(dom, schedule.vortices, params, backend=backend)

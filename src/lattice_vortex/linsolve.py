@@ -24,6 +24,14 @@ lies far below the solver's accuracy, so it tracks the iteration's path
 rather than the solution: a zero-start solve of the last domain reads
 6.1e-20, and the two solutions differ by 2.3e-10.
 
+On such a box the shift can also be dropped on a zero-shift core S of
+interior sites (`ShiftedLaplacianSystem.grow_core`, which
+`chern_simons.solve_domain` drives). The operator becomes
+M = A - shift E_S E_S^T, and the solve keeps its one exact path: M's
+inverse is the Woodbury correction of P, built from P's entries on S in
+closed form, and one product M x certifies it. `matrix_to_coo_text`
+writes A at the scalar shift.
+
 Every solve is certified against one product A x, which `solve_interior`
 returns in `LinearSolveInfo.product`. A caller that solves again from
 that x passes the product back as `ax0`, so the solve starts from
@@ -63,6 +71,14 @@ DEFAULT_TOL_LINEAR = 1e-12
 # side keep the backends' own solves. The product A x takes the box grid on
 # any full box.
 _BOX_MAX_SIDE = 320
+# Terms per batch in `_inverse_entries`: 8 MB of partial sums.
+_GATHER_VALUES = 2**20
+# A box whose largest core, times its sites, is at most this many values
+# (512 kB) holds the core's rows of S whole. In process, two matvecs per
+# apply and one matmul per growth cost less than the sub-grid transforms
+# and the closed-form entries on a 17 x 17 box, and more on the 17^3 box
+# (435 against 292 us a step).
+_DENSE_CORE_VALUES = 2**16
 
 
 class LinearSolveFailure(RuntimeError):
@@ -82,7 +98,6 @@ class LinearSolveFailure(RuntimeError):
 @dataclass
 class LinearSolveInfo:
     iterations: int
-    residual_inf: float
     # A @ x, the product the residual was certified against.
     product: np.ndarray = field(repr=False)
 
@@ -128,6 +143,27 @@ class ShiftedLaplacianSystem:
     diagonal, and the direct backend factors A's own band there
     (`cholesky`). A shift that is not positive and finite raises
     ValueError.
+
+    On a `_box` the shift can be dropped on a zero-shift core S of interior
+    sites (`grow_core`). The operator is then M = A - shift E_S E_S^T,
+    diagonal 2n on S and shift + 2n elsewhere, still SPD, and `matvec` and
+    `precondition` are M's product and M's exact inverse, the Woodbury
+    correction of the box inverse P:
+
+        M^-1 r = P r + Z K^-1 (P r)_S,  Z = P E_S,  K = I/shift - Z_S.
+
+    K is k x k and SPD, because M is. P = S Lambda^-1 S (`_box_spectrum`),
+    so with T the k rows S e_j, j in S, Z = S Lambda^-1 T^T and the
+    correction runs between P's two sine transforms: y = Lambda^-1 S r,
+    then y += Lambda^-1 T^T K^-1 T y, then S y. A small box (at most
+    _DENSE_CORE_VALUES in k n at the capacity) holds T whole, in closed
+    form (`_sine_rows`). Any other box stores no n x k array: T y and
+    T^T c are S restricted to the bounding sub-grid of S and expanded from
+    it, axis by axis, at most the cost of the transforms, and the new
+    entries of Z_S come in closed form (`_inverse_entries`) as S grows.
+    S holds at most `core_capacity` sites, the sum of the box sides, which
+    bounds K and its k^3 inversion. Off a `_box` the capacity is 0 and S
+    stays empty.
     """
 
     def __init__(self, domain: LatticeDomain, shift: float):
@@ -136,21 +172,85 @@ class ShiftedLaplacianSystem:
         self.domain = domain
         self.shift = float(shift)
         self._cholesky = None
-        self._preconditioner = None
+        self._spectrum = None
         grid = _box_shape(domain)
         if grid is None:
             self._product = functools.partial(_gather_product, _gather_index(domain))
         else:
             self._product = functools.partial(_box_product, _padded_layout(grid))
+        # The diagonal `_product` takes: shift + 2n, or with a core M's diagonal
+        # on the zero-padded grid of `_box_product`.
+        self._diagonal = self.shift + 2 * domain.dimension
         self._box = grid if grid is not None and max(grid) <= _BOX_MAX_SIDE else None
+        self.core = np.empty(0, dtype=np.intp)
+        self.core_capacity = 0 if self._box is None else sum(self._box)
+        # Z_S on the sub-grid path, and the correction y += Lambda^-1 T^T K^-1 T y
+        # that `precondition` applies in place; None while S is empty.
+        self._core_block = self._core_correction = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x, each row summed in ascending column order (`_gather_index`).
+        """A @ x, each row summed in ascending column order (`_gather_index`); M @ x with a core.
 
         Both products add a row's terms in the order a sorted-column CSR
         product does, so they give its bits, the sign of zero included.
         """
-        return self._product(self.shift + 2 * self.domain.dimension, x)
+        return self._product(self._diagonal, x)
+
+    def grow_core(self, sites: np.ndarray) -> None:
+        """Add interior sites to the zero-shift core S: their entries of Z_S, then K^-1 anew.
+
+        Raises ValueError for a site already in S or outside the interior,
+        and for a core past `core_capacity`, which is 0 off a `_box`.
+        """
+        old, sites = len(self.core), np.asarray(sites, dtype=np.intp)
+        if not len(sites):
+            return
+        core = np.concatenate([self.core, sites])
+        if len(core) > self.core_capacity:
+            raise ValueError(f"a core of {len(core)} sites exceeds the capacity {self.core_capacity}")
+        ordered = np.sort(core)
+        if not (0 <= ordered[0] and ordered[-1] < self.size and (np.diff(ordered) > 0).all()):
+            raise ValueError("core sites must be distinct interior sites")
+        diagonal = np.full(self.size, self.shift + 2 * self.domain.dimension)
+        diagonal[core] = 2 * self.domain.dimension
+        shape, padded, grid, _ = self._product.args[0]
+        self._diagonal = np.zeros(math.prod(padded))
+        self._diagonal.reshape(padded)[grid] = diagonal.reshape(shape)
+        sines, eig_inv = self._spectral()
+        if self.core_capacity * self.size <= _DENSE_CORE_VALUES:
+            # A small box holds T whole and rebuilds Z_S from it.
+            rows = _sine_rows(sines, self._box, core)
+            scaled = eig_inv * rows
+            k_inverse = np.linalg.inv(np.eye(len(core)) / self.shift - scaled @ rows.T)
+            self.core = core
+            self._core_correction = functools.partial(_dense_correction, k_inverse @ rows, scaled)
+            return
+        # The core's bounding sub-grid, the axis sine rows there, and the
+        # core's places in the sub-grid.
+        coords = np.array(np.unravel_index(core, self._box))
+        low, high = coords.min(axis=1), coords.max(axis=1) + 1
+        expand = [s[lo:hi] for s, lo, hi in zip(sines, low, high)]
+        restrict = [np.ascontiguousarray(e.T) for e in expand]
+        sub = high - low
+        at = np.ravel_multi_index(coords - low[:, None], sub)
+        # Row j of the new block is column j of P restricted to S.
+        new = _inverse_entries(sines, eig_inv, self._box, sites, core)
+        block = np.empty((len(core), len(core)))
+        if old:
+            block[:old, :old] = self._core_block
+        block[old:] = new
+        block[:old, old:] = new[:, :old].T
+        self.core, self._core_block = core, block
+        k_inverse = np.linalg.inv(np.eye(len(core)) / self.shift - block)
+        self._core_correction = functools.partial(
+            _subgrid_correction, restrict, expand, at, np.zeros(sub.prod()), k_inverse, eig_inv
+        )
+
+    def _spectral(self):
+        """`_box_spectrum` of the `_box`, built on first use."""
+        if self._spectrum is None:
+            self._spectrum = _box_spectrum(self._box, self.shift)
+        return self._spectrum
 
     def cholesky(self) -> np.ndarray:
         """The upper Cholesky factor of A's `damped_band`, by LAPACK `dpbtrf` on first use.
@@ -173,15 +273,15 @@ class ShiftedLaplacianSystem:
         return self._cholesky
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The preconditioner applied to r: A's exact inverse on a `_box`, Jacobi otherwise."""
-        if self._preconditioner is None:
-            if self._box is None:
-                # Every diagonal entry of A is shift + 2n.
-                diag_inv = 1.0 / (self.shift + 2 * self.domain.dimension)
-                self._preconditioner = lambda v: diag_inv * v
-            else:
-                self._preconditioner = _box_inverse(self._box, self.shift)
-        return self._preconditioner(r)
+        """The preconditioner applied to r: the exact inverse on a `_box`, Jacobi otherwise."""
+        if self._box is None:
+            # Every diagonal entry of A is shift + 2n.
+            return (1.0 / (self.shift + 2 * self.domain.dimension)) * r
+        sines, eig_inv = self._spectral()
+        y = eig_inv * _sine_transform(sines, r)
+        if self._core_correction is not None:
+            self._core_correction(y)
+        return _sine_transform(sines, y)
 
     @property
     def size(self) -> int:
@@ -253,7 +353,9 @@ def _gather_product(index: np.ndarray, diagonal: float, x: np.ndarray) -> np.nda
 
 
 def _box_product(layout, diagonal: float, x: np.ndarray) -> np.ndarray:
-    """A @ x on a full-box interior; `layout` is `_padded_layout` of its grid, `diagonal` shift + 2n.
+    """A @ x on a full-box interior; `layout` is `_padded_layout` of its grid.
+
+    `diagonal` is shift + 2n, or an array of the diagonal on the padded grid.
 
     A CSR product with sorted columns sums a row in ascending column
     order, which on the lexicographic grid is -x at the -e1, ..., -en
@@ -298,8 +400,8 @@ def _axis_sines(m: int) -> tuple[np.ndarray, np.ndarray]:
     return sines, mu
 
 
-def _box_inverse(shape: list[int], shift: float):
-    """The exact inverse of shift*I - Laplacian on a full-box interior of the given shape.
+def _box_spectrum(shape: list[int], shift: float):
+    """The axis sine matrices of a box grid and 1 / the eigenvalues of shift*I - Laplacian on it.
 
     The orthonormal, symmetric sine matrix of each axis diagonalizes the 1D
     Dirichlet Laplacian (`_axis_sines`), so the operator's inverse is
@@ -311,16 +413,83 @@ def _box_inverse(shape: list[int], shift: float):
         s, mu = _axis_sines(m)
         sines.append(s)
         eig = np.add.outer(eig, mu)
-    eig_inv = 1.0 / eig.ravel()
+    return sines, 1.0 / eig.ravel()
 
-    def transform(x):
-        # Each matmul applies one axis's sine matrix to the leading axis and
-        # rotates it to the back; after one pass per axis the order is restored.
-        for s in sines:
-            x = x.reshape(len(s), -1).T @ s
-        return x.reshape(-1)
 
-    return lambda r: transform(eig_inv * transform(r))
+def _sine_transform(sines, x: np.ndarray) -> np.ndarray:
+    """S x for a grid vector x, S the tensor product of the axis matrices `sines`, flattened.
+
+    Each matmul applies one axis's matrix to the leading axis and rotates
+    it to the back; after one pass per axis the order is restored. An axis
+    matrix of shape (a, m) maps that axis from a to m points, so rows of
+    the sine matrices restrict S to a sub-grid or expand from one.
+    """
+    for s in sines:
+        x = x.reshape(len(s), -1).T @ s
+    return x.reshape(-1)
+
+
+def _sine_rows(sines, shape: list[int], sites: np.ndarray) -> np.ndarray:
+    """S e_j for the interior sites j of a full box, as the rows of a (len(sites), n) array.
+
+    S is the tensor product of the symmetric axis sine matrices, so S e_j
+    is the tensor product of their rows at j's grid coordinates: a closed
+    form, with no transform.
+    """
+    coords = np.unravel_index(sites, shape)
+    rows = sines[0][coords[0]]
+    for s, c in zip(sines[1:], coords[1:]):
+        rows = (rows[:, :, None] * s[c][:, None, :]).reshape(len(sites), -1)
+    return rows
+
+
+def _dense_correction(v: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
+    """y += Lambda^-1 T^T K^-1 T y, from V = K^-1 T and W = Lambda^-1 T held whole."""
+    y += (v @ y) @ w
+
+
+def _subgrid_correction(restrict, expand, at, sub, k_inverse, eig_inv, y: np.ndarray) -> None:
+    """y += Lambda^-1 T^T K^-1 T y, with T y and T^T c through the core's bounding sub-grid.
+
+    `restrict` and `expand` hold the axis sine rows at the sub-grid's
+    coordinates, `at` the core's places in it; `sub`, a sub-grid buffer,
+    is zero off those places, which alone are written.
+    """
+    sub[at] = k_inverse @ _sine_transform(restrict, y)[at]
+    correction = _sine_transform(expand, sub)
+    correction *= eig_inv
+    y += correction
+
+
+def _inverse_entries(sines, eig_inv: np.ndarray, shape: list[int], rows, cols) -> np.ndarray:
+    """P[i, j] for the interior sites i in `rows` and j in `cols` of a full box, as a 2D array.
+
+    P = S Lambda^-1 S (`_box_spectrum`), and S is the tensor product of the
+    symmetric axis sine matrices, so in closed form
+
+        P[i, j] = sum over modes q of Lambda^-1[q] prod_a S_a[i_a, q_a] S_a[j_a, q_a].
+
+    The sum over the last axis is taken once per distinct pair (i_last,
+    j_last), by one matmul; the other axes' n / m_last terms of each entry
+    follow, for at most _GATHER_VALUES terms at a time.
+    """
+    *head, last = sines
+    ci = [np.repeat(c, len(cols)) for c in np.unravel_index(rows, shape)]
+    cj = [np.tile(c, len(rows)) for c in np.unravel_index(cols, shape)]
+    pairs, which = np.unique(ci[-1] * len(last) + cj[-1], return_inverse=True)
+    v, w = np.divmod(pairs, len(last))
+    partial = (eig_inv.reshape(-1, len(last)) @ (last[v] * last[w]).T).T
+    entries = np.empty(len(which))
+    step = max(1, _GATHER_VALUES // partial.shape[1])
+    for lo in range(0, len(which), step):
+        at = slice(lo, lo + step)
+        terms = partial[which[at]]
+        for s, a, b in zip(reversed(head), reversed(ci[:-1]), reversed(cj[:-1])):
+            # Contract the last remaining axis, batched over the entries.
+            factor = s[a[at]] * s[b[at]]
+            terms = np.matmul(terms.reshape(len(factor), -1, len(s)), factor[:, :, None])
+        entries[at] = terms.reshape(-1)
+    return entries.reshape(len(rows), len(cols))
 
 
 def _pcg(system, x, r, tol_abs, max_iterations):
@@ -439,7 +608,7 @@ def solve_interior(
     # Written so that a NaN residual fails too.
     if not attained <= tol_abs:
         raise LinearSolveFailure(f"{backend} backend missed tolerance {tol_abs:.3e}", attained)
-    return x, LinearSolveInfo(iterations, attained, ax)
+    return x, LinearSolveInfo(iterations, ax)
 
 
 def matrix_to_coo_text(system: ShiftedLaplacianSystem) -> str:

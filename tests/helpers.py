@@ -4,6 +4,7 @@ They build on the library's public operators; the naive references that
 avoid the library's index arrays live in `brute.py`.
 """
 
+import collections
 import contextlib
 import csv
 import math
@@ -130,10 +131,27 @@ def functional_j(u, h, params):
 
 
 def scheme_step(u, h, params, system, backend="cg"):
-    """One damped step from its definition: (Laplacian - shift) w = N(u) + h - shift*u."""
+    """One damped step at the scalar shift: (Laplacian - shift) w = N(u) + h - shift*u."""
     rhs = nonlinearity(u.interior, params) + h.interior - params.shift * u.interior
     w, _ = solve_interior(system, rhs, backend=backend)
     return from_interior(u.domain, w)
+
+
+def elimination_step(u, h, params, core=()):
+    """One step of the scheme with zero shift on the sites `core`, by `band_elimination_solve`.
+
+    The diagonal C is the shift off the core and 0 on it, and the step
+    solves (Laplacian - C) w = N(u) + h - C*u.
+    """
+    diagonal = np.full(u.domain.n_interior, params.shift)
+    diagonal[np.asarray(core, dtype=np.intp)] = 0.0
+    rhs = nonlinearity(u.interior, params) + h.interior - diagonal * u.interior
+    return from_interior(u.domain, band_elimination_solve(u.domain, diagonal, rhs))
+
+
+# One observed step: ||w - x0||_2, the same norm over the step's zero-shift
+# core alone, and a copy of that core's sites.
+ObservedStep = collections.namedtuple("ObservedStep", "change core_change core")
 
 
 @contextlib.contextmanager
@@ -141,35 +159,42 @@ def observe_steps(on_iterate=None):
     """Watch every step of the `solve_domain` runs inside the block.
 
     Wraps the loop's `chern_simons.solve_interior`, which each step calls
-    once with the previous iterate as `x0`. Yields a list that receives
-    ||w - x0||_2 of each step's new iterate w, and passes w as a field to
-    `on_iterate`, when given, as the step happens.
+    once with the previous iterate as `x0`. Yields a list that receives an
+    `ObservedStep` for each step's new iterate w, with the core read from
+    the system at the solve, and passes w as a field to `on_iterate`, when
+    given, as the step happens. The step's diagonal C is the shift off the
+    core and 0 on it, so sum_x C(x) (w - x0)(x)^2 is
+    shift * (change**2 - core_change**2).
     """
     real = chern_simons.solve_interior
-    changes = []
+    steps = []
 
     def observed(system, rhs, **kwargs):
         w, info = real(system, rhs, **kwargs)
-        changes.append(float(np.linalg.norm(w - kwargs["x0"])))
+        diff = w - kwargs["x0"]
+        core = system.core.copy()
+        steps.append(ObservedStep(float(np.linalg.norm(diff)), float(np.linalg.norm(diff[core])), core))
         if on_iterate is not None:
             on_iterate(from_interior(system.domain, w))
         return w, info
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chern_simons, "solve_interior", observed)
-        yield changes
+        yield steps
 
 
-def band_elimination_solve(domain, shift, f):
-    """(Laplacian - shift) w = f by LAPACK `dpbsv` on the full `damped_band` of the domain.
+def band_elimination_solve(domain, diagonal, f):
+    """(Laplacian - diag(C)) w = f by LAPACK `dpbsv` on the full `damped_band` of the domain.
 
-    An elimination over every axis, with no transform: the reference the
-    direct and CG backends are checked against.
+    `diagonal` is C: a scalar shift, or one value per interior site. An
+    elimination over every axis, with no transform: the reference the
+    direct and CG backends and the box inverse's core correction are
+    checked against.
     """
     from scipy.linalg import lapack
 
     band = damped_band(domain)
-    band[-1] = shift + 2 * domain.dimension
+    band[-1] = diagonal + 2 * domain.dimension
     _, w, info = lapack.dpbsv(band, -np.asarray(f, dtype=np.float64))
     assert info == 0, f"dpbsv failed (info {info})"
     return w

@@ -25,8 +25,8 @@ from lattice_vortex.linsolve import ShiftedLaplacianSystem, damped_band, solve_i
 from lattice_vortex.verify import random_max_principle_instance
 
 from helpers import (
-    band_elimination_solve, dirichlet_energy, jacobian_fd_check, lq_norm, observe_steps, scheme_step,
-    seminorm_1q, tail_is_monotone, value_at, zeros
+    band_elimination_solve, dirichlet_energy, elimination_step, jacobian_fd_check, lq_norm, observe_steps,
+    scheme_step, seminorm_1q, tail_is_monotone, value_at, zeros
 )
 
 SEED = 20240811
@@ -65,7 +65,7 @@ def random_runs():
     for i in range(20):
         domain, vortices, params = _random_configuration(rng, i)
         chain = []
-        with observe_steps(norm_chain(chain)) as changes:
+        with observe_steps(norm_chain(chain)) as steps:
             u, trace = solve_domain(domain, vortices, params, backend="direct")
         h = source_h(domain, vortices)
         system = ShiftedLaplacianSystem(domain, params.shift)
@@ -77,7 +77,7 @@ def random_runs():
                 "params": params,
                 "u": u,
                 "trace": trace,
-                "changes": changes,
+                "steps": steps,
                 "chain": chain,
                 "h": h,
                 "u1": u1,
@@ -107,34 +107,40 @@ def test_criterion_01_monotone_chain(random_runs):
         assert np.all(run["u"].values <= 0.0)
         for point in run["vortices"].points:
             assert value_at(run["u"], point) < 0.0
-    # independent pointwise re-verification on the three cheapest runs
-    rechecked = 0
+    # independent pointwise re-verification on the three cheapest runs: each
+    # step is replayed by the test-owned elimination with its zero-shift core,
+    # whose sites must lie at or below -ln(2p+2), where N' <= 0
+    rechecked = cored = 0
     for run in sorted(random_runs, key=lambda r: r["trace"].iterations)[:3]:
         domain, params, h = run["domain"], run["params"], run["h"]
-        system = ShiftedLaplacianSystem(domain, params.shift)
         prev = zeros(domain)
-        for _ in range(run["trace"].iterations):
-            cur = scheme_step(prev, h, params, system, backend="direct")
+        for step in run["steps"]:
+            assert np.all(prev.interior[step.core] <= -math.log(2 * params.p + 2))
+            cur = elimination_step(prev, h, params, step.core)
             assert np.all(cur.values <= prev.values + 1e-9)
             prev = cur
+            cored += len(step.core) > 0
         rechecked += 1
     print(
         f"\n[criterion 1] monotone chain: PASS "
         f"({len(random_runs)} runs, {sum(r['trace'].iterations for r in random_runs)} "
-        f"iterates, {rechecked} runs re-verified pointwise)"
+        f"iterates, {rechecked} runs re-verified pointwise, {cored} steps with a core)"
     )
 
 
 def test_criterion_02_energy_decrease_and_first_iterate_bound(random_runs):
-    """Sharpened energy drop per step plus the first-iterate l2 bound."""
+    """Sharpened energy drop per step, J_k + 1/2 sum C_k (u_k - u_{k-1})^2 <= J_{k-1}, plus the
+    first-iterate l2 bound."""
     checked = 0
     for run in random_runs:
         params = run["params"]
         records = run["trace"].records
-        changes = run["changes"]
-        assert len(changes) == len(records)
-        for prev, cur, change in zip(records, records[1:], changes[1:]):
-            drop = cur.j_value + 0.5 * params.shift * change**2
+        steps = run["steps"]
+        assert len(steps) == len(records)
+        # C is the step's diagonal, shift off its core and 0 on it (derived in
+        # `solve_domain`); with no core this is shift * change**2.
+        for prev, cur, step in zip(records, records[1:], steps[1:]):
+            drop = cur.j_value + 0.5 * params.shift * (step.change**2 - step.core_change**2)
             assert drop <= prev.j_value + 1e-8
             checked += 1
         u1 = run["u1"]

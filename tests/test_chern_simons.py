@@ -25,8 +25,8 @@ from lattice_vortex.lattice import LatticeDomain, make_ball, make_box, nested_in
 from lattice_vortex.linsolve import LinearSolveFailure, ShiftedLaplacianSystem, solve_interior
 
 from helpers import (
-    dirichlet_energy, functional_j, lq_norm, observe_steps, scheme_step, seminorm_1q, value_at,
-    verify_subsolution_dominance, zeros,
+    dirichlet_energy, elimination_step, functional_j, lq_norm, observe_steps, scheme_step, seminorm_1q,
+    value_at, verify_subsolution_dominance, zeros,
 )
 
 # Consecutive energies may rise by rounding only; J is recorded, not checked, by the solver.
@@ -87,16 +87,17 @@ def test_model_params_shift_is_derived(p):
 @pytest.mark.parametrize("p", range(4))
 @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
 def test_default_shift_keeps_every_step_certificate(p, lam):
-    # At 1.1*kappa(p)*lam every step decreases pointwise and pays for its
-    # squared size with a drop in J (from J(0) = 0 at the first step).
+    # At 1.1*kappa(p)*lam off the zero-shift core every step decreases
+    # pointwise and pays for its squared size, weighted by the step's
+    # diagonal C, with a drop in J (from J(0) = 0 at the first step).
     params = ModelParams(lam=lam, p=p)
     vortices = VortexConfig((((0, 0), 2), ((2, 0), 1)))
-    with observe_steps() as changes:
+    with observe_steps() as steps:
         _, trace = solve_domain(make_box(2, 4), vortices, params)
-    assert len(changes) == trace.iterations
+    assert len(steps) == trace.iterations
     j_prev = 0.0
-    for r, change in zip(trace.records, changes):
-        assert r.j_value + 0.5 * params.shift * change**2 <= j_prev + 1e-8
+    for r, step in zip(trace.records, steps):
+        assert r.j_value + 0.5 * params.shift * (step.change**2 - step.core_change**2) <= j_prev + 1e-8
         j_prev = r.j_value
     assert np.diff([r.j_value for r in trace.records]).max() <= ENERGY_SLACK
 
@@ -317,21 +318,27 @@ def test_solve_domain_first_two_steps():
     params = ModelParams(lam=1.0, p=0)
     system = ShiftedLaplacianSystem(dom, params.shift)
     h = source_h(dom, single_vortex())
-    with observe_steps() as changes:
+    with observe_steps() as steps:
         _, trace = solve_domain(dom, single_vortex(), params)
     first, second = trace.records[:2]
     # the first step from zero solves the pure damped-linear problem with rhs h
     direct, _ = solve_interior(system, h.interior, backend="direct")
     assert np.all(direct <= 0.0)
+    assert len(steps[0].core) == 0
     assert first.sup_change == pytest.approx(np.abs(direct).max(), rel=1e-11)
-    assert changes[0] == pytest.approx(np.linalg.norm(direct), rel=1e-11)
+    assert steps[0].change == pytest.approx(np.linalg.norm(direct), rel=1e-11)
     assert first.j_value == pytest.approx(functional_j(from_interior(dom, direct), h, params), rel=1e-11)
-    # the second is one scheme step from the first, and lies below it
+    # the second drops the shift on the vortex and its four neighbors, the
+    # sites at or below -ln 2, deepest first; it is one elimination step
+    # from the first, and lies below it
+    assert np.all(direct[steps[1].core] <= -math.log(2))
+    assert sorted(steps[1].core) == sorted(np.flatnonzero(direct <= -math.log(2)))
+    assert steps[1].core[0] == dom.locate((0, 0))
     u1 = from_interior(dom, direct)
-    step = scheme_step(u1, h, params, system, backend="direct").values - u1.values
+    step = elimination_step(u1, h, params, steps[1].core).values - u1.values
     assert step.max() <= 0.0
     assert second.sup_change == pytest.approx(np.abs(step).max(), rel=1e-9)
-    assert changes[1] == pytest.approx(np.linalg.norm(step), rel=1e-9)
+    assert steps[1].change == pytest.approx(np.linalg.norm(step), rel=1e-9)
 
 
 def test_solve_domain_flags_breakdown_from_incompatible_start():
@@ -340,12 +347,14 @@ def test_solve_domain_flags_breakdown_from_incompatible_start():
     dom = make_box(2, 2)
     params = ModelParams(lam=1.0, p=0)
     deep = from_interior(dom, np.full(dom.n_interior, -10.0))
-    with pytest.raises(MonotonicityBreakdown) as err:
+    with observe_steps() as steps, pytest.raises(MonotonicityBreakdown) as err:
         solve_domain(dom, VortexConfig(()), params, u_init=deep)
-    # The step that rose is recorded: the first, by a finite change.
+    # The step that rose is recorded: the first, by a finite change. Every
+    # site starts below -ln 2, so its core is full: the sum of the box sides.
     trace = err.value.trace
     assert trace.iterations == 1 and trace.final.k == 1
-    w = scheme_step(deep, zeros(dom), params, ShiftedLaplacianSystem(dom, params.shift))
+    assert len(steps[0].core) == 10
+    w = elimination_step(deep, zeros(dom), params, steps[0].core)
     assert float((w.values - deep.values).max()) > MONOTONE_SLACK
     assert trace.final.sup_change == pytest.approx(np.abs(w.values - deep.values).max(), rel=1e-12)
 
@@ -400,12 +409,14 @@ def test_solve_domain_trace_energy_inequalities():
     def on_iterate(w):
         chain.append((seminorm_1q(w, 2.0) ** 2, 2.0 * dirichlet_energy(w)))
 
-    with observe_steps(on_iterate) as changes:
+    with observe_steps(on_iterate) as steps:
         _, trace = solve_domain(dom, single_vortex(), params)
     records = trace.records
-    for prev, cur, change in zip(records, records[1:], changes[1:]):
-        # sharpened decrease: the squared step size is paid for by the drop
-        assert cur.j_value + 0.5 * params.shift * change**2 <= prev.j_value + 1e-8
+    for prev, cur, step in zip(records, records[1:], steps[1:]):
+        # sharpened decrease: the squared step size, weighted by the step's
+        # diagonal (0 on its core), is paid for by the drop
+        drop = cur.j_value + 0.5 * params.shift * (step.change**2 - step.core_change**2)
+        assert drop <= prev.j_value + 1e-8
     # norm chain: |w|_{1,2}^2 <= 2 E(w) on every iterate (zero boundary)
     assert len(chain) == trace.iterations
     for sem_sq, energy2 in chain:
@@ -429,13 +440,83 @@ def test_seminorm_closed_form_matches_seminorm():
                 assert closed_form == pytest.approx(seminorm_1q(u, 2.0) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("p, iterations", [(1, 37), (2, 28)])
+@pytest.mark.parametrize("p, iterations", [(1, 23), (2, 20)])
 def test_solve_domain_outer_iteration_counts(p, iterations):
     # Regression counts: cheaper per-step arithmetic must not move the step
     # at which the stop rule fires.
     dom = make_box(2, 8)
     _, trace = solve_domain(dom, single_vortex(), ModelParams(lam=1.0, p=p))
     assert trace.iterations == iterations
+
+
+class ScalarShiftSystem(ShiftedLaplacianSystem):
+    """The system with no room for a zero-shift core: the scalar-shift scheme."""
+
+    def __init__(self, domain, shift):
+        super().__init__(domain, shift)
+        self.core_capacity = 0
+
+
+def test_core_free_run_takes_the_scalar_schemes_steps(monkeypatch):
+    # At p = 0, lam 100, multiplicity 2 the maximal solution stays above
+    # -0.47 > -ln 2, so no site ever joins the core, and the run must be
+    # the scalar-shift scheme, bit for bit.
+    dom = make_box(2, 8)
+    vortices = VortexConfig((((0, 0), 2),))
+    params = ModelParams(lam=100.0, p=0)
+    with observe_steps() as steps:
+        u, trace = solve_domain(dom, vortices, params)
+    assert trace.iterations == 100
+    assert all(len(step.core) == 0 for step in steps)
+    monkeypatch.setattr(chern_simons, "ShiftedLaplacianSystem", ScalarShiftSystem)
+    u_scalar, scalar = solve_domain(dom, vortices, params)
+    assert trace.records == scalar.records
+    assert u.values.tobytes() == u_scalar.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dom, lam, multiplicity, full",
+    [(make_box(2, 8), 1.0, 1, False), (make_box(2, 3), 1.0, 2, True), (make_box(3, 4), 2.0, 2, False)],
+    ids=["2d", "2d-at-the-cap", "3d"],
+)
+def test_core_lies_below_the_level_never_shrinks_and_respects_the_cap(dom, lam, multiplicity, full):
+    params = ModelParams(lam=lam, p=0)
+    iterates = []
+    with observe_steps(lambda w: iterates.append(w.interior)) as steps:
+        solve_domain(dom, VortexConfig((((0,) * dom.dimension, multiplicity),)), params)
+    capacity = ShiftedLaplacianSystem(dom, params.shift).core_capacity
+    level = -math.log(2)
+    prev_u, prev_core = np.zeros(dom.n_interior), steps[0].core
+    for step, u in zip(steps, iterates):
+        # Each step's core was chosen from the iterate it starts from.
+        assert np.all(prev_u[step.core] <= level)
+        np.testing.assert_array_equal(step.core[: len(prev_core)], prev_core)
+        assert len(step.core) <= capacity
+        new = step.core[len(prev_core) :]
+        assert np.all(np.diff(prev_u[new]) >= 0)  # deepest first
+        left = np.setdiff1d(np.flatnonzero(prev_u <= level - chern_simons._CORE_MARGIN), step.core)
+        if len(left):
+            # An eligible site stays out only when the core is full, and then
+            # it lies no deeper than any site that joined.
+            assert len(step.core) == capacity
+            assert prev_u[left].min() >= prev_u[new].max(initial=-math.inf)
+        prev_u, prev_core = u, step.core
+    assert len(prev_core) == capacity if full else 0 < len(prev_core) < capacity
+
+
+@pytest.mark.parametrize(
+    "lam, multiplicity, hw, iterations",
+    [(100.0, 10, 8, 68), (1000.0, 50, 16, 41)],
+    ids=["lam100-mult10", "lam1000-mult50"],
+)
+def test_strong_coupling_converges_in_few_steps(lam, multiplicity, hw, iterations):
+    # At the scalar shift these runs took 1,353 and 6,865 steps: the shift
+    # 1.1 lam sat far above N' <= 0 across the wide vortex core.
+    params = ModelParams(lam=lam, p=0)
+    _, trace = solve_domain(make_box(2, hw), VortexConfig((((0, 0), multiplicity),)), params)
+    assert trace.iterations == iterations
+    assert trace.final.sup_change < params.tol_nonlinear
+    assert trace.final.residual_inf < params.tol_residual
 
 
 @pytest.mark.parametrize("backend", ["cg", "direct"])

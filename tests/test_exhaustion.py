@@ -351,12 +351,12 @@ def test_zero_extension_is_a_supersolution(dimension, shape, radii, p, backend):
 
 @pytest.mark.parametrize("backend", ["cg", "direct"])
 def test_chain_outer_iteration_counts(backend):
-    # Regression counts; from zero every radius after the first took 106.
+    # Regression counts; from zero every radius after the first takes 37.
     sched = ExhaustionSchedule(
         dimension=2, shape="box", radii=(4, 8, 16, 32), vortices=single_vortex()
     )
     est = run_exhaustion(sched, ModelParams(lam=1.0, p=0), backend=backend)
-    assert [t.iterations for t in est.traces] == [102, 87, 49, 4]
+    assert [t.iterations for t in est.traces] == [43, 30, 18, 4]
 
 
 def test_solve_domain_rejects_bad_warm_start():

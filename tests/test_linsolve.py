@@ -347,7 +347,8 @@ def test_seeded_product_gives_identical_solve(dom, backend):
     plain_x, plain = solve_interior(system, f2, backend=backend, x0=x1)
     seeded_x, seeded = solve_interior(system, f2, backend=backend, x0=x1, ax0=info1.product)
     assert np.array_equal(seeded_x, plain_x)
-    assert (seeded.iterations, seeded.residual_inf) == (plain.iterations, plain.residual_inf)
+    assert seeded.iterations == plain.iterations
+    assert np.array_equal(seeded.product, plain.product)
     assert np.array_equal(seeded.product, reference @ seeded_x)
     if dom.kind == "ball":
         assert plain.iterations > 1
@@ -423,7 +424,8 @@ def test_direct_solve_certified_and_agrees_with_cg(dom):
     system = ShiftedLaplacianSystem(dom, 1.3)
     f = np.random.default_rng(dom.n_interior).uniform(-2, 2, dom.n_interior)
     wd, info = solve_interior(system, f, backend="direct")
-    assert info.residual_inf <= DEFAULT_TOL_LINEAR * (1.0 + np.abs(f).max())
+    # the attained residual, from the certifying product: A w = -f
+    assert np.abs(info.product + f).max() <= DEFAULT_TOL_LINEAR * (1.0 + np.abs(f).max())
     assert np.array_equal(info.product, naive_interior_matrix(dom, 1.3) @ wd)
     wc, _ = solve_interior(system, f, backend="cg")
     # A is diagonally dominant with row sums at least the shift, so
@@ -496,3 +498,89 @@ def test_solve_leaves_its_start_unchanged(dom, backend):
     if dom.kind == "box":
         # One apply of the box inverse and one certifying product.
         assert info.iterations == 1
+
+
+def _vortex_neighbourhood(dom, radius):
+    """Interior sites within l1 distance `radius` of the box's center, nearest first."""
+    dist = np.abs(dom.coords[: dom.n_interior] - dom.coords[: dom.n_interior].mean(axis=0)).sum(axis=1)
+    order = np.argsort(dist, kind="stable")
+    return order[: np.count_nonzero(dist <= radius)]
+
+
+CORE_BOXES = [make_box(2, 5, center=(3, -2)), make_box(3, 3), LatticeDomain(2, itertools.product(range(9), range(-3, 1)))]
+CORE_BOX_IDS = ["box-2d", "box-3d", "rectangle-9x4"]
+
+
+def _cores(dom):
+    """A single site, a vortex neighbourhood, and a core at the capacity, scattered over the box."""
+    capacity = ShiftedLaplacianSystem(dom, 1.0).core_capacity
+    scattered = np.random.default_rng(dom.n_interior).permutation(dom.n_interior)[:capacity]
+    return {
+        "one-site": _vortex_neighbourhood(dom, 0),
+        "neighbourhood": _vortex_neighbourhood(dom, 2)[:capacity],
+        "capacity": scattered,
+    }
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["rows-whole", "sub-grid"])
+@pytest.mark.parametrize("backend", ["cg", "direct"])
+@pytest.mark.parametrize("dom", CORE_BOXES, ids=CORE_BOX_IDS)
+def test_core_solve_matches_band_elimination(monkeypatch, dom, backend, dense):
+    # With a zero-shift core the box solve is the Woodbury-corrected box
+    # inverse, by either form of the correction; the reference eliminates
+    # diag(C) - Laplacian with no transform.
+    if not dense:
+        monkeypatch.setattr(linsolve, "_DENSE_CORE_VALUES", 0)
+    for name, core in _cores(dom).items():
+        for shift in (0.2, 1.3, 110.0):
+            system = ShiftedLaplacianSystem(dom, shift)
+            # Grown in two parts, as the solver grows it.
+            system.grow_core(core[: len(core) // 2])
+            system.grow_core(core[len(core) // 2 :])
+            np.testing.assert_array_equal(system.core, core)
+            diagonal = np.full(dom.n_interior, shift)
+            diagonal[core] = 0.0
+            f = np.random.default_rng(len(core)).uniform(-2, 2, dom.n_interior)
+            w, info = solve_interior(system, f, backend=backend)
+            ref = band_elimination_solve(dom, diagonal, f)
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max(), (name, shift)
+            assert info.iterations == 1, (name, shift)
+            # The product is M's: the naive matrix with the shift dropped on the core.
+            matrix = naive_interior_matrix(dom, shift).toarray()
+            matrix[core, core] -= shift
+            x = RNG.uniform(-1, 1, dom.n_interior)
+            assert np.abs(system.matvec(x) - matrix @ x).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dom", CORE_BOXES + [make_box(4, 2)], ids=CORE_BOX_IDS + ["box-4d"])
+def test_closed_form_columns_equal_box_inverse_columns(dom):
+    # P[i, j] in closed form from the axis sine rows, and P e_j from S e_j in
+    # closed form, against P e_j from the two sine transforms of the box inverse.
+    system = ShiftedLaplacianSystem(dom, 0.7)
+    sines, eig_inv = system._spectral()
+    sites = np.arange(dom.n_interior)
+    columns = RNG.choice(sites, 5, replace=False)
+    entries = linsolve._inverse_entries(sines, eig_inv, system._box, sites, columns)
+    rows = linsolve._sine_rows(sines, system._box, columns)
+    for col, j in enumerate(columns):
+        unit = np.zeros(dom.n_interior)
+        unit[j] = 1.0
+        column = system.precondition(unit)
+        assert np.abs(entries[:, col] - column).max() <= 1e-15
+        # S e_j in closed form, then the second transform: the column again.
+        assert np.abs(linsolve._sine_transform(sines, eig_inv * rows[col]) - column).max() <= 1e-15
+
+
+def test_grow_core_rejects_what_it_cannot_hold():
+    system = ShiftedLaplacianSystem(make_box(2, 3), 1.1)
+    assert system.core_capacity == 14
+    system.grow_core([24, 25])
+    for sites in ([25], [3, 3], [-1], [system.size], list(range(30, 43))):
+        with pytest.raises(ValueError):
+            system.grow_core(sites)
+    np.testing.assert_array_equal(system.core, [24, 25])
+    # Off a box there is no box inverse to correct, so no core.
+    ball = ShiftedLaplacianSystem(make_ball(2, 3), 1.1)
+    assert ball.core_capacity == 0
+    with pytest.raises(ValueError):
+        ball.grow_core([0])

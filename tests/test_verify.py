@@ -22,9 +22,10 @@ from brute import naive_interior_matrix, naive_laplacian
 # Recorded by run_suites(11, [1, 2]). The gns_ratio line comes from the
 # per-field suites that preceded the stacked ones, whose draws are
 # unchanged; the oracle_equivalence line from solves at the default shift
-# 1.1*kappa(p)*lam. The maximum_principle and green_identity lines come
-# from the per-instance suites (one sparse solve per instance, one call
-# per pair) that preceded the banded and stacked ones.
+# 1.1*kappa(p)*lam, dropped on the zero-shift core. The
+# maximum_principle and green_identity lines come from the per-instance
+# suites (one sparse solve per instance, one call per pair) that preceded
+# the banded and stacked ones.
 RECORDED_SEED_11 = {
     "maximum_principle": "100 instances, 5 fault probes",
     "green_identity": "100 pairs x 3 domains, worst defect 2.132e-14",
@@ -32,7 +33,7 @@ RECORDED_SEED_11 = {
         "1000 fields per combo; max ratios n=2,p=0: 0.2497, n=2,p=1: 0.5214, "
         "n=2,p=2: 0.6555, n=3,p=0: 0.1980, n=3,p=1: 0.4612, n=3,p=2: 0.6024"
     ),
-    "oracle_equivalence": "3 instances, worst disagreement 2.171e-12",
+    "oracle_equivalence": "3 instances, worst disagreement 9.592e-13",
 }
 
 
