@@ -1,10 +1,11 @@
 """Fields on lattice domains and the discrete calculus over them.
 
 The summation-by-parts check uses only edges whose endpoints both lie in
-the closure. The interpolation ratio requires a zero boundary and treats
-the field as zero outside the interior, so it reads interior values and
-interior edges only. All accumulations go through numpy's pairwise
-summation.
+the closure, from the domain's `closure_pairs`. The interpolation ratio
+is defined for the zero extension of interior values, so it takes those
+values as a plain array and reads the domain's `interior_edges` only.
+Both tables are derived once per domain. All accumulations go through
+numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def green_identity_defect(
     against v over the interior. The left side is taken over every entry of
     the neighbor table `adjacency` that lies in the closure (`>= 0`), row by
     row, so each point meets its closure neighbors; the right side comes
-    from `interior_neighbors`. Neither uses `edges`, so the check stays
-    independent of the edge-array path of `gns_ratio`'s seminorm.
+    from `interior_neighbors`. Neither uses `interior_edges`, so the check
+    stays independent of the edge-array path of `gns_ratio`'s seminorm.
     `laplacian_fn` maps a field to its interior Laplacian array (shape
     u.interior.shape); it exists so verification harnesses can inject a
     corrupted operator and confirm the check trips.
@@ -117,9 +118,7 @@ def green_identity_defect(
         raise ValueError(f"laplacian_fn returned shape {lap.shape}, expected {u.interior.shape}")
     # Every closure edge is seen from both ends, so the gradient-form sum
     # is half the sum of the difference products.
-    inside = dom.adjacency >= 0
-    src = np.repeat(np.arange(dom.n_closure), 2 * dom.dimension)[inside.ravel()]
-    nbrs = dom.adjacency[inside]
+    src, nbrs = dom.closure_pairs
     du = u.values.take(nbrs, axis=-1) - u.values.take(src, axis=-1)
     dv = v.values.take(nbrs, axis=-1) - v.values.take(src, axis=-1)
     lhs = 0.5 * np.sum(du * dv, axis=-1)
@@ -168,41 +167,44 @@ def _reduced(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def gns_ratio(u: LatticeField, p: int):
+def gns_ratio(domain: LatticeDomain, values, p: int):
     """Measured constant in the interpolation bound for a zero-extended field.
 
-    Ratio of the l^{4p+4} norm to |u|_{1,2}^{1/(2p+2)} times the l^{4p+2}
-    norm to the power (2p+1)/(2p+2); scale-invariant by construction.
-    With m = 2p+2 it is (S_{2m} / (S_{2m-2} |u|_{1,2}^2))^{1/(2m)}, S_q
-    the sum of x^q over the interior values x, since u vanishes elsewhere;
-    S_{2m} reuses the powers of S_{2m-2}. Over ordered neighbor pairs of
-    the whole lattice, |u|_{1,2}^2 is twice the sum of (x_i - x_j)^2 over
-    interior edges plus twice the sum of x_i^2 times the number of
-    neighbors of site i off the interior.
-    For a stack of fields (values of shape (k, n_closure)) every sum
-    reduces over the last axis and the k ratios come back as an array,
-    each equal to the ratio of that field alone.
+    `values` are the field's interior values, of shape (n_interior,), or
+    (k, n_interior) for a stack of k fields; the field is zero everywhere
+    else on the lattice. The ratio is the l^{4p+4} norm over
+    |u|_{1,2}^{1/(2p+2)} times the l^{4p+2} norm to the power
+    (2p+1)/(2p+2); scale-invariant by construction. With m = 2p+2 it is
+    (S_{2m} / (S_{2m-2} |u|_{1,2}^2))^{1/(2m)}, S_q the sum of x^q over
+    the interior values x; S_{2m} reuses the powers of S_{2m-2}. Over
+    ordered neighbor pairs of the whole lattice, |u|_{1,2}^2 is twice the
+    sum of (x_i - x_j)^2 over interior edges plus twice the sum of x_i^2
+    times the number of neighbors of site i off the interior, both read
+    from the domain's `interior_edges`. A stack reduces every sum over the
+    last axis and returns an array of k ratios, each equal to the ratio of
+    that field alone. The values are read as one contiguous array, so the
+    sums do not depend on the input's memory layout.
     """
     if p < 0 or int(p) != p:
         raise ValueError("p must be a non-negative integer")
-    _require_zero_boundary(u, "field")
-    x = u.interior
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != domain.n_interior:
+        raise ValueError(f"values of shape {x.shape} do not match interior size {domain.n_interior}")
     if not x.any(axis=-1).all():
         raise ValueError("ratio undefined for the zero field")
-    dom = u.domain
+    (lower, upper), off_interior = domain.interior_edges
     m = 2 * p + 2
     sq = x * x
     # At p = 0 `low` is `sq` itself, so neither is written into.
     low = _ipow(sq, m - 1)
-    s_high = (low * sq).sum(axis=-1)
-    s_low = low.sum(axis=-1)
     # take keeps a stack row-major; fancy indexing would return it
     # column-major, which is slower and sums each row in another order.
-    ends = x.take(dom.edges[dom.edges[:, 1] < dom.n_interior].T, axis=-1)
-    d = ends[..., 0, :] - ends[..., 1, :]
-    off_interior = 2 * dom.dimension - (dom.interior_neighbors < dom.n_interior).sum(axis=1)
-    grad_sq = 2.0 * ((d * d).sum(axis=-1) + (off_interior * sq).sum(axis=-1))
-    return _reduced((s_high / (s_low * grad_sq)) ** (1.0 / (2 * m)))
+    d = x.take(lower, axis=-1)
+    d -= x.take(upper, axis=-1)
+    # vecdot sums each product row without forming it.
+    grad_sq = 2.0 * (np.vecdot(d, d) + np.vecdot(sq, off_interior))
+    ratio = np.vecdot(low, sq) / (low.sum(axis=-1) * grad_sq)
+    return _reduced(ratio ** (1.0 / (2 * m)))
 
 
 def write_field_csv(u: LatticeField, path):

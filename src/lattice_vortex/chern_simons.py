@@ -34,7 +34,7 @@ from .calculus import (
 )
 from .lattice import LatticeDomain, LatticePoint, json_integer, json_point, json_real
 from .linsolve import (
-    DEFAULT_TOL_LINEAR, LinearSolveFailure, ShiftedLaplacianSystem, _upper_edges, damped_band,
+    LinearSolveFailure, ShiftedLaplacianSystem, _band_width, damped_band,
     solve_interior,
 )
 
@@ -443,12 +443,12 @@ def solve_domain(
                         # M u for the grown core, from the product of the last step.
                         au[new] -= system.shift * u[new]
             rhs = n_u + h_int - cu
-            # The linear noise floor bounds the reachable equation defect; keep it a
-            # decade under tol_residual or the residual stop can become unreachable.
-            scale = 1.0 + float(np.abs(rhs).max())
-            tol = min(DEFAULT_TOL_LINEAR, params.tol_residual / (10.0 * scale))
             try:
-                w, info = solve_interior(system, rhs, backend=backend, tol=tol, x0=u, ax0=au)
+                # The linear noise floor bounds the reachable equation defect; keep it a
+                # decade under tol_residual or the residual stop can become unreachable.
+                w, info = solve_interior(
+                    system, rhs, backend=backend, atol=params.tol_residual / 10.0, x0=u, ax0=au
+                )
                 aw = info.product
             except LinearSolveFailure as exc:
                 if math.isfinite(exc.residual):
@@ -554,7 +554,7 @@ def newton_solve(domain: LatticeDomain, vortices: VortexConfig, params: ModelPar
     ValueError, before it allocates or imports anything, when the LU array
     of the Jacobian would exceed `_NEWTON_MAX_BYTES`.
     """
-    lu_bytes = (3 * int(_upper_edges(domain)[1].max(initial=0)) + 1) * domain.n_interior * 8
+    lu_bytes = (3 * _band_width(domain) + 1) * domain.n_interior * 8
     if lu_bytes > _NEWTON_MAX_BYTES:
         raise ValueError(f"newton_solve's Jacobian LU needs {lu_bytes} bytes, over {_NEWTON_MAX_BYTES}")
     from scipy.linalg.lapack import dgbsv
@@ -598,7 +598,9 @@ def max_principle_check(f: LatticeField, g: LatticeField) -> bool:
     Hypotheses checked numerically: g > 0 on the closure, f <= 0 on the
     boundary, and Laplacian(f) - g*f >= 0 on the interior (within 1e-12).
     Inputs failing them are rejected. Returns True when f <= 1e-12
-    everywhere, which the hypotheses force.
+    everywhere, which the hypotheses force. Stacks of k instances (f and g
+    of shape (k, n_closure)) are checked at once: a rejection or False
+    means some instance in the stack has it.
     """
     _require_same_domain(f, g)
     if float(g.values.min()) <= 0.0:

@@ -42,10 +42,13 @@ class LatticeDomain:
     construction. `coords` is the one site table, an (n_closure, dimension)
     int64 array: the interior block, then the boundary block, each sorted
     lexicographically and free of repeats. A site's closure index is its
-    row, and `locate` finds rows by binary search over the two blocks.
+    row, and `locate` finds rows by binary search over the two blocks,
+    whose byte keys it encodes on its first call and then holds.
     `adjacency` is the one neighbor table, (n_closure, 2n) closure indices
     of the neighbors x + e_1, x - e_1, x + e_2, ..., with -1 for a neighbor
-    outside the closure.
+    outside the closure. Two tables derived from it are built on first use
+    and then held: `interior_edges` for the band and the interpolation
+    ratio, and `closure_pairs` for summation by parts.
     Instances are immutable by convention and safe to share across threads.
 
     `interior` is an iterable of points or an (n, dimension) integer array;
@@ -70,18 +73,23 @@ class LatticeDomain:
         sign = np.tile([1, -1], dimension)[:, None]
         unit = np.repeat(np.eye(dimension, dtype=np.int64), 2, axis=0) * sign
 
-        inner = points[np.unique(_row_keys(points), return_index=True)[1]]
+        # np.unique returns the sorted distinct keys, which are each block's own keys.
+        inner_keys, first = np.unique(_row_keys(points), return_index=True)
+        inner = points[first]
         n = len(inner)
         steps = (inner[:, None, :] + unit).reshape(-1, dimension)
-        inner_adjacent = _find_rows(inner, steps)
+        inner_adjacent = _find_rows(inner_keys, steps)
         # The boundary: the distinct steps that leave the interior, sorted.
         off = inner_adjacent < 0
-        _, first, rank = np.unique(_row_keys(steps[off]), return_index=True, return_inverse=True)
+        outer_keys, first, rank = np.unique(
+            _row_keys(steps[off]), return_index=True, return_inverse=True
+        )
         inner_adjacent[off] = n + rank
         outer = steps[off][first]
 
         coords = np.concatenate([inner, outer])
-        outer_adjacent = _closure_rows(coords, n, outer[:, None, :] + unit).reshape(-1, two_n)
+        keys = np.concatenate([inner_keys, outer_keys])
+        outer_adjacent = _closure_rows(keys, n, outer[:, None, :] + unit).reshape(-1, two_n)
         adjacency = np.concatenate([inner_adjacent.reshape(n, two_n), outer_adjacent])
         self._set_tables(dimension, kind, coords, n, adjacency)
 
@@ -123,18 +131,44 @@ class LatticeDomain:
         big = rows.dtype == object  # Python ints beyond int64, which no site has
         with np.errstate(invalid="ignore"):
             keys = (np.clip(rows, -(2**63), 2**63 - 1) if big else rows).astype(np.int64)
-        found = _closure_rows(self.coords, self.n_interior, keys).reshape(rows.shape[:-1])
+        found = _closure_rows(self._site_keys, self.n_interior, keys).reshape(rows.shape[:-1])
         return np.where(np.all(keys == rows, axis=-1), found, -1)
 
     @functools.cached_property
-    def edges(self) -> np.ndarray:
-        """Unordered closure edges as index pairs (i, j) with i < j, in row-major table order.
+    def _site_keys(self) -> np.ndarray:
+        """`_row_keys` of `coords`: the sorted keys of the interior block, then of the boundary block."""
+        return _row_keys(self.coords)
 
-        Derived from `adjacency` on first use and then held, so a domain
-        that is only solved on never holds it.
+    @functools.cached_property
+    def interior_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interior edges and each interior site's number of neighbors off the interior.
+
+        The edges are a (2, m) array: row 0 holds the lower end i and row 1
+        the upper end j of each edge with both ends interior, i < j, in
+        row-major order of `interior_neighbors`. The counts are 2n minus
+        each site's interior neighbors. `linsolve.damped_band` (and so
+        Newton and the direct backend's factor) and `calculus.gns_ratio`
+        read them. The table is derived from the neighbor table on first
+        use and then held, so a domain that is only solved on by the box
+        inverse never holds it.
         """
-        i, k = np.nonzero(self.adjacency > np.arange(self.n_closure)[:, None])
-        return np.column_stack([i, self.adjacency[i, k]])
+        nbr = self.interior_neighbors
+        inside = nbr < self.n_interior
+        i, k = np.nonzero(inside & (nbr > np.arange(self.n_interior)[:, None]))
+        ends = np.stack([i, nbr[i, k]])
+        return ends, 2 * self.dimension - inside.sum(axis=1)
+
+    @functools.cached_property
+    def closure_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ordered pair (x, y) of neighbors within the closure, as the closure indices (xs, ys).
+
+        Row-major over `adjacency`, so each edge appears once from each
+        end. `calculus.green_identity_defect` reads it; derived on first
+        use and then held.
+        """
+        inside = self.adjacency >= 0
+        xs = np.repeat(np.arange(self.n_closure), 2 * self.dimension)[inside.ravel()]
+        return xs, self.adjacency[inside]
 
 
 def make_box(dimension: int, half_width: int, center: LatticePoint | None = None) -> LatticeDomain:
@@ -322,15 +356,22 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return flipped.view(f"V{8 * rows.shape[-1]}").ravel()
 
 
-def _closure_rows(coords: np.ndarray, n_interior: int, rows: np.ndarray) -> np.ndarray:
-    """Closure index of each int64 row (last axis) in the site table `coords`, or -1; flat."""
-    inner, outer = (_find_rows(b, rows) for b in np.split(coords, [n_interior]))
+def _closure_rows(keys: np.ndarray, n_interior: int, rows: np.ndarray) -> np.ndarray:
+    """Closure index of each int64 row (last axis), or -1; flat.
+
+    `keys` are the `_row_keys` of the site table: the interior block's
+    first n_interior, then the boundary block's.
+    """
+    inner, outer = _find_rows(keys[:n_interior], rows), _find_rows(keys[n_interior:], rows)
     return np.where(outer < 0, inner, n_interior + outer)
 
 
-def _find_rows(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index of each of `rows` in `block` (distinct, sorted rows) by binary search, or -1."""
-    keys, probes = _row_keys(block), _row_keys(rows)
+def _find_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each of `rows` in a block of distinct sorted rows by binary search, or -1.
+
+    `keys` are the block's `_row_keys`, so only the probes are encoded.
+    """
+    probes = _row_keys(rows)
     at = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
     return np.where(keys[at] == probes, at, -1)
 

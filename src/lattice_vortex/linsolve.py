@@ -111,25 +111,20 @@ def damped_band(domain: LatticeDomain) -> np.ndarray:
     Writing d + 2n there gives diag(d) - Laplacian exactly, since the
     Laplacian's diagonal is -2n. The band has shape (bw + 1, n_interior)
     in Fortran order, LAPACK's own layout, and holds
-    (bw + 1) * n_interior * 8 bytes.
+    (bw + 1) * n_interior * 8 bytes. The edges come from the domain's
+    `interior_edges`, derived once per domain.
     """
-    cols, offset = _upper_edges(domain)
-    bw = int(offset.max(initial=0))
+    lower, upper = domain.interior_edges[0]
+    bw = _band_width(domain)
     band = np.zeros((bw + 1, domain.n_interior), order="F")
-    band[bw - offset, cols] = -1.0
+    band[bw - (upper - lower), upper] = -1.0
     return band
 
 
-def _upper_edges(domain: LatticeDomain):
-    """Column j and offset j - i of each interior edge (i, j), i < j, in neighbor-table order.
-
-    The largest offset is the band width bw of `damped_band`.
-    """
-    nbr = domain.interior_neighbors
-    sites = np.broadcast_to(np.arange(len(nbr))[:, None], nbr.shape)
-    upper = (nbr < len(nbr)) & (nbr > sites)
-    cols = nbr[upper]
-    return cols, cols - sites[upper]
+def _band_width(domain: LatticeDomain) -> int:
+    """The band width bw of `damped_band`: the largest j - i of an interior edge (i, j), i < j."""
+    lower, upper = domain.interior_edges[0]
+    return int((upper - lower).max(initial=0))
 
 
 class ShiftedLaplacianSystem:
@@ -530,16 +525,17 @@ def solve_interior(
     f,
     *,
     backend: str = "cg",
-    tol: float = DEFAULT_TOL_LINEAR,
+    atol: float = math.inf,
     x0=None,
     ax0=None,
 ):
     """Solve (Laplacian - shift) w = f over interior values.
 
     Returns the interior solution array and solve statistics. The residual
-    is certified in the infinity norm against tol * (1 + |f|_inf) on every
-    path: the box inverse takes at most three passes, CG at most
-    10 * n_interior iterations. A miss raises LinearSolveFailure, as does
+    is certified in the infinity norm against
+    min(DEFAULT_TOL_LINEAR * (1 + |f|_inf), atol) on every path: the box
+    inverse takes at most three passes, CG at most 10 * n_interior
+    iterations. A miss raises LinearSolveFailure, as does
     a right-hand side or an attained residual that is not finite; its
     `residual` is then not finite either. `info.iterations` counts box
     passes or CG iterations, and is 1 for a Cholesky solve.
@@ -560,7 +556,7 @@ def solve_interior(
     # solution to certify, so no backend runs on it.
     if not math.isfinite(b_max):
         raise LinearSolveFailure(f"non-finite right-hand side (|f|_inf = {b_max})", math.nan)
-    tol_abs = tol * (1.0 + b_max)
+    tol_abs = min(DEFAULT_TOL_LINEAR * (1.0 + b_max), atol)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
     if system._box is not None:

@@ -6,11 +6,16 @@ of raising, and support deliberate fault injection where noted, so the
 checks themselves can be shown to catch defects. `oracle_equivalence`
 checks the scheme against `chern_simons.newton_solve` on the same `residual`.
 
-The suites batch their per-instance work without changing a draw: each
-maximum-principle instance is one banded Cholesky solve on a band built
-once per domain, and summation-by-parts pairs and interpolation-ratio
-fields are drawn and evaluated in stacks, in the order single draws
-would come.
+The suites run as array kernels without changing a draw. Each suite
+draws its instances in blocks of `rng.random` doubles, mapped the way
+`Generator.uniform` maps them, so the values and the generator's state
+are those of single draws. The maximum-principle instances are one block:
+each is one banded Cholesky solve on a band built once per domain, and
+each domain's instances are checked by one stacked call. Summation-by-parts
+pairs and interpolation-ratio fields are drawn and evaluated in stacks;
+the ratios take plain arrays of interior values. The tables the kernels
+read (interior edges, closure neighbor pairs) are derived once per domain
+and held by it.
 """
 
 from __future__ import annotations
@@ -42,42 +47,92 @@ def random_max_principle_instance(rng, domain, band):
     interior and the boundary data of f are drawn non-negative and
     non-positive respectively, and f is recovered by solving
     (diag(g) - Laplacian) f = boundary coupling - slack. `band` is the
-    domain's `damped_band`, whose diagonal the call overwrites; one LAPACK
-    `dpbsv` call factors and solves that SPD band system, ordering nothing
-    and skipping the argument checks of `solveh_banded`.
+    domain's `damped_band`, whose diagonal the call overwrites. The draws
+    are one row of `_max_principle_instances`.
+    """
+    f, g, slack = _max_principle_instances(rng.random((1, 2 * domain.n_closure)), domain, band)
+    return LatticeField(domain, f[0]), LatticeField(domain, g[0]), slack[0]
+
+
+def _max_principle_instances(draws, domain, band):
+    """Stacks (f, g, slack) of the instances whose draws are the rows of `draws`.
+
+    A row holds 2 n_closure doubles d from `rng.random`, mapped the way
+    `Generator.uniform` maps each draw, low + (high - low) * d: g =
+    uniform(0.1, 4.0, n_closure), then slack = uniform(0.0, 1.0,
+    n_interior), then the boundary data of f, -uniform(0.0, 1.0,
+    n_closure - n_interior). So a row gives the values and leaves the
+    generator where `random_max_principle_instance`'s uniform draws would.
+    Each instance is one LAPACK `dpbsv` call, which factors and solves
+    the SPD band system with g's interior on the diagonal of `band`,
+    ordering nothing and skipping the argument checks of `solveh_banded`.
     """
     from scipy.linalg import lapack
 
-    n_int = domain.n_interior
-    g_vals = rng.uniform(0.1, 4.0, size=domain.n_closure)
-    slack = rng.uniform(0.0, 1.0, size=n_int)
-    b_vals = -rng.uniform(0.0, 1.0, size=domain.n_closure - n_int)
-    full_b = np.zeros(domain.n_closure)
-    full_b[n_int:] = b_vals
-    coupling = full_b[domain.interior_neighbors].sum(axis=1)
-    band[-1] = g_vals[:n_int] + 2 * domain.dimension
-    _, f_int, info = lapack.dpbsv(band, coupling - slack)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"banded Cholesky solve failed with info {info} on {domain!r}")
-    f_vals = np.concatenate([f_int, b_vals])
-    return LatticeField(domain, f_vals), LatticeField(domain, g_vals), slack
+    n_int, n_closure = domain.n_interior, domain.n_closure
+    g = 0.1 + (4.0 - 0.1) * draws[:, :n_closure]
+    slack = draws[:, n_closure : n_closure + n_int]
+    f = np.zeros((len(draws), n_closure))
+    f[:, n_int:] = -draws[:, n_closure + n_int :]
+    rhs = f.take(domain.interior_neighbors, axis=-1).sum(axis=-1) - slack
+    for row in range(len(draws)):
+        band[-1] = g[row, :n_int] + 2 * domain.dimension
+        _, f[row, :n_int], info = lapack.dpbsv(band, rhs[row])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded Cholesky solve failed with info {info} on {domain!r}")
+    return f, g, slack
+
+
+def _max_principle_stacks(rng, domains, bands, instances):
+    """The suite's first `instances` instances as one stack (f, g, slack) per domain.
+
+    Instance i lies on domain i % len(domains), and its 2 n_closure draws
+    follow instance i - 1's in one `rng.random` block, so the stacks hold
+    the values of `instances` calls of `random_max_principle_instance` in
+    turn and leave the generator in the same state. Row r of domain j's
+    stack is instance j + r len(domains).
+    """
+    widths = [2 * domains[i % len(domains)].n_closure for i in range(instances)]
+    starts = np.cumsum([0] + widths[:-1])
+    draws = rng.random(sum(widths))
+    return [
+        _max_principle_instances(
+            draws[starts[j :: len(domains), None] + np.arange(2 * domain.n_closure)], domain, band
+        )
+        for j, (domain, band) in enumerate(zip(domains, bands))
+    ]
 
 
 def max_principle_suite(rng, sizes) -> SuiteResult:
     """Solve hypothesis-satisfying instances and assert non-positivity.
 
-    Also injects hypothesis violations (a positive bump exceeding the
-    damped-operator slack) and requires the checker to reject them.
+    The instances are drawn in one block and checked with one stacked
+    `max_principle_check` per domain. When a stack fails or raises, every
+    instance is re-checked alone, in instance order, so a failure names
+    its own instance and a hypothesis violation raises the ValueError of
+    the first instance that has one, as checking each instance as it is
+    drawn would. Also injects hypothesis violations (a positive bump
+    exceeding the damped-operator slack) and requires the checker to
+    reject them.
     """
     domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
     bands = [damped_band(domain) for domain in domains]
     instances, probes = 100, 5
-    failures = []
-    for i in range(instances):
-        j = i % len(domains)
-        f, g, slack = random_max_principle_instance(rng, domains[j], bands[j])
-        if not max_principle_check(f, g):
-            failures.append(f"instance {i}: positive value escaped")
+    stacks = _max_principle_stacks(rng, domains, bands, instances)
+
+    def check(j, rows=slice(None)):
+        f, g, _ = stacks[j]
+        return max_principle_check(LatticeField(domains[j], f[rows]), LatticeField(domains[j], g[rows]))
+
+    try:
+        held = all([check(j) for j in range(len(domains))])
+    except ValueError:
+        held = False
+    failures = [] if held else [
+        f"instance {i}: positive value escaped"
+        for i in range(instances)
+        if not check(i % len(domains), i // len(domains))
+    ]
     detected = 0
     for i in range(probes):
         j = i % len(domains)
@@ -94,9 +149,10 @@ def max_principle_suite(rng, sizes) -> SuiteResult:
     return SuiteResult("maximum_principle", not failures, "; ".join(failures) or detail)
 
 
-# Pairs per stacked green_identity_defect call. Over one pair at a time,
-# blocks of 25 raised the peak resident memory of a verify process by
-# about 1 MB (the gathered edge differences); blocks of 10 by under 0.2 MB.
+# Pairs per stacked green_identity_defect call. The suite took 4.4-4.5,
+# 3.3-3.4, 4.0, 4.7, 4.5 and 4.6 ms in stacks of 5, 10, 15, 20, 25 and 50
+# pairs, with a peak resident memory of 35.5-35.6, 35.7, 36.1, 36.2, 36.8
+# and 37.8 MB (medians over seeds 5-24, two runs, 2-core Xeon).
 _GREEN_BLOCK = 10
 
 
@@ -145,12 +201,13 @@ def green_identity_suite(rng, sizes, pairs=100, laplacian_fn=laplacian_interior)
     return SuiteResult("green_identity", not failures, "; ".join(failures) or detail)
 
 
-# Fields per stacked gns_ratio call. One 1000-field stack raised the peak
-# resident memory of a verify command by about 10 MB (the squares, their
-# powers and the edge differences); stacks of 25 and of 100 stay within
-# 0.3 MB of one field at a time, and the suite ran about 10% slower in
-# stacks of 100 than in stacks of 25 (2-core Xeon, seeds 0-4).
-_GNS_BLOCK = 25
+# Fields per stacked gns_ratio call. On plain interior rows the suite took
+# 12.2-12.4, 10.3-10.6, 10.0, 9.6, 12.3-12.4, 12.3 and 14.5 ms in stacks
+# of 25, 40, 50, 60, 75, 100 and 1000 fields, and the peak resident memory
+# of the process read 36.0-36.2 MB up to stacks of 60, 36.4 at 75, 36.6
+# at 100 and 45.2-45.3 at 1000 (medians over seeds 5-24, two runs, 2-core Xeon). 50
+# stays clear of the step between 60 and 75.
+_GNS_BLOCK = 50
 
 
 def _scaled_uniform_rows(rng, rows, n):
@@ -169,22 +226,23 @@ def gns_ratio_suite(rng, fields=1000) -> SuiteResult:
     """Interpolation-ratio boundedness over random zero-extended fields.
 
     Each (n, p) combination draws and evaluates its fields in stacks of
-    _GNS_BLOCK fields, in the order the per-field draws would come.
+    _GNS_BLOCK fields, in the order the per-field draws would come. The
+    three values of p share one box per dimension n, and so its edge table.
     """
-    combos = [(n, p) for n in (2, 3) for p in (0, 1, 2)]
     maxima = []
     failures = []
-    for n, p in combos:
+    for n in (2, 3):
         domain = make_box(n, 4 if n == 2 else 2)
-        blocks = []
-        for start in range(0, fields, _GNS_BLOCK):
-            rows = _scaled_uniform_rows(rng, min(_GNS_BLOCK, fields - start), domain.n_interior)
-            blocks.append(calculus.gns_ratio(from_interior(domain, rows), p))
-        ratios = np.concatenate(blocks)
-        bad = np.flatnonzero(~np.isfinite(ratios) | (ratios <= 0.0))
-        if len(bad):
-            failures.append(f"degenerate ratio {ratios[bad[0]]} at n={n}, p={p}")
-        maxima.append(f"n={n},p={p}: {float(ratios.max()):.4f}")
+        for p in (0, 1, 2):
+            blocks = []
+            for start in range(0, fields, _GNS_BLOCK):
+                rows = _scaled_uniform_rows(rng, min(_GNS_BLOCK, fields - start), domain.n_interior)
+                blocks.append(calculus.gns_ratio(domain, rows, p))
+            ratios = np.concatenate(blocks)
+            bad = np.flatnonzero(~np.isfinite(ratios) | (ratios <= 0.0))
+            if len(bad):
+                failures.append(f"degenerate ratio {ratios[bad[0]]} at n={n}, p={p}")
+            maxima.append(f"n={n},p={p}: {float(ratios.max()):.4f}")
     detail = f"{fields} fields per combo; max ratios " + ", ".join(maxima)
     return SuiteResult("gns_ratio", not failures, "; ".join(failures) or detail)
 

@@ -107,14 +107,23 @@ def naive_domain_arrays(interior_points):
     adjacency = np.array(
         [[index_of.get(y, -1) for y in neighbors(pt)] for pt in closure], dtype=np.int64
     )
-    edges = [(i, j) for i, row in enumerate(adjacency.tolist()) for j in row if j > i]
+    n = len(interior)
+    rows = adjacency.tolist()
+    edges = [(i, j) for i, row in enumerate(rows) for j in row if j > i]
+    inner_edges = [(i, j) for i, j in edges if j < n]
+    pairs = [(i, j) for i, row in enumerate(rows) for j in row if j >= 0]
     return {
-        "n_interior": len(interior),
+        "n_interior": n,
         "n_closure": len(closure),
         "coords": np.array(closure, dtype=np.int64),
         "adjacency": adjacency,
-        "interior_neighbors": adjacency[: len(interior)],
-        "edges": np.array(edges, dtype=np.int64).reshape(-1, 2),
+        "interior_neighbors": adjacency[:n],
+        "closure_edges": np.array(edges, dtype=np.int64).reshape(-1, 2),
+        "interior_edges": (
+            np.array(inner_edges, dtype=np.int64).reshape(-1, 2).T,
+            np.array([sum(1 for j in row if j >= n) for row in rows[:n]], dtype=np.int64),
+        ),
+        "closure_pairs": tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T),
     }
 
 

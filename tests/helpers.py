@@ -94,6 +94,12 @@ def lq_norm(u, q):
     return _reduced(np.sum(powers, axis=-1) ** (1.0 / q))
 
 
+def closure_edges(domain):
+    """Unordered closure edges as index pairs (i, j) with i < j, in row-major `adjacency` order."""
+    i, k = np.nonzero(domain.adjacency > np.arange(domain.n_closure)[:, None])
+    return np.column_stack([i, domain.adjacency[i, k]])
+
+
 def seminorm_1q(u, q):
     """Difference seminorm of the zero-extended field over the whole lattice.
 
@@ -105,16 +111,18 @@ def seminorm_1q(u, q):
     if q < 1:
         raise ValueError("q must be at least 1")
     dom = u.domain
-    ends = u.values.take(dom.edges[:, 0], axis=-1), u.values.take(dom.edges[:, 1], axis=-1)
+    edges = closure_edges(dom)
+    ends = u.values.take(edges[:, 0], axis=-1), u.values.take(edges[:, 1], axis=-1)
     inner = 2.0 * np.sum(np.abs(ends[0] - ends[1]) ** q, axis=-1)
-    outside_degree = 2 * dom.dimension - np.bincount(dom.edges.ravel(), minlength=dom.n_closure)
+    outside_degree = 2 * dom.dimension - np.bincount(edges.ravel(), minlength=dom.n_closure)
     outer = 2.0 * np.sum(outside_degree * np.abs(u.values) ** q, axis=-1)
     return _reduced((inner + outer) ** (1.0 / q))
 
 
 def dirichlet_energy(u):
     """Sum of squared differences over the unordered closure edges."""
-    d = u.values[u.domain.edges[:, 0]] - u.values[u.domain.edges[:, 1]]
+    edges = closure_edges(u.domain)
+    d = u.values[edges[:, 0]] - u.values[edges[:, 1]]
     return float(np.sum(d * d))
 
 

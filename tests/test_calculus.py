@@ -236,9 +236,9 @@ def test_gns_ratio_stack_equals_per_field(n, p):
     dom = make_box(n, 4 if n == 2 else 2)
     rng = np.random.default_rng(10 * n + p)
     values = rng.uniform(-1, 1, size=(50, dom.n_interior)) * rng.uniform(0.1, 10, size=(50, 1))
-    stacked = gns_ratio(from_interior(dom, values), p)
+    stacked = gns_ratio(dom, values, p)
     assert stacked.shape == (50,)
-    singles = np.array([gns_ratio(from_interior(dom, row), p) for row in values])
+    singles = np.array([gns_ratio(dom, row, p) for row in values])
     # Sums match row by row; numpy's array and scalar pow may round the
     # fractional roots differently in the last place, a few ulp in all.
     np.testing.assert_allclose(stacked, singles, rtol=8 * np.finfo(float).eps, atol=0)
@@ -261,32 +261,48 @@ GNS_DOMAINS = {
 @pytest.mark.parametrize("p", range(4))
 @pytest.mark.parametrize("name", GNS_DOMAINS)
 def test_gns_ratio_matches_closure_norms(name, p):
-    # gns_ratio sums over the interior and reads interior edges; the
-    # reference sums over the closure and reads every closure edge. p = 0
-    # is the case where the low power is x^2 itself.
+    # gns_ratio sums over the interior values and reads interior edges;
+    # the reference sums over the zero-extended closure field and reads
+    # every closure edge. p = 0 is the case where the low power is x^2
+    # itself.
     dom = GNS_DOMAINS[name]
     values = np.random.default_rng(p).uniform(-1.0, 1.0, (6, dom.n_interior))
     for scale in (1e-3, 1.0, 1e3):
-        stack = from_interior(dom, scale * values)
-        before = stack.values.copy()
-        want = _closure_gns_ratio(stack, p)
-        np.testing.assert_allclose(gns_ratio(stack, p), want, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(stack.values, before)
-        for row, ratio in zip(scale * values, want):
-            assert gns_ratio(from_interior(dom, row), p) == pytest.approx(ratio, rel=1e-12, abs=0)
+        stack = scale * values
+        before = stack.copy()
+        want = _closure_gns_ratio(from_interior(dom, stack), p)
+        np.testing.assert_allclose(gns_ratio(dom, stack, p), want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(stack, before)
+        for row, ratio in zip(stack, want):
+            assert gns_ratio(dom, row, p) == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", range(3))
+@pytest.mark.parametrize("name", GNS_DOMAINS)
+def test_gns_ratio_ignores_memory_layout(name, p):
+    # A strided or Fortran-ordered stack is read as one contiguous array,
+    # so each ratio has the bits of the contiguous input's.
+    dom = GNS_DOMAINS[name]
+    wide = np.random.default_rng(10 + p).uniform(-1.0, 1.0, (7, 2 * dom.n_interior))
+    strided = wide[:, ::2]
+    want = gns_ratio(dom, np.ascontiguousarray(strided), p)
+    assert not strided.flags.c_contiguous
+    np.testing.assert_array_equal(gns_ratio(dom, strided, p), want)
+    np.testing.assert_array_equal(gns_ratio(dom, np.asfortranarray(strided), p), want)
+    assert gns_ratio(dom, strided[3], p) == pytest.approx(want[3], rel=8 * np.finfo(float).eps, abs=0)
 
 
 def test_gns_ratio_stack_rejections():
     dom = make_box(2, 1)
     values = np.ones((3, dom.n_interior))
     values[1] = 0.0
-    with pytest.raises(ValueError):
-        gns_ratio(from_interior(dom, values), 0)  # one zero field in the stack
+    with pytest.raises(ValueError, match="zero field"):
+        gns_ratio(dom, values, 0)  # one zero field in the stack
     vals = np.zeros((2, dom.n_closure))
     vals[:, 0] = 1.0
-    vals[1, -1] = 1.0
-    with pytest.raises(ValueError):
-        gns_ratio(LatticeField(dom, vals), 0)  # one field not supported on the interior
+    for wrong in (vals, vals[..., None], np.ones((2, dom.n_interior + 1))):
+        with pytest.raises(ValueError, match="interior size"):
+            gns_ratio(dom, wrong, 0)  # closure values, a 3-D stack, one value too many
 
 
 def test_lq_norm_basics():
@@ -356,25 +372,25 @@ def test_seminorm_squared_vs_twice_energy_for_interior_support():
 def test_gns_ratio_spike_value():
     dom = make_box(2, 2)
     u = spike(dom, (0, 0))
-    assert gns_ratio(u, 0) == pytest.approx(8.0 ** -0.25, rel=1e-13)
+    assert gns_ratio(dom, u.interior, 0) == pytest.approx(8.0 ** -0.25, rel=1e-13)
 
 
 def test_gns_ratio_scale_invariant():
     dom = make_box(2, 3)
     u = random_interior_field(dom)
-    r1 = gns_ratio(u, 1)
-    r2 = gns_ratio(LatticeField(dom, 37.5 * u.values), 1)
+    r1 = gns_ratio(dom, u.interior, 1)
+    r2 = gns_ratio(dom, 37.5 * u.interior, 1)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_gns_ratio_rejections():
     dom = make_box(2, 1)
     with pytest.raises(ValueError):
-        gns_ratio(zeros(dom), 0)
+        gns_ratio(dom, zeros(dom).interior, 0)
     with pytest.raises(ValueError):
-        gns_ratio(constant(dom, 1.0), 0)
+        gns_ratio(dom, constant(dom, 1.0).values, 0)  # closure values, not interior ones
     with pytest.raises(ValueError):
-        gns_ratio(spike(dom, (0, 0)), -1)
+        gns_ratio(dom, spike(dom, (0, 0)).interior, -1)
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (0, 1, 2)])
@@ -385,8 +401,7 @@ def test_gns_ratio_bounded_over_random_fields(n, p):
     rng = np.random.default_rng(1000 * n + p)
     worst = 0.0
     for _ in range(1000):
-        u = from_interior(dom, rng.uniform(-1, 1, size=dom.n_interior) * rng.uniform(0.1, 10))
-        ratio = gns_ratio(u, p)
+        ratio = gns_ratio(dom, rng.uniform(-1, 1, size=dom.n_interior) * rng.uniform(0.1, 10), p)
         assert np.isfinite(ratio) and ratio > 0.0
         worst = max(worst, ratio)
     assert worst < 10.0

@@ -751,3 +751,25 @@ def test_non_finite_failure_mid_run(monkeypatch):
     assert trace.iterations == 4 and trace.final.k == 4
     assert all(math.isfinite(r.sup_change) for r in trace.records[:3])
     assert math.isnan(trace.final.sup_change)
+
+
+@pytest.mark.parametrize("domain", [make_box(2, 6), make_ball(2, 6)], ids=["box", "ball"])
+def test_steps_are_certified_a_decade_under_tol_residual(monkeypatch, domain):
+    # Each step's linear residual meets min(1e-12 (1 + |rhs|_inf), tol_residual / 10),
+    # the linear solve taking the sup norm of the right-hand side.
+    real = chern_simons.solve_interior
+    seen = []
+
+    def spy(system, rhs, **kwargs):
+        w, info = real(system, rhs, **kwargs)
+        seen.append((float(np.abs(rhs + info.product).max()), float(np.abs(rhs).max()), kwargs))
+        return w, info
+
+    monkeypatch.setattr(chern_simons, "solve_interior", spy)
+    params = ModelParams(lam=1.0, tol_residual=1e-12, max_outer_iterations=6)
+    with pytest.raises(ConvergenceFailure):
+        solve_domain(domain, single_vortex(), params)
+    assert len(seen) == 6
+    for attained, rhs_max, kwargs in seen:
+        assert "tol" not in kwargs and kwargs["atol"] == 1e-13
+        assert attained <= min(1e-12 * (1.0 + rhs_max), 1e-13)

@@ -689,6 +689,24 @@ def test_verify_output_rows_parse(capsys):
     assert 0.0 <= float(found.group(1)) < 1e-7
 
 
+def recorded_verify_runs():
+    """(argv, exit code, stdout) of each record in `verify_sizes_1_3_7.txt`."""
+    text = (Path(__file__).parent / "verify_sizes_1_3_7.txt").read_text()
+    runs = []
+    for record in re.split(r"^\$ ", text, flags=re.MULTILINE)[1:]:
+        command, code, out = record.split("\n", 2)
+        runs.append(pytest.param(command.split(), int(code.removeprefix("exit ")), out, id=command))
+    return runs
+
+
+@pytest.mark.parametrize("argv,code,out", recorded_verify_runs())
+def test_verify_output_matches_recording(argv, code, out, capsys):
+    # Recorded before the suites drew and checked their instances as
+    # stacks: the draws, the checks and every printed digit are unchanged.
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
 def test_solve_reports_non_finite_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(chern_simons, "nonlinearity", lambda u, params: np.full_like(u, np.nan))
     cfg = write_config(tmp_path / "run.json")

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 
 import numpy as np
@@ -6,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_vortex.calculus import LatticeField, from_interior, gns_ratio, green_identity_defect
+from lattice_vortex.chern_simons import ModelParams, VortexConfig, newton_solve
 from lattice_vortex.lattice import LatticeDomain, domain_from_json, make_ball, make_box, nested_index
+from lattice_vortex.linsolve import ShiftedLaplacianSystem, damped_band, solve_interior
 
 from brute import (
     closure_index,
@@ -16,7 +21,7 @@ from brute import (
     naive_nested_index,
     neighbors,
 )
-from helpers import boundary_points, interior_points, is_connected, nested_domain_pairs
+from helpers import boundary_points, closure_edges, interior_points, is_connected, nested_domain_pairs
 
 
 def l1_distance(x, y):
@@ -230,8 +235,39 @@ def test_outside_degree_and_edges_against_enumeration():
         for y in neighbors(x)
         if y in index_of
     }
-    got = {tuple(e) for e in dom.edges.tolist()}
+    got = {tuple(e) for e in closure_edges(dom).tolist()}
     assert got == expected_edges
+
+
+def test_domain_derives_each_table_once(monkeypatch):
+    # Every Newton step's band, Newton's memory check, the direct backend's
+    # factor and each interpolation ratio read one edge table per domain;
+    # summation by parts reads one pair table, and `locate` one set of keys.
+    derived = collections.Counter()
+    for name in ("interior_edges", "closure_pairs", "_site_keys"):
+        real = vars(LatticeDomain)[name].func
+
+        def counting(self, real=real, name=name):
+            derived[name] += 1
+            return real(self)
+
+        table = functools.cached_property(counting)
+        table.__set_name__(LatticeDomain, name)
+        monkeypatch.setattr(LatticeDomain, name, table)
+    rng = np.random.default_rng(0)
+    for dom in (make_box(2, 3), make_ball(2, 3)):
+        derived.clear()
+        newton_solve(dom, VortexConfig((((0, 0), 2),)), ModelParams(lam=1.0, p=1))
+        damped_band(dom)
+        solve_interior(ShiftedLaplacianSystem(dom, 1.0), np.ones(dom.n_interior), backend="direct")
+        for p in range(3):
+            gns_ratio(dom, rng.uniform(-1, 1, (4, dom.n_interior)), p)
+        u = LatticeField(dom, rng.uniform(-1, 1, dom.n_closure))
+        for _ in range(2):
+            green_identity_defect(u, from_interior(dom, rng.uniform(-1, 1, dom.n_interior)))
+        for point in dom.coords[:: max(1, dom.n_closure // 5)]:
+            assert dom.locate(point) >= 0
+        assert derived == {"interior_edges": 1, "closure_pairs": 1, "_site_keys": 1}
 
 
 def test_nested_index_on_balls():
@@ -408,12 +444,18 @@ def test_json_accepts_integral_floats():
 def _assert_matches_naive(dom, points):
     want = naive_domain_arrays(points)
     for name, expected in want.items():
-        got = getattr(dom, name)
-        if isinstance(expected, np.ndarray):
-            assert got.dtype == expected.dtype, name
-            np.testing.assert_array_equal(got, expected, err_msg=name)
+        got = closure_edges(dom) if name == "closure_edges" else getattr(dom, name)
+        if isinstance(expected, tuple):  # a table of several arrays
+            assert isinstance(got, tuple) and len(got) == len(expected), name
+            pairs = zip(got, expected)
         else:
-            assert got == expected, name
+            pairs = [(got, expected)]
+        for got, expected in pairs:
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype, name
+                np.testing.assert_array_equal(got, expected, err_msg=name)
+            else:
+                assert got == expected, name
     # `coords` is the naive closure, so each naive closure point locates to
     # its naive index, and every site just outside the closure to -1.
     closure = want["coords"]

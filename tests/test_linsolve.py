@@ -279,7 +279,7 @@ def test_cg_failure_reports_residual():
     system = ShiftedLaplacianSystem(dom, 0.5)
     f = np.random.default_rng(7).uniform(-1, 1, dom.n_interior)
     with pytest.raises(LinearSolveFailure) as err:
-        solve_interior(system, f, backend="cg", tol=1e-300)
+        solve_interior(system, f, backend="cg", atol=1e-300)
     assert err.value.residual > 0.0
 
 
@@ -287,7 +287,7 @@ def test_solve_interior_failure_carries_no_trace():
     # Only solve_domain attaches the steps taken; a direct call has none.
     system = ShiftedLaplacianSystem(make_ball(2, 12), 0.5)
     with pytest.raises(LinearSolveFailure) as err:
-        solve_interior(system, np.ones(system.size), backend="cg", tol=1e-300)
+        solve_interior(system, np.ones(system.size), backend="cg", atol=1e-300)
     assert err.value.trace is None
     assert LinearSolveFailure("missed", 1.0).trace is None
 
@@ -307,7 +307,7 @@ def test_cg_budget_is_ten_times_interior_size(monkeypatch, dom):
     system = ShiftedLaplacianSystem(dom, 0.5)
     rng = np.random.default_rng(dom.n_interior)
     with pytest.raises(LinearSolveFailure):
-        solve_interior(system, rng.uniform(-1, 1, system.size), backend="cg", tol=1e-300)
+        solve_interior(system, rng.uniform(-1, 1, system.size), backend="cg", atol=1e-300)
     assert len(budgets) == 3
     assert budgets[0] == 10 * dom.n_interior
     assert all(b == budgets[0] - sum(spent[:i]) for i, b in enumerate(budgets))
@@ -478,7 +478,7 @@ def test_box_solve_stops_after_three_passes(monkeypatch, backend):
     system = ShiftedLaplacianSystem(make_box(2, 6), 1.3)
     calls = _counting(monkeypatch, system)
     with pytest.raises(LinearSolveFailure) as err:
-        solve_interior(system, RNG.uniform(-2, 2, system.size), backend=backend, tol=1e-300)
+        solve_interior(system, RNG.uniform(-2, 2, system.size), backend=backend, atol=1e-300)
     assert 0.0 < err.value.residual < 1e-12
     assert calls == ["precondition", "matvec"] * 3
     assert system._cholesky is None
@@ -584,3 +584,15 @@ def test_grow_core_rejects_what_it_cannot_hold():
     assert ball.core_capacity == 0
     with pytest.raises(ValueError):
         ball.grow_core([0])
+
+
+@pytest.mark.parametrize("dom", [make_box(2, 5), make_ball(2, 5)], ids=["box", "ball"])
+def test_absolute_tolerance_caps_the_relative_one(dom):
+    # The relative bound 1e-12 (1 + |f|_inf) is about 2e-12 here.
+    system = ShiftedLaplacianSystem(dom, 0.5)
+    f = np.random.default_rng(3).uniform(-1.0, 1.0, dom.n_interior)
+    for backend in ("cg", "direct"):
+        _, info = solve_interior(system, f, backend=backend, atol=1e-13)
+        assert np.abs(f + info.product).max() <= 1e-13
+        with pytest.raises(LinearSolveFailure, match="missed tolerance 1.000e-300"):
+            solve_interior(system, f, backend=backend, atol=1e-300)

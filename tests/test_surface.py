@@ -173,8 +173,10 @@ def test_every_public_attribute_has_a_package_reader():
 def test_domains_hold_each_site_once():
     # `coords` is the one site table and `adjacency` the one neighbor table:
     # no attribute holds a Python object per site, the interior adjacency
-    # is a view into the closure adjacency, and `edges` is derived on first
-    # use, so a domain that is only solved on never holds it.
+    # is a view into the closure adjacency, and the derived tables
+    # (`interior_edges`, `closure_pairs`, the keys `locate` searches) are
+    # built on first use and then held, so a domain that is only solved on
+    # by the box inverse holds none of them.
     scattered = [(0, 0), (1, 0), (5, 5), (-7, 3), (10**12, 0), (10**12, -4), (3, 3), (3, 4)]
     for dom in (make_box(2, 4), make_ball(3, 3), LatticeDomain(2, scattered)):
         for name, value in vars(dom).items():
@@ -183,5 +185,6 @@ def test_domains_hold_each_site_once():
         assert not {"closure", "interior", "boundary", "index_of"} & set(vars(dom))
         arrays = {name for name, value in vars(dom).items() if isinstance(value, np.ndarray)}
         assert arrays == {"coords", "adjacency", "interior_neighbors"}
-        assert dom.edges is dom.edges and "edges" in vars(dom)
+        for table in ("interior_edges", "closure_pairs"):
+            assert getattr(dom, table) is getattr(dom, table) and table in vars(dom)
 

@@ -80,8 +80,7 @@ def test_gns_ratio_suite_matches_per_field_loop():
             worst = 0.0
             for _ in range(fields):
                 s = ref_rng.uniform(0.1, 10.0)
-                u = from_interior(domain, ref_rng.uniform(-s, s, size=domain.n_interior))
-                worst = max(worst, gns_ratio(u, p))
+                worst = max(worst, gns_ratio(domain, ref_rng.uniform(-s, s, size=domain.n_interior), p))
             maxima.append(f"n={n},p={p}: {worst:.4f}")
     assert result.passed
     assert result.detail == f"{fields} fields per combo; max ratios " + ", ".join(maxima)
@@ -109,6 +108,71 @@ def test_max_principle_suite_builds_each_operator_once(monkeypatch):
     monkeypatch.setattr(verify, "damped_band", counting)
     assert max_principle_suite(np.random.default_rng(0), [1, 2]).passed
     assert len(built) == 3
+
+
+def _suite_domains(sizes):
+    domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
+    return domains, [damped_band(domain) for domain in domains]
+
+
+@pytest.mark.parametrize("instances", [100, 7])
+def test_max_principle_stacks_equal_per_instance_draws(instances):
+    # 7 instances give the first domain one row more than the other two.
+    domains, bands = _suite_domains([1, 3])
+    rng = np.random.default_rng(21)
+    stacks = verify._max_principle_stacks(rng, domains, bands, instances)
+    ref_rng = np.random.default_rng(21)
+    for i in range(instances):
+        j = i % len(domains)
+        f, g, slack = random_max_principle_instance(ref_rng, domains[j], bands[j])
+        for got, want in zip(stacks[j], (f.values, g.values, slack)):
+            np.testing.assert_array_equal(got[i // len(domains)], want)
+    assert [len(f) for f, _, _ in stacks] == [len(range(j, instances, 3)) for j in range(3)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _check_failing_on(rows):
+    """`max_principle_check` that also fails any stack or instance holding one of the f rows `rows`."""
+    real = verify.max_principle_check
+
+    def check(f, g):
+        held = real(f, g)
+        values = np.atleast_2d(f.values)
+        return held and not any(
+            len(row) == values.shape[1] and (values == row).all(axis=1).any() for row in rows
+        )
+
+    return check
+
+
+def test_max_principle_failures_named_by_their_own_instance(monkeypatch):
+    sizes = [1, 2]
+    domains, bands = _suite_domains(sizes)
+    stacks = verify._max_principle_stacks(np.random.default_rng(3), domains, bands, 100)
+    # instance 37 lies on domain 1 and instance 6 on domain 0
+    rows = [stacks[37 % 3][0][37 // 3], stacks[6 % 3][0][6 // 3]]
+    monkeypatch.setattr(verify, "max_principle_check", _check_failing_on(rows))
+    result = max_principle_suite(np.random.default_rng(3), sizes)
+    assert not result.passed
+    assert result.detail == "instance 6: positive value escaped; instance 37: positive value escaped"
+
+
+def test_max_principle_hypothesis_violation_raises(monkeypatch):
+    # Instance 37 (domain 1) gets a positive boundary value and instance 5
+    # (domain 2) a zero g. The stack of domain 1 is checked first, but an
+    # instance-by-instance check meets instance 5 first, and so must the
+    # suite: it raises instance 5's error.
+    real = verify._max_principle_stacks
+
+    def corrupt(rng, domains, bands, instances):
+        stacks = real(rng, domains, bands, instances)
+        stacks[37 % 3][0][37 // 3, -1] = 1.0
+        stacks[5 % 3][1][5 // 3, 0] = 0.0
+        return stacks
+
+    monkeypatch.setattr(verify, "_max_principle_stacks", corrupt)
+    with pytest.raises(ValueError, match="g must be strictly positive"):
+        max_principle_suite(np.random.default_rng(3), [1, 2])
 
 
 @pytest.mark.parametrize(
