@@ -348,7 +348,6 @@ def solve_domain(
     vortices: VortexConfig,
     params: ModelParams,
     *,
-    backend: str = "cg",
     u_init: LatticeField | None = None,
 ) -> tuple[LatticeField, IterationTrace]:
     """Run the monotone scheme from zero, or from `u_init`, until both stop criteria hold.
@@ -388,6 +387,8 @@ def solve_domain(
     no core that is the scalar bound shift |d|^2 / 2.
 
     Each step costs one linear solve and one nonlinearity evaluation. The
+    domain fixes the solve (`solve_interior`): the exact box inverse on a
+    box with no side over 320, Jacobi-CG elsewhere. The
     solve's certifying product C_k w - Laplacian(w) also gives the step's
     residual, its Dirichlet energy (by summation by parts, since w
     vanishes on the boundary) and the next solve's start, so a step on a box
@@ -446,9 +447,7 @@ def solve_domain(
             try:
                 # The linear noise floor bounds the reachable equation defect; keep it a
                 # decade under tol_residual or the residual stop can become unreachable.
-                w, info = solve_interior(
-                    system, rhs, backend=backend, atol=params.tol_residual / 10.0, x0=u, ax0=au
-                )
+                w, info = solve_interior(system, rhs, atol=params.tol_residual / 10.0, x0=u, ax0=au)
                 aw = info.product
             except LinearSolveFailure as exc:
                 if math.isfinite(exc.residual):

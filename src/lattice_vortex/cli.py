@@ -202,11 +202,10 @@ def cmd_solve(args) -> int:
         "lambda": params.lam,
         "p": params.p,
         "shift": params.shift,
-        "backend": args.backend,
         "vortex_count": len(vortices),
     }
     try:
-        u, trace = solve_domain(domain, vortices, params, backend=args.backend)
+        u, trace = solve_domain(domain, vortices, params)
     except (SolveFailure, LinearSolveFailure) as exc:
         summary.update(
             {
@@ -253,7 +252,7 @@ def cmd_exhaust(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        estimate = run_exhaustion(schedule, params, backend=args.backend)
+        estimate = run_exhaustion(schedule, params)
     except (SolveFailure, LinearSolveFailure, ExhaustionFailure) as exc:
         _write_json(
             {"success": False, "failure": {"kind": exc.kind, "message": str(exc)}},
@@ -314,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve on one finite domain from a JSON config")
     p_solve.add_argument("config", help="path to the run configuration JSON")
     p_solve.add_argument("--out", default=".", help="output directory")
-    p_solve.add_argument("--backend", choices=("cg", "direct"), default="cg")
+    p_solve.add_argument(
+        "--backend", choices=("cg", "direct"), default="cg", help="ignored: the domain fixes the linear solve"
+    )
     p_solve.add_argument(
         "--dump-matrix", action="store_true", help="write the damped operator in COO text"
     )
@@ -323,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("exhaust", help="solve a nested chain of domains from a JSON config")
     p_ex.add_argument("config", help="path to the chain configuration JSON")
     p_ex.add_argument("--out", default=".", help="output directory")
-    p_ex.add_argument("--backend", choices=("cg", "direct"), default="cg")
+    p_ex.add_argument(
+        "--backend", choices=("cg", "direct"), default="cg", help="ignored: the domain fixes the linear solve"
+    )
     p_ex.set_defaults(func=cmd_exhaust)
 
     p_ver = sub.add_parser("verify", help="run the randomized verification suites")

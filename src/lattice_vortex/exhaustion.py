@@ -152,10 +152,12 @@ def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, floa
     return [(int(r), float(mags[dist == r].max())) for r in np.unique(dist)]
 
 
-def run_exhaustion(
-    schedule: ExhaustionSchedule, params: ModelParams, *, backend: str = "cg"
-) -> GlobalSolutionEstimate:
+def run_exhaustion(schedule: ExhaustionSchedule, params: ModelParams) -> GlobalSolutionEstimate:
     """Solve the chain in order and build the global estimate.
+
+    Each domain's solves take the path that domain fixes (`solve_domain`):
+    the exact box inverse on a box with no side over 320, Jacobi-CG on a
+    ball or a larger box.
 
     Per-domain solver failures propagate unchanged. A rise of one zero-
     extended solution above its predecessor (beyond rounding slack) aborts
@@ -179,14 +181,14 @@ def run_exhaustion(
       joined the zero-shift core.
     """
     dom = schedule.build_domain(schedule.radii[0])
-    u, trace = solve_domain(dom, schedule.vortices, params, backend=backend)
+    u, trace = solve_domain(dom, schedule.vortices, params)
     solutions, traces, gaps = [u], [trace], []
     for prev_radius, radius in zip(schedule.radii, schedule.radii[1:]):
         prev_dom, prev_u = dom, u
         dom = schedule.build_domain(radius)
         at = nested_index(prev_dom, dom)
         u_init = _extend(prev_u, dom, at)
-        u, trace = solve_domain(dom, schedule.vortices, params, backend=backend, u_init=u_init)
+        u, trace = solve_domain(dom, schedule.vortices, params, u_init=u_init)
         on_prev = u.values[at]
         rise = float((on_prev - prev_u.values).max())
         if rise > CHAIN_SLACK:

@@ -147,10 +147,10 @@ class LatticeDomain:
         the upper end j of each edge with both ends interior, i < j, in
         row-major order of `interior_neighbors`. The counts are 2n minus
         each site's interior neighbors. `linsolve.damped_band` (and so
-        Newton and the direct backend's factor) and `calculus.gns_ratio`
-        read them. The table is derived from the neighbor table on first
-        use and then held, so a domain that is only solved on by the box
-        inverse never holds it.
+        Newton's Jacobian and `verify`'s maximum-principle suite) and
+        `calculus.gns_ratio` read them. The table is derived from the
+        neighbor table on first use and then held, so a domain that is only
+        solved on never holds it: neither the box inverse nor CG reads it.
         """
         nbr = self.interior_neighbors
         inside = nbr < self.n_interior

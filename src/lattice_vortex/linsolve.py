@@ -3,23 +3,23 @@
 The operator A = shift*I - Laplacian acts on interior sites; the boundary
 is eliminated by the index ordering, and A is symmetric positive definite.
 It is stored two ways, both read from the domain's neighbor table: as the
-table itself, for the product A x, and as a LAPACK band, for the
-Cholesky factor and for the Newton Jacobian (`damped_band`). On a full
-axis-aligned box numpy forms A x from shifted slices of the box grid;
-elsewhere it gathers each site's neighbors through the table.
+table itself, for the product A x, and as a LAPACK band (`damped_band`),
+for the Newton Jacobian and `verify`'s maximum-principle suite; no solve
+here reads the band. On a full axis-aligned box numpy forms A x from
+shifted slices of the box grid; elsewhere it gathers each site's
+neighbors through the table.
 
-On a box with no side over _BOX_MAX_SIDE the package holds A's exact
-inverse P, by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964), and a solve takes one path whatever the backend: x = x0 +
-P(b - A x0), or P(b) with no start, certified by one product A x. A miss
-repeats the correction from the true residual, three passes in all.
-Elsewhere the backends differ: `cg`, the default, runs conjugate
-gradients preconditioned by the Jacobi diagonal, and `direct` factors A's
-own band once by banded Cholesky, loading `scipy.linalg` for LAPACK. No
-box solve loads scipy. Acceptance criterion 7 checks the e^(-mR) tail of
-the solutions on a 2D chain of boxes (radii 4 to 32) against twice a
-frozen outer-shell value of 6.1e-20; with the box inverse it reads
-5.890e-20, as it did with CG and with either Cholesky factor. That bound
+The domain fixes the solve path. On a box with no side over
+_BOX_MAX_SIDE the package holds A's exact inverse P, by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964), and a
+solve is x = x0 + P(b - A x0), or P(b) with no start, certified by one
+product A x. A miss repeats the correction from the true residual, three
+passes in all. Every other interior runs conjugate gradients
+preconditioned by the Jacobi diagonal. No solve loads scipy. Acceptance
+criterion 7 checks the e^(-mR) tail of the solutions on a 2D chain of
+boxes (radii 4 to 32) against twice a frozen outer-shell value of
+6.1e-20; with the box inverse it reads 5.890e-20, as it did with CG and
+with the banded Cholesky factors the package once held. That bound
 lies far below the solver's accuracy, so it tracks the iteration's path
 rather than the solution: a zero-start solve of the last domain reads
 6.1e-20, and the two solutions differ by 2.3e-10.
@@ -68,8 +68,7 @@ DEFAULT_TOL_LINEAR = 1e-12
 # costs O(n). In p=0 solves (BLAS at one thread) the box inverse was faster
 # on every box with longest side up to 385 for squares and 257 for 5-wide
 # strips, and slower on 385x5, 513x5 and 1025x5 strips; boxes with a longer
-# side keep the backends' own solves. The product A x takes the box grid on
-# any full box.
+# side run Jacobi-CG. The product A x takes the box grid on any full box.
 _BOX_MAX_SIDE = 320
 # Terms per batch in `_inverse_entries`: 8 MB of partial sums.
 _GATHER_VALUES = 2**20
@@ -82,7 +81,7 @@ _DENSE_CORE_VALUES = 2**16
 
 
 class LinearSolveFailure(RuntimeError):
-    """Raised when a backend cannot meet the requested residual.
+    """Raised when a solve cannot meet the requested residual.
 
     `solve_domain` sets `trace` to the steps taken before the failing solve.
     """
@@ -112,7 +111,9 @@ def damped_band(domain: LatticeDomain) -> np.ndarray:
     Laplacian's diagonal is -2n. The band has shape (bw + 1, n_interior)
     in Fortran order, LAPACK's own layout, and holds
     (bw + 1) * n_interior * 8 bytes. The edges come from the domain's
-    `interior_edges`, derived once per domain.
+    `interior_edges`, derived once per domain. Newton's `jacobian` and
+    `verify`'s maximum-principle suite read the band; `solve_interior`
+    never does.
     """
     lower, upper = domain.interior_edges[0]
     bw = _band_width(domain)
@@ -128,16 +129,15 @@ def _band_width(domain: LatticeDomain) -> int:
 
 
 class ShiftedLaplacianSystem:
-    """shift*I - Laplacian on interior sites (SPD for shift > 0): product, preconditioner, factor.
+    """shift*I - Laplacian on interior sites (SPD for shift > 0): product and preconditioner.
 
     Whether the interior is a full box (`_box_shape`) picks the product:
     shifted slices of the box grid (`_box_product`) on a box, a gather
     through the neighbor table (`_gather_product`) elsewhere. A box whose
     sides are all up to _BOX_MAX_SIDE (`_box`) also takes the exact
-    inverse as its preconditioner; any other interior takes the Jacobi
-    diagonal, and the direct backend factors A's own band there
-    (`cholesky`). A shift that is not positive and finite raises
-    ValueError.
+    inverse as its preconditioner, which `solve_interior` applies as an
+    exact solve; any other interior takes the Jacobi diagonal, for CG. A
+    shift that is not positive and finite raises ValueError.
 
     On a `_box` the shift can be dropped on a zero-shift core S of interior
     sites (`grow_core`). The operator is then M = A - shift E_S E_S^T,
@@ -166,7 +166,6 @@ class ShiftedLaplacianSystem:
             raise ValueError(f"shift must be positive and finite, got {shift!r}")
         self.domain = domain
         self.shift = float(shift)
-        self._cholesky = None
         self._spectrum = None
         grid = _box_shape(domain)
         if grid is None:
@@ -246,26 +245,6 @@ class ShiftedLaplacianSystem:
         if self._spectrum is None:
             self._spectrum = _box_spectrum(self._box, self.shift)
         return self._spectrum
-
-    def cholesky(self) -> np.ndarray:
-        """The upper Cholesky factor of A's `damped_band`, by LAPACK `dpbtrf` on first use.
-
-        Raises LinearSolveFailure when LAPACK finds the band not positive
-        definite.
-        """
-        if self._cholesky is None:
-            from scipy.linalg import lapack
-
-            band = damped_band(self.domain)
-            band[-1] = self.shift + 2 * self.domain.dimension
-            # The band is already in Fortran order, so LAPACK factors it in place.
-            factor, info = lapack.dpbtrf(band, overwrite_ab=1)
-            if info != 0:
-                raise LinearSolveFailure(
-                    f"banded Cholesky factorization failed (info {info})", math.nan
-                )
-            self._cholesky = factor
-        return self._cholesky
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The preconditioner applied to r: the exact inverse on a `_box`, Jacobi otherwise."""
@@ -524,7 +503,6 @@ def solve_interior(
     system: ShiftedLaplacianSystem,
     f,
     *,
-    backend: str = "cg",
     atol: float = math.inf,
     x0=None,
     ax0=None,
@@ -533,19 +511,18 @@ def solve_interior(
 
     Returns the interior solution array and solve statistics. The residual
     is certified in the infinity norm against
-    min(DEFAULT_TOL_LINEAR * (1 + |f|_inf), atol) on every path: the box
-    inverse takes at most three passes, CG at most 10 * n_interior
-    iterations. A miss raises LinearSolveFailure, as does
-    a right-hand side or an attained residual that is not finite; its
-    `residual` is then not finite either. `info.iterations` counts box
-    passes or CG iterations, and is 1 for a Cholesky solve.
+    min(DEFAULT_TOL_LINEAR * (1 + |f|_inf), atol). The system's domain
+    fixes the path: the box inverse on a box with no side over
+    _BOX_MAX_SIDE, in at most three passes, and Jacobi-CG elsewhere, in
+    at most 10 * n_interior iterations. A miss raises LinearSolveFailure
+    naming that path, as does a right-hand side or an attained residual
+    that is not finite; its `residual` is then not finite either.
+    `info.iterations` counts box passes or CG iterations.
     `info.product` is the certifying product A w, A = shift*I - Laplacian.
     `ax0`, when given, must be A @ x0, typically the product of the solve
     that returned x0; the solve then starts without multiplying by A.
     `x0` and `ax0` are never modified.
     """
-    if backend not in ("cg", "direct"):
-        raise ValueError(f"unknown backend {backend!r}")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (system.size,):
         raise ValueError(f"rhs length {f.shape} does not match system size {system.size}")
@@ -553,7 +530,7 @@ def solve_interior(
     b = -f
     b_max = float(np.abs(b).max())
     # NaN and inf both propagate through max; a non-finite rhs has no
-    # solution to certify, so no backend runs on it.
+    # solution to certify, so no solve runs on it.
     if not math.isfinite(b_max):
         raise LinearSolveFailure(f"non-finite right-hand side (|f|_inf = {b_max})", math.nan)
     tol_abs = min(DEFAULT_TOL_LINEAR * (1.0 + b_max), atol)
@@ -562,6 +539,7 @@ def solve_interior(
     if system._box is not None:
         # P is exact up to rounding, so each pass corrects x by P applied to
         # its true residual and one product certifies the result.
+        path = "box inverse"
         x = x0
         r = b if x0 is None else b - (system.matvec(x0) if ax0 is None else ax0)
         for iterations in range(1, 4):
@@ -573,16 +551,8 @@ def solve_interior(
             # Written so that a NaN residual stops too.
             if not attained > tol_abs:
                 break
-    elif backend == "direct":
-        from scipy.linalg import lapack
-
-        x, info = lapack.dpbtrs(system.cholesky(), b)
-        if info != 0:
-            raise LinearSolveFailure(f"banded Cholesky solve failed (info {info})", math.nan)
-        iterations = 1
-        ax = system.matvec(x)
-        attained = float(np.abs(b - ax).max())
     else:
+        path = "CG"
         limit = 10 * system.size
         # Target a quarter of the budget internally: the recurrence residual
         # drifts from the true one near convergence. Restart from the true
@@ -603,7 +573,7 @@ def solve_interior(
                 break
     # Written so that a NaN residual fails too.
     if not attained <= tol_abs:
-        raise LinearSolveFailure(f"{backend} backend missed tolerance {tol_abs:.3e}", attained)
+        raise LinearSolveFailure(f"{path} missed tolerance {tol_abs:.3e}", attained)
     return x, LinearSolveInfo(iterations, ax)
 
 

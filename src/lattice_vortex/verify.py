@@ -103,7 +103,7 @@ def _max_principle_stacks(rng, domains, bands, instances):
     ]
 
 
-def max_principle_suite(rng, sizes) -> SuiteResult:
+def max_principle_suite(rng, domains) -> SuiteResult:
     """Solve hypothesis-satisfying instances and assert non-positivity.
 
     The instances are drawn in one block and checked with one stacked
@@ -113,9 +113,8 @@ def max_principle_suite(rng, sizes) -> SuiteResult:
     the first instance that has one, as checking each instance as it is
     drawn would. Also injects hypothesis violations (a positive bump
     exceeding the damped-operator slack) and requires the checker to
-    reject them.
+    reject them. Instance i lies on domains[i % len(domains)].
     """
-    domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
     bands = [damped_band(domain) for domain in domains]
     instances, probes = 100, 5
     stacks = _max_principle_stacks(rng, domains, bands, instances)
@@ -183,13 +182,12 @@ def _green_identity_domain(rng, domain, pairs, laplacian_fn):
     return worst, None
 
 
-def green_identity_suite(rng, sizes, pairs=100, laplacian_fn=laplacian_interior) -> SuiteResult:
-    """Summation-by-parts defect below 1e-10 on random pairs per domain.
+def green_identity_suite(rng, domains, pairs=100, laplacian_fn=laplacian_interior) -> SuiteResult:
+    """Summation-by-parts defect below 1e-10 on random pairs per domain, the domains in turn.
 
     A domain stops at its first failing pair. Pairs are evaluated in
     stacks of _GREEN_BLOCK, with the draws of a per-pair loop.
     """
-    domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
     worst = 0.0
     failures = []
     for domain in domains:
@@ -283,13 +281,19 @@ def faulty_laplacian(u: LatticeField) -> np.ndarray:
 
 def run_suites(seed: int, sizes, inject_fault: str | None = None) -> list[SuiteResult]:
     """Run all suites with one seeded generator; `inject_fault` corrupts a
-    named suite's inputs to demonstrate the check trips."""
+    named suite's inputs to demonstrate the check trips.
+
+    The maximum-principle and summation-by-parts suites share one set of
+    boxes: a 2D box of each half-width in `sizes`, then the 3D box of
+    half-width 2.
+    """
     rng = np.random.default_rng(seed)
-    results = [max_principle_suite(rng, sizes)]
+    domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
+    results = [max_principle_suite(rng, domains)]
     if inject_fault == "green_identity":
-        results.append(green_identity_suite(rng, sizes, laplacian_fn=faulty_laplacian))
+        results.append(green_identity_suite(rng, domains, laplacian_fn=faulty_laplacian))
     else:
-        results.append(green_identity_suite(rng, sizes))
+        results.append(green_identity_suite(rng, domains))
     results.append(gns_ratio_suite(rng))
     results.append(oracle_equivalence_suite(rng))
     return results

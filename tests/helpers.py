@@ -138,10 +138,10 @@ def functional_j(u, h, params):
     return 0.5 * dirichlet_energy(u) + float(np.sum(pot + h.interior * u_int))
 
 
-def scheme_step(u, h, params, system, backend="cg"):
+def scheme_step(u, h, params, system):
     """One damped step at the scalar shift: (Laplacian - shift) w = N(u) + h - shift*u."""
     rhs = nonlinearity(u.interior, params) + h.interior - params.shift * u.interior
-    w, _ = solve_interior(system, rhs, backend=backend)
+    w, _ = solve_interior(system, rhs)
     return from_interior(u.domain, w)
 
 
@@ -196,8 +196,7 @@ def band_elimination_solve(domain, diagonal, f):
 
     `diagonal` is C: a scalar shift, or one value per interior site. An
     elimination over every axis, with no transform: the reference the
-    direct and CG backends and the box inverse's core correction are
-    checked against.
+    box inverse, its core correction and Jacobi-CG are checked against.
     """
     from scipy.linalg import lapack
 
@@ -268,8 +267,8 @@ def break_chain_ordering(monkeypatch):
     """
     real = exhaustion.solve_domain
 
-    def solve(domain, vortices, params, *, backend, u_init=None):
-        u, trace = real(domain, vortices, params, backend=backend)
+    def solve(domain, vortices, params, *, u_init=None):
+        u, trace = real(domain, vortices, params)
         return (u if u_init is None else zeros(domain)), trace
 
     monkeypatch.setattr(exhaustion, "solve_domain", solve)

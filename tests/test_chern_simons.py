@@ -322,19 +322,19 @@ def test_solve_domain_first_two_steps():
         _, trace = solve_domain(dom, single_vortex(), params)
     first, second = trace.records[:2]
     # the first step from zero solves the pure damped-linear problem with rhs h
-    direct, _ = solve_interior(system, h.interior, backend="direct")
-    assert np.all(direct <= 0.0)
+    w1, _ = solve_interior(system, h.interior)
+    assert np.all(w1 <= 0.0)
     assert len(steps[0].core) == 0
-    assert first.sup_change == pytest.approx(np.abs(direct).max(), rel=1e-11)
-    assert steps[0].change == pytest.approx(np.linalg.norm(direct), rel=1e-11)
-    assert first.j_value == pytest.approx(functional_j(from_interior(dom, direct), h, params), rel=1e-11)
+    assert first.sup_change == pytest.approx(np.abs(w1).max(), rel=1e-11)
+    assert steps[0].change == pytest.approx(np.linalg.norm(w1), rel=1e-11)
+    assert first.j_value == pytest.approx(functional_j(from_interior(dom, w1), h, params), rel=1e-11)
     # the second drops the shift on the vortex and its four neighbors, the
     # sites at or below -ln 2, deepest first; it is one elimination step
     # from the first, and lies below it
-    assert np.all(direct[steps[1].core] <= -math.log(2))
-    assert sorted(steps[1].core) == sorted(np.flatnonzero(direct <= -math.log(2)))
+    assert np.all(w1[steps[1].core] <= -math.log(2))
+    assert sorted(steps[1].core) == sorted(np.flatnonzero(w1 <= -math.log(2)))
     assert steps[1].core[0] == dom.locate((0, 0))
-    u1 = from_interior(dom, direct)
+    u1 = from_interior(dom, w1)
     step = elimination_step(u1, h, params, steps[1].core).values - u1.values
     assert step.max() <= 0.0
     assert second.sup_change == pytest.approx(np.abs(step).max(), rel=1e-9)
@@ -378,11 +378,11 @@ def test_solve_domain_no_vortices_is_trivial():
     assert not u.values.any()
 
 
-@pytest.mark.parametrize("backend", ["cg", "direct"])
-def test_solve_domain_single_vortex(backend):
-    dom = make_box(2, 3)
+@pytest.mark.parametrize("dom", [make_box(2, 3), make_ball(2, 4)], ids=["box", "ball"])
+def test_solve_domain_single_vortex(dom):
+    # The box inverse on the box, CG on the ball; Newton checks both.
     params = ModelParams(lam=1.0, p=0)
-    u, trace = solve_domain(dom, single_vortex(), params, backend=backend)
+    u, trace = solve_domain(dom, single_vortex(), params)
     assert trace.final.residual_inf < 1e-8
     assert value_at(u, (0, 0)) < 0.0
     assert np.all(u.values <= 0.0)
@@ -519,8 +519,7 @@ def test_strong_coupling_converges_in_few_steps(lam, multiplicity, hw, iteration
     assert trace.final.residual_inf < params.tol_residual
 
 
-@pytest.mark.parametrize("backend", ["cg", "direct"])
-def test_solve_domain_sparse_products_per_step(monkeypatch, backend):
+def test_solve_domain_sparse_products_per_step(monkeypatch):
     products = []
     passes = []
 
@@ -535,9 +534,9 @@ def test_solve_domain_sparse_products_per_step(monkeypatch, backend):
 
     monkeypatch.setattr(chern_simons, "ShiftedLaplacianSystem", CountingSystem)
     params = ModelParams(lam=1.0, p=1)
-    _, trace = solve_domain(make_box(2, 6), single_vortex(), params, backend=backend)
-    # One pass of the box inverse and its certifying product per step,
-    # whatever the backend; the first step also forms A u0.
+    _, trace = solve_domain(make_box(2, 6), single_vortex(), params)
+    # One pass of the box inverse and its certifying product per step; the
+    # first step also forms A u0.
     assert len(passes) == trace.iterations
     assert len(products) == trace.iterations + 1
 
@@ -687,11 +686,11 @@ def test_max_principle_check_rejects_bad_hypotheses():
         max_principle_check(LatticeField(dom, bump), ones)
 
 
-@pytest.mark.parametrize("backend", ["direct", "cg"])
-def test_nan_nonlinearity_is_non_finite_failure(monkeypatch, backend):
+@pytest.mark.parametrize("dom", [make_box(2, 2), make_ball(2, 3)], ids=["box", "ball"])
+def test_nan_nonlinearity_is_non_finite_failure(monkeypatch, dom):
     monkeypatch.setattr(chern_simons, "nonlinearity", lambda u, params: np.full_like(u, np.nan))
     with pytest.raises(NonFiniteBreakdown) as err:
-        solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0), backend=backend)
+        solve_domain(dom, single_vortex(), ModelParams(lam=1.0))
     assert not isinstance(err.value, MonotonicityBreakdown)
     assert err.value.trace.iterations == 1
     assert math.isnan(err.value.trace.final.sup_change)
@@ -709,14 +708,13 @@ def test_finite_linear_failure_propagates(monkeypatch):
     assert err.value.trace is not None and err.value.trace.iterations == 0
 
 
-@pytest.mark.parametrize("backend", ["cg", "direct"])
+@pytest.mark.parametrize("dom", [make_box(2, 2), make_ball(2, 3)], ids=["box", "ball"])
 @pytest.mark.parametrize("failing_call", [2, 4])
-def test_finite_linear_failure_mid_run_keeps_the_steps_taken(monkeypatch, backend, failing_call):
+def test_finite_linear_failure_mid_run_keeps_the_steps_taken(monkeypatch, failing_call, dom):
     # The trace carried by the failure is the unpatched run's prefix, record
     # for record, not an empty or a fresh trace.
-    dom = make_box(2, 2)
     params = ModelParams(lam=1.0, p=1)
-    _, full = solve_domain(dom, single_vortex(), params, backend=backend)
+    _, full = solve_domain(dom, single_vortex(), params)
     assert full.iterations > failing_call
     real_solve = chern_simons.solve_interior
     calls = []
@@ -729,7 +727,7 @@ def test_finite_linear_failure_mid_run_keeps_the_steps_taken(monkeypatch, backen
 
     monkeypatch.setattr(chern_simons, "solve_interior", fail_late)
     with pytest.raises(LinearSolveFailure) as err:
-        solve_domain(dom, single_vortex(), params, backend=backend)
+        solve_domain(dom, single_vortex(), params)
     assert err.value.residual == 1.0
     assert err.value.trace.records == full.records[: failing_call - 1]
 
@@ -746,7 +744,7 @@ def test_non_finite_failure_mid_run(monkeypatch):
 
     monkeypatch.setattr(chern_simons, "_nonlinearity_parts", fail_late)
     with pytest.raises(NonFiniteBreakdown) as err:
-        solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0), backend="direct")
+        solve_domain(make_box(2, 2), single_vortex(), ModelParams(lam=1.0))
     trace = err.value.trace
     assert trace.iterations == 4 and trace.final.k == 4
     assert all(math.isfinite(r.sup_change) for r in trace.records[:3])

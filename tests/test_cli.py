@@ -491,12 +491,12 @@ def test_config_error_begins_with_the_config_key(owner, field, bad, key):
     assert str(err.value).startswith(f"{key} ")
 
 
-def test_box_commands_never_load_scipy(tmp_path):
-    # A fresh interpreter runs a solve and a chain on boxes with either
-    # backend and a CG ball solve with its COO dump with no scipy module
-    # loaded: a box solve takes the box inverse whatever the backend. A
-    # direct ball solve then loads LAPACK but not scipy.sparse. Nor does
-    # anything after it: a direct ball chain, verify and newton_solve.
+def test_solve_and_exhaust_never_load_scipy(tmp_path):
+    # A fresh interpreter runs solves and chains on boxes and balls, a ball
+    # solve with its COO dump, each with either --backend, and no scipy
+    # module is loaded: the domain fixes the solve, the box inverse on a box
+    # and CG elsewhere. verify and newton_solve then load LAPACK through
+    # scipy.linalg, but not scipy.sparse.
     solve = write_config(tmp_path / "box.json", p=1)
     chain = write_exhaust_config(tmp_path / "chain.json")
     ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
@@ -511,19 +511,18 @@ def test_box_commands_never_load_scipy(tmp_path):
         "def run(*argv):\n"
         "    code = main(list(argv))\n"
         "    assert code == 0, (argv, code)\n"
+        f"out = {str(tmp_path)!r}\n"
         "for backend in ('cg', 'direct'):\n"
-        f"    run('solve', {str(solve)!r}, '--out', {str(tmp_path)!r} + '/box_' + backend, '--backend', backend)\n"
-        f"    run('exhaust', {str(chain)!r}, '--out', {str(tmp_path)!r} + '/chain_' + backend, '--backend', backend)\n"
-        f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball_cg')!r}, '--dump-matrix')\n"
+        "    flag = ('--backend', backend)\n"
+        f"    run('solve', {str(solve)!r}, '--out', out + '/box_' + backend, *flag)\n"
+        f"    run('exhaust', {str(chain)!r}, '--out', out + '/chain_' + backend, *flag)\n"
+        f"    run('solve', {str(ball)!r}, '--out', out + '/ball_' + backend, '--dump-matrix', *flag)\n"
+        f"    run('exhaust', {str(ball_chain)!r}, '--out', out + '/ball_chain_' + backend, *flag)\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
-        f"run('solve', {str(ball)!r}, '--out', {str(tmp_path / 'ball_direct')!r}, '--dump-matrix',\n"
-        "    '--backend', 'direct')\n"
-        "assert 'scipy.linalg' in sys.modules, 'direct ball solve loaded no LAPACK'\n"
-        f"run('exhaust', {str(ball_chain)!r}, '--out', {str(tmp_path / 'ball_chain')!r},\n"
-        "    '--backend', 'direct')\n"
         "run('verify', '--sizes', '1')\n"
         "newton_solve(make_box(2, 3), VortexConfig((((0, 0), 1),)), ModelParams(lam=1.0))\n"
+        "assert 'scipy.linalg' in sys.modules, 'verify and newton_solve loaded no LAPACK'\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy.sparse' or m.startswith('scipy.sparse.'))\n"
         "assert not loaded, loaded\n"
     )
@@ -534,16 +533,59 @@ def test_box_commands_never_load_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_box_commands_never_factor(tmp_path, monkeypatch):
-    # On a box either backend solves with the box inverse; the Cholesky
-    # factor and the band it factors are left to other interiors.
+# Each command with a box and a ball input, and the files it writes, its
+# JSON summary last.
+FLAG_RUNS = {
+    "solve-box": ("solve", lambda path: write_config(path, p=1), ("solution.csv", "trace.csv", "summary.json")),
+    "solve-ball": (
+        "solve",
+        lambda path: write_config(path, domain={"kind": "ball", "size": 7, "center": [0, 0]}, p=1),
+        ("solution.csv", "trace.csv", "summary.json"),
+    ),
+    "exhaust-box": ("exhaust", write_exhaust_config, ("decay.csv", "solution.csv", "report.json")),
+    "exhaust-ball": (
+        "exhaust",
+        lambda path: write_exhaust_config(path, shape="ball", radii=[4, 8, 12], **{"lambda": 2.0}),
+        ("decay.csv", "solution.csv", "report.json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", FLAG_RUNS)
+def test_backend_flag_changes_no_output(tmp_path, run):
+    # --backend is accepted and ignored: off a box, where the two values once
+    # ran different solves, and on a box alike, both write the same bytes,
+    # and the summary or report does not name a backend.
+    command, write, names = FLAG_RUNS[run]
+    cfg = write(tmp_path / "cfg.json")
+    outputs = {}
+    for backend in ("cg", "direct"):
+        out = tmp_path / backend
+        assert main([command, str(cfg), "--out", str(out), "--backend", backend]) == EXIT_OK
+        outputs[backend] = {name: (out / name).read_bytes() for name in names}
+    assert outputs["cg"] == outputs["direct"]
+    assert "backend" not in json.loads(outputs["cg"][names[-1]])
+
+
+@pytest.mark.parametrize("command", ["solve", "exhaust"])
+def test_backend_flag_keeps_its_choices(tmp_path, command):
+    # A misspelt value is still a usage error.
+    cfg = (write_config if command == "solve" else write_exhaust_config)(tmp_path / "cfg.json")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(cfg), "--out", str(tmp_path / "lu"), "--backend", "lu"])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_solve_commands_never_factor(tmp_path, monkeypatch):
+    # A solve reads no band: the box inverse and Jacobi-CG work from the
+    # neighbor table, on boxes and balls alike, with either --backend.
     from lattice_vortex import linsolve
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a box command factored")
+        raise AssertionError("a solve command built a band")
 
     monkeypatch.setattr(linsolve, "damped_band", refuse)
-    monkeypatch.setattr(linsolve.ShiftedLaplacianSystem, "cholesky", refuse)
+    monkeypatch.setattr(chern_simons, "damped_band", refuse)
     box = write_config(tmp_path / "box.json", p=1)
     box3d = write_config(
         tmp_path / "box3d.json",
@@ -551,9 +593,10 @@ def test_box_commands_never_factor(tmp_path, monkeypatch):
         domain={"kind": "box", "size": 4, "center": [1, -2, 0]},
         vortices=[{"point": [1, -2, 0], "multiplicity": 1}],
     )
+    ball = write_config(tmp_path / "ball.json", domain={"kind": "ball", "size": 5, "center": [0, 0]})
     chain = write_exhaust_config(tmp_path / "chain.json")
     for backend in ("cg", "direct"):
-        for cfg in (box, box3d):
+        for cfg in (box, box3d, ball):
             out = tmp_path / f"{cfg.stem}_{backend}"
             assert main(["solve", str(cfg), "--out", str(out), "--backend", backend]) == EXIT_OK
         out = tmp_path / f"chain_{backend}"

@@ -240,9 +240,10 @@ def test_outside_degree_and_edges_against_enumeration():
 
 
 def test_domain_derives_each_table_once(monkeypatch):
-    # Every Newton step's band, Newton's memory check, the direct backend's
-    # factor and each interpolation ratio read one edge table per domain;
-    # summation by parts reads one pair table, and `locate` one set of keys.
+    # Every Newton step's band, Newton's memory check, the maximum-principle
+    # band and each interpolation ratio read one edge table per domain, and a
+    # linear solve reads none; summation by parts reads one pair table, and
+    # `locate` one set of keys.
     derived = collections.Counter()
     for name in ("interior_edges", "closure_pairs", "_site_keys"):
         real = vars(LatticeDomain)[name].func
@@ -259,7 +260,7 @@ def test_domain_derives_each_table_once(monkeypatch):
         derived.clear()
         newton_solve(dom, VortexConfig((((0, 0), 2),)), ModelParams(lam=1.0, p=1))
         damped_band(dom)
-        solve_interior(ShiftedLaplacianSystem(dom, 1.0), np.ones(dom.n_interior), backend="direct")
+        solve_interior(ShiftedLaplacianSystem(dom, 1.0), np.ones(dom.n_interior))
         for p in range(3):
             gns_ratio(dom, rng.uniform(-1, 1, (4, dom.n_interior)), p)
         u = LatticeField(dom, rng.uniform(-1, 1, dom.n_closure))

@@ -6,12 +6,13 @@ import importlib
 import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
 import lattice_vortex
-from lattice_vortex.cli import _solve_inputs
+from lattice_vortex.cli import _solve_inputs, build_parser
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,6 +51,29 @@ def test_readme_solve_config_builds():
     block = after.split("```json\n", 1)[1].split("```", 1)[0]
     domain, vortices, params = _solve_inputs(json.loads(block))
     assert domain.n_interior > 0 and len(vortices) == 1 and params.lam == 1.0
+
+
+def readme_command_lines():
+    """The argument lists of README's "Command line" block, optional `[...]` parts included."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.replace("[", " ").replace("]", " "))[1:]
+        for line in block.splitlines()
+        if line.startswith("lattice-vortex ")
+    ]
+
+
+def test_readme_command_lines_parse():
+    # A documented flag the parser lacks, or a subcommand it does not know,
+    # cannot stay in README's usage block.
+    lines = readme_command_lines()
+    assert {argv[0] for argv in lines} == {"solve", "exhaust", "verify"}
+    for argv in lines:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"README command line does not parse: {argv}") from exc
 
 
 def test_root_exports_match_readme():

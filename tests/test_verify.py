@@ -89,7 +89,8 @@ def test_gns_ratio_suite_matches_per_field_loop():
 
 @pytest.mark.parametrize("sizes", [[hw] for hw in range(1, 8)])
 def test_injected_green_fault_detected_on_every_domain(sizes):
-    result = green_identity_suite(np.random.default_rng(sizes[0]), sizes, laplacian_fn=faulty_laplacian)
+    rng = np.random.default_rng(sizes[0])
+    result = green_identity_suite(rng, suite_boxes(sizes), laplacian_fn=faulty_laplacian)
     assert not result.passed
     # One failure per domain: the 2D box of this half-width and the 3D box.
     assert result.detail.count("defect") == 2
@@ -106,12 +107,33 @@ def test_max_principle_suite_builds_each_operator_once(monkeypatch):
         return band(domain)
 
     monkeypatch.setattr(verify, "damped_band", counting)
-    assert max_principle_suite(np.random.default_rng(0), [1, 2]).passed
+    assert max_principle_suite(np.random.default_rng(0), suite_boxes([1, 2])).passed
     assert len(built) == 3
 
 
+def suite_boxes(sizes):
+    """The boxes `run_suites` builds for `sizes`: a 2D box per half-width, then the 3D box of half-width 2."""
+    return [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
+
+
+def test_run_suites_builds_each_box_once(monkeypatch):
+    # The maximum-principle and summation-by-parts suites share their boxes;
+    # the interpolation-ratio and scheme-vs-Newton suites build their own.
+    built = []
+    real = verify.make_box
+
+    def counting(dimension, half_width, *args, **kwargs):
+        built.append((dimension, half_width))
+        return real(dimension, half_width, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "make_box", counting)
+    assert all(r.passed for r in verify.run_suites(0, [1, 3]))
+    assert built[:3] == [(2, 1), (2, 3), (3, 2)]
+    assert built.count((2, 1)) == 1
+
+
 def _suite_domains(sizes):
-    domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
+    domains = suite_boxes(sizes)
     return domains, [damped_band(domain) for domain in domains]
 
 
@@ -152,7 +174,7 @@ def test_max_principle_failures_named_by_their_own_instance(monkeypatch):
     # instance 37 lies on domain 1 and instance 6 on domain 0
     rows = [stacks[37 % 3][0][37 // 3], stacks[6 % 3][0][6 // 3]]
     monkeypatch.setattr(verify, "max_principle_check", _check_failing_on(rows))
-    result = max_principle_suite(np.random.default_rng(3), sizes)
+    result = max_principle_suite(np.random.default_rng(3), domains)
     assert not result.passed
     assert result.detail == "instance 6: positive value escaped; instance 37: positive value escaped"
 
@@ -172,7 +194,7 @@ def test_max_principle_hypothesis_violation_raises(monkeypatch):
 
     monkeypatch.setattr(verify, "_max_principle_stacks", corrupt)
     with pytest.raises(ValueError, match="g must be strictly positive"):
-        max_principle_suite(np.random.default_rng(3), [1, 2])
+        max_principle_suite(np.random.default_rng(3), suite_boxes([1, 2]))
 
 
 @pytest.mark.parametrize(
@@ -235,9 +257,9 @@ def test_green_identity_suite_matches_per_pair_loop():
     sizes = [1, 2]
     for laplacian_fn in (verify.laplacian_interior, faulty_laplacian, _faulty_where_first_value_high):
         rng = np.random.default_rng(4)
-        result = green_identity_suite(rng, sizes, pairs=pairs, laplacian_fn=laplacian_fn)
+        domains = suite_boxes(sizes)
+        result = green_identity_suite(rng, domains, pairs=pairs, laplacian_fn=laplacian_fn)
         ref_rng = np.random.default_rng(4)
-        domains = [make_box(2, hw) for hw in sizes] + [make_box(3, 2)]
         worst = 0.0
         failures = []
         for domain in domains:
