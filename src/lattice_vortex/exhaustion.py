@@ -60,7 +60,8 @@ class ExhaustionSchedule:
     A run succeeds when its final gap is below `tol_global` and its outer
     shell sup below `decay_threshold`. Both must be finite and positive; a
     NaN would make `success` false on every run. Each ValueError message
-    begins with the field it rejects.
+    begins with the field it rejects. The smallest domain, built here to
+    check the vortices, is kept as `smallest` for the run.
     """
 
     dimension: int
@@ -93,9 +94,9 @@ class ExhaustionSchedule:
             self.center = vortex_centroid(self.vortices, self.dimension)
         # Checked against the largest domain now, not when the run reaches it.
         self.center = json_center(self.center, self.dimension, self.radii[-1])
-        smallest = self.build_domain(self.radii[0])
+        self.smallest = self.build_domain(self.radii[0])
         for pt in self.vortices.points:
-            if not smallest.is_interior(pt):
+            if not self.smallest.is_interior(pt):
                 raise ValueError(f"vortices must lie inside the smallest domain; {pt} does not")
 
     def build_domain(self, radius: int) -> LatticeDomain:
@@ -144,12 +145,25 @@ def _extend(u: LatticeField, larger: LatticeDomain, at: np.ndarray) -> LatticeFi
     return LatticeField(larger, vals)
 
 
+def _distances(coords: np.ndarray, center: LatticePoint) -> np.ndarray:
+    """Graph distance of each site (row of `coords`) from the center, summed one column at a time."""
+    columns = coords.T
+    dist = np.abs(columns[0] - center[0])
+    for column, c in zip(columns[1:], center[1:]):
+        dist += np.abs(column - c)
+    return dist
+
+
 def decay_profile(u: LatticeField, center: LatticePoint) -> list[tuple[int, float]]:
-    """Per-shell sup of |u|, shells indexed by graph distance from the center."""
-    center_arr = np.asarray(center, dtype=np.int64)
-    dist = np.abs(u.domain.coords - center_arr).sum(axis=1)
-    mags = np.abs(u.values)
-    return [(int(r), float(mags[dist == r].max())) for r in np.unique(dist)]
+    """Per-shell sup of |u|, shells indexed by graph distance from the center.
+
+    One pass over the sites: each |u| goes to its shell's sup by one
+    `np.maximum.at` over the shell ranks.
+    """
+    radii, shell = np.unique(_distances(u.domain.coords, center), return_inverse=True)
+    sups = np.full(len(radii), -np.inf)
+    np.maximum.at(sups, shell, np.abs(u.values))
+    return list(zip(radii.tolist(), sups.tolist()))
 
 
 def run_exhaustion(schedule: ExhaustionSchedule, params: ModelParams) -> GlobalSolutionEstimate:
@@ -180,7 +194,7 @@ def run_exhaustion(schedule: ExhaustionSchedule, params: ModelParams) -> GlobalS
       sum of (C - Laplacian)^-1, which is 1 / shift while no site has
       joined the zero-shift core.
     """
-    dom = schedule.build_domain(schedule.radii[0])
+    dom = schedule.smallest
     u, trace = solve_domain(dom, schedule.vortices, params)
     solutions, traces, gaps = [u], [trace], []
     for prev_radius, radius in zip(schedule.radii, schedule.radii[1:]):
@@ -202,9 +216,7 @@ def run_exhaustion(schedule: ExhaustionSchedule, params: ModelParams) -> GlobalS
     # The very last shells of the closure hold boundary sites pinned to
     # zero; the decay certificate reads the outermost shell that still
     # contains interior sites.
-    center_arr = np.asarray(schedule.center, dtype=np.int64)
-    interior_dist = np.abs(dom.coords[: dom.n_interior] - center_arr).sum(axis=1)
-    edge_radius = int(interior_dist.max())
+    edge_radius = int(_distances(dom.coords[: dom.n_interior], schedule.center).max())
     edge_sup = next(s for r, s in profile if r == edge_radius)
     strict = all(b < a for a, b in zip(gaps, gaps[1:]))
     return GlobalSolutionEstimate(

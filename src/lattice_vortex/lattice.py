@@ -49,7 +49,8 @@ class LatticeDomain:
     outside the closure. Two tables derived from it are built on first use
     and then held: `interior_edges` for the band and the interpolation
     ratio, and `closure_pairs` for summation by parts.
-    Instances are immutable by convention and safe to share across threads.
+    Instances are immutable by convention and safe to share across threads;
+    the boxes of one shape share one read-only `adjacency` (`make_box`).
 
     `interior` is an iterable of points or an (n, dimension) integer array;
     non-integral and boolean coordinates raise ValueError, as do
@@ -175,18 +176,34 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
     """Axis-aligned box: all points within `half_width` of the center in every coordinate.
 
     The tables are those `LatticeDomain(dimension, interior)` builds, entry
-    for entry, but come by index arithmetic rather than by sorting and
-    binary search. The box and its boundary layer fill a grid of side
-    2 half_width + 3: the interior is the sites with no coordinate on the
-    layer, the boundary those with exactly one. C order on the grid is
-    lexicographic order, so ranking the two blocks over the grid gives
-    every closure index, and a neighbor is the rank one stride away.
+    for entry, but come from `_box_tables`, built once per shape: each call
+    adds the center to the grid offsets and shares the read-only
+    neighbor table.
     """
     dimension = json_dimension(dimension)
     half_width = json_integer(half_width, "half_width")
     if half_width < 1:
         raise ValueError("half_width must be positive")
     c = json_center(center, dimension, half_width)
+    grid, adjacency = _box_tables(dimension, half_width)
+    # Within +-(2**63 - 1): json_center keeps the center half_width + 1 inside.
+    coords = grid + np.array([ci - half_width - 1 for ci in c], dtype=np.int64)
+    box = LatticeDomain.__new__(LatticeDomain)
+    box._set_tables(dimension, "box", coords, (2 * half_width + 1) ** dimension, adjacency)
+    return box
+
+
+@functools.lru_cache(maxsize=8)
+def _box_tables(dimension: int, half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid coordinates and the neighbor table of a box's closure, by index arithmetic.
+
+    The box and its boundary layer fill a grid of side 2 half_width + 3:
+    the interior is the sites with no coordinate on the layer, the
+    boundary those with exactly one. C order on the grid is lexicographic
+    order, so ranking the two blocks over the grid gives every closure
+    index, and a neighbor is the rank one stride away. Both arrays are
+    cached, so they are read-only.
+    """
     side = 2 * half_width + 3
     shape = (side,) * dimension
     layer = np.zeros(side, dtype=np.int8)
@@ -199,17 +216,14 @@ def make_box(dimension: int, half_width: int, center: LatticePoint | None = None
     rank = np.full(len(on_layer), -1, dtype=np.int64)
     rank[closure] = np.arange(len(closure))
     grid = np.column_stack(np.unravel_index(closure, shape)).astype(np.int64, copy=False)
-    # Within +-(2**63 - 1): json_center keeps the center half_width + 1 inside.
-    coords = grid + np.array([ci - half_width - 1 for ci in c], dtype=np.int64)
     adjacency = np.empty((len(closure), 2 * dimension), dtype=np.int64)
     # A step off the grid is masked to -1; `clip` only keeps its index in range.
     for axis in range(dimension):
         stride, at = side ** (dimension - 1 - axis), grid[:, axis]
         adjacency[:, 2 * axis] = np.where(at < side - 1, rank.take(closure + stride, mode="clip"), -1)
         adjacency[:, 2 * axis + 1] = np.where(at > 0, rank.take(closure - stride, mode="clip"), -1)
-    box = LatticeDomain.__new__(LatticeDomain)
-    box._set_tables(dimension, "box", coords, (side - 2) ** dimension, adjacency)
-    return box
+    grid.flags.writeable = adjacency.flags.writeable = False
+    return grid, adjacency
 
 
 def make_ball(dimension: int, radius: int, center: LatticePoint | None = None) -> LatticeDomain:

@@ -158,7 +158,8 @@ class ShiftedLaplacianSystem:
     entries of Z_S come in closed form (`_inverse_entries`) as S grows.
     S holds at most `core_capacity` sites, the sum of the box sides, which
     bounds K and its k^3 inversion. Off a `_box` the capacity is 0 and S
-    stays empty.
+    stays empty. The box product writes into buffers the system holds
+    (`_PaddedGrid`), so one system serves one thread at a time.
     """
 
     def __init__(self, domain: LatticeDomain, shift: float):
@@ -171,7 +172,7 @@ class ShiftedLaplacianSystem:
         if grid is None:
             self._product = functools.partial(_gather_product, _gather_index(domain))
         else:
-            self._product = functools.partial(_box_product, _padded_layout(grid))
+            self._product = functools.partial(_box_product, _PaddedGrid(grid))
         # The diagonal `_product` takes: shift + 2n, or with a core M's diagonal
         # on the zero-padded grid of `_box_product`.
         self._diagonal = self.shift + 2 * domain.dimension
@@ -207,9 +208,9 @@ class ShiftedLaplacianSystem:
             raise ValueError("core sites must be distinct interior sites")
         diagonal = np.full(self.size, self.shift + 2 * self.domain.dimension)
         diagonal[core] = 2 * self.domain.dimension
-        shape, padded, grid, _ = self._product.args[0]
-        self._diagonal = np.zeros(math.prod(padded))
-        self._diagonal.reshape(padded)[grid] = diagonal.reshape(shape)
+        layout = self._product.args[0]
+        self._diagonal = np.zeros(len(layout.center))
+        layout.on_grid(self._diagonal)[...] = diagonal.reshape(layout.shape)
         sines, eig_inv = self._spectral()
         if self.core_capacity * self.size <= _DENSE_CORE_VALUES:
             # A small box holds T whole and rebuilds Z_S from it.
@@ -252,7 +253,8 @@ class ShiftedLaplacianSystem:
             # Every diagonal entry of A is shift + 2n.
             return (1.0 / (self.shift + 2 * self.domain.dimension)) * r
         sines, eig_inv = self._spectral()
-        y = eig_inv * _sine_transform(sines, r)
+        y = _sine_transform(sines, r)
+        y *= eig_inv
         if self._core_correction is not None:
             self._core_correction(y)
         return _sine_transform(sines, y)
@@ -270,26 +272,50 @@ def _box_shape(domain: LatticeDomain) -> list[int] | None:
     lexicographically, so the interior vector is that grid in C order.
     """
     coords = domain.coords[: domain.n_interior]
-    shape = [int(m) for m in coords.max(axis=0) - coords.min(axis=0) + 1]
+    # Column by column: an axis-0 reduction over the int64 rows is several times slower.
+    shape = [int(column.max() - column.min()) + 1 for column in coords.T]
     if math.prod(shape) != domain.n_interior:
         return None
     return shape
 
 
-def _padded_layout(shape: list[int]):
-    """The zero-padded buffer layout of `_box_product` for a box grid of the given shape.
+class _PaddedGrid:
+    """The zero-padded buffer of `_box_product` for a box grid of the given shape, held for reuse.
 
     Every axis but the first gets one trailing zero slot, and a band of
     zeros one first-axis stride long goes before and after. A step of -1
     or +1 along axis k is then a shift by that axis's stride which, from
     the grid's edge, lands on a zero, so each neighbor term of A x is a
-    contiguous slice of the buffer. Returns the grid shape, the padded
-    shape, the grid's index within it and the padded axis strides.
+    contiguous slice of the buffer. Only the grid's slots are ever
+    written, so the padding stays zero. The buffer, its shifted views
+    (`minus` for the -e_1, ..., -e_n steps, `plus` for +e_n, ..., +e_1),
+    the sum `acc` and the grid's views of the buffer and the sum
+    (`x_grid`, `acc_grid`) are built once per system; a product
+    overwrites them, so one layout serves one product at a time.
     """
-    padded = (shape[0], *(m + 1 for m in shape[1:]))
-    strides = [math.prod(padded[k + 1 :]) for k in range(len(shape))]
-    grid = (slice(None),) + (slice(None, -1),) * (len(shape) - 1)
-    return tuple(shape), padded, grid, strides
+
+    def __init__(self, shape: list[int]):
+        self.shape = tuple(shape)
+        self.padded = (shape[0], *(m + 1 for m in shape[1:]))
+        strides = [math.prod(self.padded[k + 1 :]) for k in range(len(shape))]
+        band, size = strides[0], math.prod(self.padded)
+        buf = np.zeros(size + 2 * band)
+
+        def shifted(step):
+            return buf[band + step : band + step + size]
+
+        self.center = shifted(0)
+        self.minus = [shifted(-step) for step in strides]
+        self.plus = [shifted(step) for step in reversed(strides)]
+        self.acc = np.empty(size)
+        self.term = np.empty(size)
+        self._grid = (slice(None),) + (slice(None, -1),) * (len(shape) - 1)
+        self.x_grid = self.on_grid(self.center)
+        self.acc_grid = self.on_grid(self.acc)
+
+    def on_grid(self, flat: np.ndarray) -> np.ndarray:
+        """The view of the grid's slots in a flat array laid out like the padded buffer."""
+        return flat.reshape(self.padded)[self._grid]
 
 
 def _gather_index(domain: LatticeDomain) -> np.ndarray:
@@ -326,8 +352,8 @@ def _gather_product(index: np.ndarray, diagonal: float, x: np.ndarray) -> np.nda
     return np.subtract(0.0, acc)
 
 
-def _box_product(layout, diagonal: float, x: np.ndarray) -> np.ndarray:
-    """A @ x on a full-box interior; `layout` is `_padded_layout` of its grid.
+def _box_product(layout: _PaddedGrid, diagonal: float, x: np.ndarray) -> np.ndarray:
+    """A @ x on a full-box interior, in the held buffers of its `_PaddedGrid`.
 
     `diagonal` is shift + 2n, or an array of the diagonal on the padded grid.
 
@@ -338,25 +364,18 @@ def _box_product(layout, diagonal: float, x: np.ndarray) -> np.ndarray:
     the zero-padded layout, so a boundary neighbor adds zero and whole
     arrays are summed in that order. The sum is formed negated, which
     gives the same bits since rounding is symmetric, and subtracting it
-    from +0.0 gives CSR's +0.0 where a row sums to zero.
+    from +0.0 gives CSR's +0.0 where a row sums to zero. The result is a
+    new array, so a product the caller keeps is never overwritten.
     """
-    shape, padded, grid, strides = layout
-    band = strides[0]
-    size = band * padded[0]
-    buf = np.zeros(size + 2 * band)
-
-    def shifted(step):
-        return buf[band + step : band + step + size]
-
-    center = shifted(0)
-    center.reshape(padded)[grid] = x.reshape(shape)
-    acc = shifted(-strides[0]) + shifted(-strides[1])
-    for step in strides[2:]:
-        acc += shifted(-step)
-    acc -= diagonal * center
-    for step in reversed(strides):
-        acc += shifted(step)
-    return np.subtract(0.0, acc.reshape(padded)[grid]).reshape(-1)
+    layout.x_grid[...] = x.reshape(layout.shape)
+    acc = layout.acc
+    np.add(layout.minus[0], layout.minus[1], out=acc)
+    for term in layout.minus[2:]:
+        acc += term
+    acc -= np.multiply(diagonal, layout.center, out=layout.term)
+    for term in layout.plus:
+        acc += term
+    return np.subtract(0.0, layout.acc_grid).reshape(-1)
 
 
 @functools.lru_cache(maxsize=8)

@@ -207,6 +207,13 @@ def band_elimination_solve(domain, diagonal, f):
     return w
 
 
+def decay_profile_by_shell(u, center):
+    """`exhaustion.decay_profile` by one mask per shell: the sup of |u| over the sites at each distance."""
+    dist = np.abs(u.domain.coords - np.asarray(center, dtype=np.int64)).sum(axis=1)
+    mags = np.abs(u.values)
+    return [(int(r), float(mags[dist == r].max())) for r in np.unique(dist)]
+
+
 def tail_is_monotone(profile, *, fraction=0.5, slack=1e-9):
     """Non-increasing check over the outer `fraction` of the shells."""
     start = int(len(profile) * (1.0 - fraction))

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from lattice_vortex.calculus import _IPOW_MAX_Q, _ipow, LatticeField, from_inter
 from lattice_vortex.chern_simons import (
     MONOTONE_SLACK,
     ConvergenceFailure,
+    IterationTrace,
     ModelParams,
     MonotonicityBreakdown,
     NonFiniteBreakdown,
+    TraceRecord,
     VortexConfig,
     max_principle_check,
     newton_solve,
@@ -421,6 +424,24 @@ def test_solve_domain_trace_energy_inequalities():
     assert len(chain) == trace.iterations
     for sem_sq, energy2 in chain:
         assert sem_sq <= energy2 + 1e-12 * (1.0 + energy2)
+
+
+def test_trace_csv_bytes_equal_csv_writer(tmp_path):
+    # One `%` renders the file; its bytes are those csv.writer gives for the
+    # same rows, at the extremes of the float range and for a signed zero.
+    trace = IterationTrace()
+    extremes = [-0.0, 1e-300, 1e300, -1e300, 5e-324, math.pi]
+    for k in range(1, len(extremes) + 1):
+        trace.records.append(TraceRecord(k, *(extremes[(k + i) % len(extremes)] for i in range(4))))
+    trace.write_csv(tmp_path / "trace.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "J", "sup_change", "residual", "l2p2_norm"])
+        for r in trace.records:
+            values = (r.j_value, r.sup_change, r.residual_inf, r.l2p2_norm)
+            writer.writerow([r.k] + [format(v, ".17g") for v in values])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert b"-0," in (tmp_path / "trace.csv").read_bytes()
 
 
 def test_seminorm_closed_form_matches_seminorm():

@@ -22,6 +22,7 @@ from lattice_vortex.lattice import make_ball, make_box, nested_index
 from brute import naive_null_extend, naive_restrict_field
 from helpers import (
     break_chain_ordering,
+    decay_profile_by_shell,
     interior_points,
     lq_norm,
     nested_domain_pairs,
@@ -200,6 +201,28 @@ def test_decay_profile_zero_field():
     profile = decay_profile(zeros(dom), (0, 0))
     assert all(s == 0.0 for _, s in profile)
     assert [r for r, _ in profile] == sorted(r for r, _ in profile)
+
+
+@pytest.mark.parametrize(
+    "dom, center",
+    [
+        (make_box(2, 6, center=(3, -2)), (5, 1)),
+        (make_box(3, 3, center=(-1, 0, 2)), (0, 0, 0)),
+        (make_ball(2, 5, center=(-4, 7)), (-3, 9)),
+        (make_ball(3, 3, center=(2, 2, -1)), (2, 2, -1)),
+        (make_ball(2, 2, center=(40, 0)), (0, 0)),
+    ],
+    ids=["box-2d", "box-3d", "ball-2d", "ball-3d-centered", "ball-far"],
+)
+def test_decay_profile_equals_per_shell_loop(dom, center):
+    # One pass over the sites gives the per-shell sups that one mask per
+    # shell gives, value for value, with the distances as Python ints.
+    values = np.random.default_rng(dom.n_closure).uniform(-2, 2, dom.n_closure)
+    values[::7] = -0.0
+    u = LatticeField(dom, values)
+    profile = decay_profile(u, center)
+    assert profile == decay_profile_by_shell(u, center)
+    assert all(type(r) is int and type(s) is float for r, s in profile)
 
 
 def test_decay_profile_single_vortex_peaks_at_center():

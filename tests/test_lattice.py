@@ -197,6 +197,20 @@ def test_make_box_tables_equal_the_general_constructor(dimension, half_width, ce
     assert np.shares_memory(box.interior_neighbors, box.adjacency)
 
 
+def test_boxes_of_one_shape_share_a_read_only_neighbor_table():
+    # make_box builds the tables of a (dimension, half_width) once and adds
+    # the center per call: two centers share the neighbor table, which no
+    # one may write, and each holds its own coordinates.
+    first, second = make_box(3, 2, center=(1, -4, 0)), make_box(3, 2, center=(-9, 2, 5))
+    assert first.adjacency is second.adjacency
+    assert not np.shares_memory(first.coords, second.coords)
+    assert (first.coords - second.coords == (10, -6, -5)).all()
+    for table in (first.adjacency, second.interior_neighbors):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+    assert make_box(3, 3).adjacency is not first.adjacency
+
+
 @pytest.mark.parametrize(
     "dom",
     [make_box(2, 2), make_ball(2, 3), make_box(3, 1), make_ball(3, 2)],

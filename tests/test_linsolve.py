@@ -508,6 +508,29 @@ def _cores(dom):
     }
 
 
+@pytest.mark.parametrize("dom", CORE_BOXES, ids=CORE_BOX_IDS)
+def test_consecutive_box_products_are_independent(dom):
+    # The box product sums in buffers its system holds, and returns a new
+    # array each time: a product the caller keeps (the solver keeps A x for
+    # the next step) survives the next one, before and after a core grows.
+    system = ShiftedLaplacianSystem(dom, 0.9)
+    reference = naive_interior_matrix(dom, system.shift)
+    x, y = np.random.default_rng(dom.n_interior).uniform(-1, 1, (2, dom.n_interior))
+    core = _cores(dom)["neighbourhood"]
+    for grown in (False, True):
+        if grown:
+            system.grow_core(core)
+            diagonal = np.full(dom.n_interior, 0.9 + 2 * dom.dimension)
+            diagonal[core] = 2 * dom.dimension
+            reference.setdiag(diagonal)
+        first = system.matvec(x)
+        kept = first.copy()
+        second = system.matvec(y)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() == (reference @ x).tobytes()
+        assert second.tobytes() == (reference @ y).tobytes()
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["rows-whole", "sub-grid"])
 @pytest.mark.parametrize("dom", CORE_BOXES, ids=CORE_BOX_IDS)
 def test_core_solve_matches_band_elimination(monkeypatch, dom, dense):

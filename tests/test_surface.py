@@ -16,6 +16,7 @@ from lattice_vortex.cli import _solve_inputs, build_parser
 from lattice_vortex.lattice import LatticeDomain, make_ball, make_box
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 PACKAGE = Path(lattice_vortex.__file__).parent
 
 
@@ -74,6 +75,33 @@ def test_readme_command_lines_parse():
             build_parser().parse_args(argv)
         except SystemExit as exc:
             raise AssertionError(f"README command line does not parse: {argv}") from exc
+
+
+# numpy functions that numpy 2.0 added (the array-API names among them);
+# numpy 1.x has none of them.
+NUMPY_2_NAMES = {
+    "vecdot", "matvec", "vecmat", "unstack", "cumulative_sum", "cumulative_prod", "concat",
+    "permute_dims", "matrix_transpose", "astype", "isdtype", "pow", "acos", "asin", "atan", "atan2",
+}
+
+
+def numpy_floor():
+    """The lowest numpy version pyproject.toml's dependencies admit, as a tuple of ints."""
+    spec = re.search(r'"numpy>=([\d.]+)"', PYPROJECT.read_text()).group(1)
+    return tuple(int(part) for part in spec.split("."))
+
+
+def test_numpy_floor_has_every_numpy_function_the_package_calls():
+    # `np.vecdot` exists from numpy 2.0 on: under a lower floor an install
+    # can resolve to numpy 1.x, where `verify` fails with AttributeError.
+    used = {
+        node.attr
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+    }
+    needs = sorted(used & NUMPY_2_NAMES)
+    assert not needs or numpy_floor() >= (2, 0), f"the package calls np.{needs} under {numpy_floor()}"
 
 
 def test_root_exports_match_readme():
